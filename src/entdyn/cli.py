@@ -75,8 +75,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_events(args) -> int:
     doc = _load_config(args.config) if args.config else {}
     tol = Tolerances.from_dict(doc.get("tolerances"))
-    trace_path = os.path.join(args.out_dir, "trace.csv")
-    table = _read_trace_csv(trace_path)
+    csv_path = os.path.join(args.out_dir, "trace.csv")
+    if os.path.exists(csv_path):
+        table = _read_trace_csv(csv_path)
+    else:
+        table = _read_trace_json(os.path.join(args.out_dir, "trace.json"))
     report = detect_events(table, tol)
     events_path = os.path.join(args.out_dir, "events.json")
     with open(events_path, "w") as fh:
@@ -98,6 +101,22 @@ def _read_trace_csv(path: str) -> SweepTable:
         for col, part in zip(cols, parts):
             col.append(float(part) if part else math.nan)
     arrs = [np.asarray(col) for col in cols]
+    return SweepTable(*arrs)
+
+
+def _read_trace_json(path: str) -> SweepTable:
+    with open(path) as fh:
+        doc = json.load(fh)
+    names = CSV_HEADER.split(",")
+    if not isinstance(doc, dict) or set(doc) != set(names):
+        raise ConfigError(f"{path} does not hold the columns {names}")
+    try:
+        arrs = [np.array([math.nan if v is None else float(v) for v in doc[name]])
+                for name in names]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad trace column in {path}: {exc}") from exc
+    if len({a.size for a in arrs}) != 1:
+        raise ConfigError(f"{path} columns differ in length")
     return SweepTable(*arrs)
 
 

@@ -1,6 +1,7 @@
 """Genuine multipartite negativity via the fully-decomposable-witness SDP."""
 
 from .ipm import (
+    SchurPartition,
     SdpBlock,
     SdpNonConvergenceError,
     SdpNumericalError,
@@ -19,6 +20,7 @@ from .witness import (
 )
 
 __all__ = [
+    "SchurPartition",
     "SdpBlock",
     "SdpResult",
     "SdpNonConvergenceError",

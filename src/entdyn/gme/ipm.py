@@ -14,11 +14,25 @@ of the variables.  The Lagrangian dual is::
 The solver is a Mehrotra predictor-corrector method with Nesterov-Todd
 scaling.  Per iteration and per block it computes a scaling factor ``J``
 with ``J^-1 S J^-H = J^H Z J = diag(v)`` (both scaled iterates coincide and
-are diagonal), reduces the Newton system to the dense Schur complement
+are diagonal), reduces the Newton system to the Schur complement
 ``M[i, j] = <J^-1 A_i J^-H, J^-1 A_j J^-H>``, and takes separate primal and
-dual step lengths at a 0.98 fraction to the cone boundary.  Callers supply
-strictly feasible starting points, so the dual equality residual stays at
-round-off level; it is still folded into the right-hand side each iteration
+dual step lengths at a 0.98 fraction to the cone boundary.
+
+The Schur complement is factored as a block arrowhead matrix.  A
+``SchurPartition`` splits the variables into diagonal blocks that never
+share an SDP block with each other and a border that may couple to all of
+them; with the border ordered last, ``M`` has diagonal blocks ``M_c``,
+border couplings ``B_c = M[border, block c]`` and border block ``A``.  Each
+``M_c = L_c L_c^T`` is factored first, then the border system
+``A - sum_c C_c^T C_c`` with ``C_c = L_c^-1 B_c^T``; in exact arithmetic this
+is the Cholesky factor of ``M`` with the border last (the block-angular
+reduction of Gondzio & Grothey, Comput. Manag. Sci. 6, 2009).  Without a
+partition the border is empty and all variables form one block.  If a
+factor fails at round-off, the whole factorization is retried with growing
+multiples of the identity added to ``M``.
+
+Callers supply strictly feasible starting points, so the dual equality
+residual stays at round-off level; it is still folded into the right-hand side each iteration
 to keep it from drifting.
 
 Blocks may be complex Hermitian or real symmetric; all operations are
@@ -30,9 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 __all__ = [
+    "SchurPartition",
     "SdpBlock",
     "SdpResult",
     "SdpNonConvergenceError",
@@ -42,6 +56,9 @@ __all__ = [
 
 _STEP_FRACTION = 0.98
 _MIN_STEP = 1e-10
+# Cumulative identity shifts, in units of max(trace(M)/m, 1), tried in turn
+# when the Schur complement is not numerically positive definite.
+_SHIFT_LADDER = np.cumsum([0.0, 1e-12, 1e-11, 1e-10])
 
 
 class SdpNumericalError(RuntimeError):
@@ -64,6 +81,32 @@ class SdpBlock:
     a0: np.ndarray        # (d, d)
     a: np.ndarray         # (m_b, d, d), Hermitian basis matrices
     var_idx: np.ndarray   # (m_b,) indices into the global variable vector
+
+
+@dataclass(frozen=True)
+class SchurPartition:
+    """Variable partition under which the Schur complement is block arrowhead.
+
+    No SDP block may hold variables of two different ``blocks``; ``border``
+    variables may appear with any of them.  Every variable index appears
+    exactly once.
+    """
+
+    border: np.ndarray              # (m_border,) variable indices
+    blocks: tuple[np.ndarray, ...]  # index arrays of the diagonal blocks
+
+    def check(self, m: int, blocks: list[SdpBlock]) -> None:
+        """Raise ValueError unless this partition fits ``blocks`` on ``m`` variables."""
+        owner = np.full(m, -2)
+        for k, idx in enumerate((self.border, *self.blocks)):
+            if np.any(owner[idx] != -2):
+                raise ValueError("partition lists a variable twice")
+            owner[idx] = k - 1
+        if np.any(owner == -2):
+            raise ValueError("partition misses a variable")
+        for blk in blocks:
+            if np.unique(owner[blk.var_idx][owner[blk.var_idx] >= 0]).size > 1:
+                raise ValueError("an SDP block couples two diagonal blocks of the partition")
 
 
 @dataclass
@@ -117,18 +160,29 @@ def solve_block_sdp(
     z0: list[np.ndarray],
     tolerance: float = 1e-7,
     max_iterations: int = 200,
+    partition: SchurPartition | None = None,
 ) -> SdpResult:
     """Run the interior-point iteration from a strictly feasible pair.
 
+    ``partition`` tells the Schur factorization which variables never
+    couple; without one all variables form a single dense block.
+
     Raises
     ------
+    ValueError
+        If ``partition`` does not cover the variables once each, or an SDP
+        block couples two of its diagonal blocks.
     SdpNumericalError
-        If a Cholesky or eigenvalue factorization fails in a way a step
-        retry cannot fix (indefinite Newton system).
+        If a cone factorization fails, or the Schur complement is not
+        positive definite even after the largest identity shift.
     SdpNonConvergenceError
-        If the iteration cap is reached; carries the best dual bound.
+        If the iteration cap is reached or the step length collapses;
+        carries the best dual bound.
     """
     m = c.size
+    if partition is None:
+        partition = SchurPartition(border=np.zeros(0, dtype=int), blocks=(np.arange(m),))
+    partition.check(m, blocks)
     groups = _group_blocks(blocks)
     dim_total = sum(g.nb * g.d for g in groups)
 
@@ -154,7 +208,9 @@ def solve_block_sdp(
 
         if rd_inf <= feas_tol and (best_bound is None or dobj > best_bound):
             best_bound = dobj
-        rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
+        # <S, Z> >= 0 for PSD iterates; a negative value is round-off, which
+        # must not count as meeting a tolerance set below it
+        rel_gap = abs(gap) / (1.0 + abs(pobj) + abs(dobj))
         if rel_gap <= tolerance and rd_inf <= feas_tol:
             return SdpResult(
                 x=x,
@@ -202,7 +258,7 @@ def solve_block_sdp(
                 ii = g.idx[n_local]
                 schur[np.ix_(ii, ii)] += gram[n_local]
 
-        factor = _factor_schur(schur)
+        factor = _factor_arrow(schur, partition)
         mu = gap / dim_total
 
         # Predictor (affine) direction; with feasibility maintained the
@@ -283,14 +339,76 @@ def _add_diag_inplace(mat: np.ndarray, scalar: float) -> None:
     mat[:, idx, idx] += scalar
 
 
-def _factor_schur(schur: np.ndarray):
-    scale = max(float(np.trace(schur)) / max(schur.shape[0], 1), 1.0)
-    for attempt in range(3):
+def cho_factor(a: np.ndarray, lower: bool = True) -> np.ndarray:
+    """Lower Cholesky factor ``L`` (``a = L L^T``) of one symmetric matrix.
+
+    Raises ``np.linalg.LinAlgError`` when ``a`` is not numerically positive
+    definite.  Only the lower factor is supported.
+    """
+    if not lower:
+        raise ValueError("only the lower Cholesky factor is supported")
+    return np.linalg.cholesky(a)
+
+
+@dataclass
+class _ArrowFactor:
+    """Cholesky factor of a block-arrowhead matrix, diagonal blocks first.
+
+    ``L = [[L_1, ..., 0], ..., [C_1^T, ..., L_B]]`` with ``L_c`` the factor of
+    diagonal block ``c``, ``C_c = L_c^-1 M[block c, border]`` and ``L_B`` the
+    factor of the border system ``M[border, border] - sum_c C_c^T C_c``.
+    """
+
+    partition: SchurPartition
+    blocks: list[np.ndarray]     # L_c
+    coupling: list[np.ndarray]   # C_c
+    border: np.ndarray           # L_B
+    shift: float                 # identity shift the factorization needed
+
+
+def _factor_arrow(schur: np.ndarray, part: SchurPartition) -> _ArrowFactor:
+    """Block-arrowhead Cholesky of ``schur``, climbing the shift ladder on failure.
+
+    Every rung shifts the diagonal blocks and the border together, so each
+    attempt factors ``schur + shift * I`` exactly.
+    """
+    m = schur.shape[0]
+    scale = max(float(np.trace(schur)) / max(m, 1), 1.0)
+    border_sel = np.ix_(part.border, part.border)
+    for shift in _SHIFT_LADDER * scale:
         try:
-            return cho_factor(schur, lower=True)
+            factors, couplings = [], []
+            s = schur[border_sel] + shift * np.eye(part.border.size)
+            for q in part.blocks:
+                lq = cho_factor(schur[np.ix_(q, q)] + shift * np.eye(q.size))
+                cq = np.linalg.solve(lq, schur[np.ix_(q, part.border)])
+                s -= cq.T @ cq
+                factors.append(lq)
+                couplings.append(cq)
+            return _ArrowFactor(part, factors, couplings, cho_factor(s), float(shift))
         except np.linalg.LinAlgError:
-            schur = schur + (10.0 ** (attempt - 12)) * scale * np.eye(schur.shape[0])
+            continue
     raise SdpNumericalError("indefinite Newton system: Schur complement not positive definite")
+
+
+def cho_solve(factor: _ArrowFactor, b: np.ndarray) -> np.ndarray:
+    """Solve ``(M + shift I) x = b`` by forward and back substitution with ``L``.
+
+    Triangular solves go through ``np.linalg.solve``; numpy has no
+    dedicated triangular solver.
+    """
+    part = factor.partition
+    y = [np.linalg.solve(lq, b[q]) for lq, q in zip(factor.blocks, part.blocks)]
+    r_border = b[part.border]
+    for cq, yq in zip(factor.coupling, y):
+        r_border -= cq.T @ yq
+    x = np.empty_like(b)
+    x[part.border] = x_border = np.linalg.solve(
+        factor.border.T, np.linalg.solve(factor.border, r_border)
+    )
+    for lq, q, cq, yq in zip(factor.blocks, part.blocks, factor.coupling, y):
+        x[q] = np.linalg.solve(lq.T, yq - cq @ x_border)
+    return x
 
 
 def _ungroup(groups: list[_Group], z: list[np.ndarray], n_blocks: int) -> list[np.ndarray]:

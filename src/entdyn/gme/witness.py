@@ -25,11 +25,12 @@ dense interior-point solves cheap enough for time sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ..states import Bipartition, DensityMatrix
-from .ipm import SdpBlock, SdpResult, solve_block_sdp
+from .ipm import SchurPartition, SdpBlock, SdpResult, solve_block_sdp
 
 __all__ = [
     "GmeProblem",
@@ -156,8 +157,22 @@ def _sector_labels(n: int, span: np.ndarray, parity_ok: bool, signs: np.ndarray)
     return tuple(seen.setdefault(k, len(seen)) for k in keys)
 
 
-def _trivial_labels(n: int) -> tuple[int, ...]:
-    return (0,) * (2**n)
+def _symmetry_labels(
+    problem: GmeProblem, symmetry_reduction: bool
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Sector labels of W and of each cut's Q (all zero without reduction)."""
+    n = problem.rho.num_subsystems
+    if not symmetry_reduction:
+        trivial = (0,) * (2**n)
+        return trivial, tuple(trivial for _ in problem.cuts)
+    span, parity_ok = _support_symmetry(problem.rho.entries, n)
+    w_labels = _sector_labels(n, span, parity_ok, np.ones(n))
+    q_labels = []
+    for cut in problem.cuts:
+        signs = np.ones(n)
+        signs[list(cut.left)] = -1.0
+        q_labels.append(_sector_labels(n, span, parity_ok, signs))
+    return w_labels, tuple(q_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +228,16 @@ class _Formulation:
     q_offsets: list[int]
     blocks: list[SdpBlock]
     block_meta: list[tuple[int, str, tuple[int, ...]]]
+    partition: SchurPartition
     reduced: bool
 
 
-def _build_formulation(
+@lru_cache(maxsize=64)
+def _formulation_for(
     n: int,
     cuts: tuple[Bipartition, ...],
     w_labels: tuple[int, ...],
     q_labels: tuple[tuple[int, ...], ...],
-    reduced: bool,
 ) -> _Formulation:
     d = 2**n
     w_specs = _param_specs(w_labels)
@@ -292,6 +308,12 @@ def _build_formulation(
             blocks.append(SdpBlock(a0=-np.eye(ds, dtype=complex), a=-a, var_idx=var_idx.copy()))
             block_meta.append((ci, "q_upper", tuple(sec)))
 
+    # W couples to every cut; the Q variables of different cuts never share
+    # a block, so the Schur complement is an arrowhead with W as its border.
+    partition = SchurPartition(
+        border=np.arange(w_offset, w_offset + len(w_specs)),
+        blocks=tuple(np.arange(off, off + len(specs)) for off, specs in zip(q_offsets, q_specs)),
+    )
     return _Formulation(
         n=n,
         cuts=cuts,
@@ -302,29 +324,9 @@ def _build_formulation(
         q_offsets=q_offsets,
         blocks=blocks,
         block_meta=block_meta,
-        reduced=reduced,
+        partition=partition,
+        reduced=len(set(w_labels)) > 1,
     )
-
-
-_FORMULATION_CACHE: dict[tuple, _Formulation] = {}
-_CACHE_LIMIT = 64
-
-
-def _formulation_for(
-    n: int,
-    cuts: tuple[Bipartition, ...],
-    w_labels: tuple[int, ...],
-    q_labels: tuple[tuple[int, ...], ...],
-    reduced: bool,
-) -> _Formulation:
-    key = (n, tuple((c.left, c.right) for c in cuts), w_labels, q_labels)
-    form = _FORMULATION_CACHE.get(key)
-    if form is None:
-        form = _build_formulation(n, cuts, w_labels, q_labels, reduced)
-        if len(_FORMULATION_CACHE) >= _CACHE_LIMIT:
-            _FORMULATION_CACHE.pop(next(iter(_FORMULATION_CACHE)))
-        _FORMULATION_CACHE[key] = form
-    return form
 
 
 # ---------------------------------------------------------------------------
@@ -436,25 +438,10 @@ def solve_gme(
     """
     if isinstance(problem, DensityMatrix):
         problem = GmeProblem(rho=problem)
-    n = problem.rho.num_subsystems
     entries = problem.rho.entries
-
-    if symmetry_reduction:
-        span, parity_ok = _support_symmetry(entries, n)
-        w_labels = _sector_labels(n, span, parity_ok, np.ones(n))
-        q_labels = []
-        for cut in problem.cuts:
-            signs = np.ones(n)
-            signs[list(cut.left)] = -1.0
-            q_labels.append(_sector_labels(n, span, parity_ok, signs))
-        q_labels = tuple(q_labels)
-        reduced = len(set(w_labels)) > 1
-    else:
-        w_labels = _trivial_labels(n)
-        q_labels = tuple(_trivial_labels(n) for _ in problem.cuts)
-        reduced = False
-
-    form = _formulation_for(n, problem.cuts, w_labels, q_labels, reduced)
+    form = _formulation_for(
+        problem.rho.num_subsystems, problem.cuts, *_symmetry_labels(problem, symmetry_reduction)
+    )
     c = _objective_vector(form, entries)
     x0 = _initial_x(form)
     z0 = _initial_z(form, entries)
@@ -467,7 +454,8 @@ def solve_gme(
         z0 = [0.5 * _embed(zb) for zb in z0]
 
     result = solve_block_sdp(
-        blocks, c, x0, z0, tolerance=problem.tolerance, max_iterations=max_iterations
+        blocks, c, x0, z0, tolerance=problem.tolerance, max_iterations=max_iterations,
+        partition=form.partition,
     )
     return _solution_from_result(form, problem, result)
 
@@ -559,20 +547,7 @@ def verify_witness(solution: GmeSolution, problem: GmeProblem) -> WitnessReport:
 def problem_json_dict(problem: GmeProblem, symmetry_reduction: bool = True) -> dict:
     """Documented JSON form of the SDP: blocks, dimensions, objective matrix."""
     n = problem.rho.num_subsystems
-    entries = problem.rho.entries
-    if symmetry_reduction:
-        span, parity_ok = _support_symmetry(entries, n)
-        w_labels = _sector_labels(n, span, parity_ok, np.ones(n))
-        q_labels = []
-        for cut in problem.cuts:
-            signs = np.ones(n)
-            signs[list(cut.left)] = -1.0
-            q_labels.append(_sector_labels(n, span, parity_ok, signs))
-        q_labels = tuple(q_labels)
-    else:
-        w_labels = _trivial_labels(n)
-        q_labels = tuple(_trivial_labels(n) for _ in problem.cuts)
-    form = _formulation_for(n, problem.cuts, w_labels, q_labels, symmetry_reduction)
+    form = _formulation_for(n, problem.cuts, *_symmetry_labels(problem, symmetry_reduction))
     return {
         "num_qubits": n,
         "dimension": 2**n,

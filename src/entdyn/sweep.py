@@ -403,7 +403,8 @@ def detect_events(table: SweepTable, tolerances: Tolerances | None = None) -> Ev
 # output
 
 def _fmt(v: float) -> str:
-    return "" if not math.isfinite(v) else f"{v:.12g}"
+    """Shortest round-trip text of ``v``, so a re-read gives the same float."""
+    return "" if not math.isfinite(v) else repr(float(v))
 
 
 def emit(table: SweepTable, report: EventReport, out_dir, fmt: str = "csv"):

@@ -1,10 +1,13 @@
 import json
 import math
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from entdyn.cli import main
-from entdyn.states import ghz_state
+from entdyn.states import ghz_state, random_density_matrix
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -61,10 +64,55 @@ def test_events_command_recomputes_from_trace(tmp_path):
     (out / "events.json").unlink()
     assert main(["events", "--out-dir", str(out)]) == 0
     recomputed = json.loads((out / "events.json").read_text())
-    # trace.csv keeps 12 significant digits, so times agree to ~1e-9
+    # trace.csv keeps round-trip digits, so the times are reproduced
     assert recomputed["esd_time"] == pytest.approx(original["esd_time"], abs=1e-9)
     assert recomputed["esb_time"] == pytest.approx(original["esb_time"], abs=1e-9)
     assert recomputed["dead_window"] == pytest.approx(original["dead_window"], abs=1e-9)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_events_command_reproduces_sweep_events_exactly(tmp_path, fmt):
+    cfg = write_config(tmp_path, {
+        "initial_state": {"kind": "pure", "alpha": math.sqrt(1 / 3),
+                          "beta": math.sqrt(2 / 3)},
+        "x": 5.0,
+        "gamma0_t_max": 8.0,
+        "steps": 6000,
+        "measures": ["cc", "rr"],
+    })
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out-dir", str(out), "--format", fmt]) == 0
+    original = (out / "events.json").read_bytes()
+    assert json.loads(original)["esd_time"] is not None
+    (out / "events.json").unlink()
+    assert main(["events", "--out-dir", str(out)]) == 0
+    assert (out / "events.json").read_bytes() == original
+
+
+def test_events_command_rejects_malformed_json_trace(tmp_path):
+    (tmp_path / "trace.json").write_text(json.dumps({"gamma0_t": [0.0, 1.0]}))
+    assert main(["events", "--out-dir", str(tmp_path)]) == 1
+    assert main(["events", "--out-dir", str(tmp_path / "missing")]) == 3
+
+
+def test_gme_single_reduced_flag_ignores_problem_dump(tmp_path):
+    rho = random_density_matrix((2, 2, 2), np.random.default_rng(7))
+    for dump in (True, False):
+        cfg = write_config(tmp_path, {
+            "state": {"kind": "matrix", "matrix": rho.to_json_dict()},
+            "dump_problem": dump,
+        })
+        out = tmp_path / f"dump-{dump}"
+        assert main(["gme-single", "--config", cfg, "--out-dir", str(out)]) == 0
+        assert (out / "sdp_problem.json").exists() == dump
+        assert json.loads((out / "gme.json").read_text())["reduced"] is False
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, entdyn.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_gme_single_named_state(tmp_path):

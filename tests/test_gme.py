@@ -15,7 +15,14 @@ from entdyn.gme import (
     solve_gme,
     verify_witness,
 )
-from entdyn.gme.ipm import SdpBlock, solve_block_sdp
+from entdyn.gme.ipm import (
+    SchurPartition,
+    SdpBlock,
+    SdpNumericalError,
+    _factor_arrow,
+    cho_solve,
+    solve_block_sdp,
+)
 from entdyn.states import (
     Bipartition,
     DensityMatrix,
@@ -71,6 +78,93 @@ def test_solver_interval():
     res = solve_block_sdp(blocks, np.array([-1.0]), np.array([1.5]),
                           [np.array([[0.5 + 0j]]), np.array([[0.5 + 0j]])])
     assert res.primal_objective == pytest.approx(-3.0, abs=1e-6)
+
+
+# --- block-arrowhead Schur factorization ---------------------------------------
+
+def _random_arrowhead(rng, border_size, block_sizes):
+    """SPD matrix, in shuffled variable order, that is arrowhead under the partition."""
+    m = border_size + sum(block_sizes)
+    perm = rng.permutation(m)
+    border = np.sort(perm[:border_size])
+    blocks, start = [], border_size
+    for size in block_sizes:
+        blocks.append(np.sort(perm[start:start + size]))
+        start += size
+    mat = np.zeros((m, m))
+    for q in blocks:
+        # each diagonal block couples only to itself and to the border
+        idx = np.concatenate([q, border])
+        g = rng.normal(size=(idx.size, idx.size + 3))
+        mat[np.ix_(idx, idx)] += g @ g.T
+    return mat, SchurPartition(border=border, blocks=tuple(blocks))
+
+
+@pytest.mark.parametrize("border_size, block_sizes", [(6, (5, 7, 4)), (0, (12,)), (9, (1,))])
+def test_arrow_factor_solves_like_dense(border_size, block_sizes):
+    rng = np.random.default_rng(11)
+    mat, part = _random_arrowhead(rng, border_size, block_sizes)
+    rhs = rng.normal(size=mat.shape[0])
+    factor = _factor_arrow(mat, part)
+    assert factor.shift == 0.0
+    np.testing.assert_allclose(cho_solve(factor, rhs), np.linalg.solve(mat, rhs),
+                               rtol=1e-10, atol=1e-12)
+
+
+def test_arrow_factor_climbs_the_shift_ladder():
+    rng = np.random.default_rng(5)
+    mat, part = _random_arrowhead(rng, 5, (6, 6))
+    scale = np.trace(mat) / mat.shape[0]
+    # smallest eigenvalue -5e-13 * scale: indefinite at round-off only, so
+    # the first rung (+1e-12 * scale) makes it positive definite
+    lam_min = np.linalg.eigvalsh(mat)[0]
+    mat = mat - (lam_min + 5e-13 * scale) * np.eye(mat.shape[0])
+    scale = np.trace(mat) / mat.shape[0]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(mat)
+    factor = _factor_arrow(mat, part)
+    assert factor.shift == pytest.approx(1e-12 * scale, rel=1e-12)
+    rhs = rng.normal(size=mat.shape[0])
+    x = cho_solve(factor, rhs)
+    shifted = mat + factor.shift * np.eye(mat.shape[0])
+    backward = np.linalg.norm(shifted @ x - rhs) / (np.linalg.norm(shifted, 2) * np.linalg.norm(x))
+    assert backward < 1e-12
+
+
+def test_arrow_factor_rejects_indefinite_schur():
+    rng = np.random.default_rng(6)
+    mat, part = _random_arrowhead(rng, 3, (4, 4))
+    mat[0, 0] = -1.0
+    with pytest.raises(SdpNumericalError, match="indefinite Newton system"):
+        _factor_arrow(mat, part)
+
+
+def test_partition_check_rejects_mismatched_partitions():
+    blocks = [SdpBlock(a0=np.zeros((1, 1), dtype=complex), a=np.ones((2, 1, 1), dtype=complex),
+                       var_idx=np.array([1, 2]))]
+    cases = {
+        "couples two diagonal blocks": SchurPartition(np.array([0]), (np.array([1]), np.array([2]))),
+        "twice": SchurPartition(np.array([0, 1]), (np.array([1, 2]),)),
+        "misses": SchurPartition(np.array([0]), (np.array([1]),)),
+    }
+    for message, part in cases.items():
+        with pytest.raises(ValueError, match=message):
+            part.check(3, blocks)
+    SchurPartition(np.array([0]), (np.array([1, 2]),)).check(3, blocks)
+
+
+@pytest.mark.parametrize("gamma0_t", [9.05687, 13.5853, 31.699, 40.7559])
+def test_freeze_window_points_converge_with_certificate(gamma0_t):
+    # points of the alpha = sqrt(1/26), x = 0.01 sweep whose late Schur
+    # matrices are mostly indefinite at round-off and need the shift ladder
+    s0 = pure_alpha_beta(math.sqrt(1 / 26), 5 * math.sqrt(1 / 26))
+    problem = GmeProblem(rho=evolve_four(s0, AmplitudeModel(1.0, 0.01), gamma0_t))
+    sol = solve_gme(problem)
+    assert sol.converged and sol.reduced
+    assert verify_witness(sol, problem).passed
+    assert sol.dual_objective <= sol.objective
+    if gamma0_t != 31.699:      # the freeze window ends just before 31.699
+        assert sol.genuine_negativity == pytest.approx(5 / 26, abs=1e-6)
 
 
 # --- oracle values -------------------------------------------------------------
