@@ -35,7 +35,14 @@ Callers supply strictly feasible starting points, so the dual equality
 residual stays at round-off level; it is still folded into the right-hand side each iteration
 to keep it from drifting.
 
-Blocks may be complex Hermitian or real symmetric; all operations are
+Every inner product of Hermitian matrices, ``<X, Y> = Re tr(XY) =
+sum Re X * Re Y + Im X * Im Y``, is a real dot product of the float64 views
+of the complex arrays, so the Schur complement, the residuals and the
+directions never compute an imaginary part only to drop it (as in SDPT3,
+Toh, Todd & Tutuncu, Optim. Methods Softw. 11, 1999).
+
+Blocks may be complex Hermitian or real symmetric; real blocks are cast to
+complex so that both run through the same code.  All operations are
 batched over groups of equally shaped blocks.
 """
 
@@ -127,13 +134,30 @@ class _Group:
 
     def __init__(self, block_ids: list[int], blocks: list[SdpBlock]):
         self.block_ids = block_ids
-        self.a0 = np.stack([blocks[b].a0 for b in block_ids])
-        self.a = np.stack([blocks[b].a for b in block_ids])
+        self.a0 = np.stack([blocks[b].a0 for b in block_ids], dtype=complex)
+        self.a = np.stack([blocks[b].a for b in block_ids], dtype=complex)
         self.idx = np.stack([blocks[b].var_idx for b in block_ids])
         self.nb, self.m_b, self.d, _ = self.a.shape
+        # (nb, m_b, 2 d^2) float64 view: row k holds Re and Im of A_k interleaved
+        self.a_real = self.a.reshape(self.nb, self.m_b, -1).view(np.float64)
 
     def slack(self, x: np.ndarray) -> np.ndarray:
-        return np.einsum("nm,nmij->nij", x[self.idx], self.a) - self.a0
+        return _combine(x[self.idx], self.a_real, self.d) - self.a0
+
+
+def _combine(coef: np.ndarray, basis_real: np.ndarray, d: int) -> np.ndarray:
+    """``sum_k coef[n, k] B[n, k]`` for each ``n``, from the float64 view of ``B``."""
+    return (coef[:, None, :] @ basis_real).view(complex).reshape(-1, d, d)
+
+
+def _inner_each(basis_real: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``<B[n, k], Y_n>`` for every ``n`` and ``k``; the adjoint of ``_combine``."""
+    return (basis_real @ y.reshape(y.shape[0], -1).view(np.float64)[:, :, None])[:, :, 0]
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> float:
+    """Sum of ``<X_n, Y_n>`` over a stack of Hermitian matrices."""
+    return float(x.view(np.float64).ravel() @ y.view(np.float64).ravel())
 
 
 def _group_blocks(blocks: list[SdpBlock]) -> list[_Group]:
@@ -187,7 +211,7 @@ def solve_block_sdp(
     dim_total = sum(g.nb * g.d for g in groups)
 
     x = np.array(x0, dtype=float)
-    z = [np.stack([z0[b] for b in g.block_ids]) for g in groups]
+    z = [np.stack([z0[b] for b in g.block_ids], dtype=complex) for g in groups]
 
     feas_tol = max(tolerance, 1e-9)
     best_bound: float | None = None
@@ -196,12 +220,12 @@ def solve_block_sdp(
     for it in range(max_iterations + 1):
         s = [g.slack(x) for g in groups]
 
-        gap = sum(float(np.einsum("nij,nji->", sg, zg).real) for sg, zg in zip(s, z))
+        gap = sum(_inner(sg, zg) for sg, zg in zip(s, z))
         pobj = float(c @ x)
-        dobj = sum(float(np.einsum("nij,nji->", g.a0, zg).real) for g, zg in zip(groups, z))
+        dobj = sum(_inner(g.a0, zg) for g, zg in zip(groups, z))
         r = c.copy()
         for g, zg in zip(groups, z):
-            prods = np.einsum("nmij,nji->nm", g.a, zg).real
+            prods = _inner_each(g.a_real, zg)
             for n_local in range(g.nb):
                 r[g.idx[n_local]] -= prods[n_local]
         rd_inf = float(np.max(np.abs(r))) if m else 0.0
@@ -245,15 +269,15 @@ def solve_block_sdp(
                 jinv = (np.swapaxes(uk.conj(), 1, 2) @ lsinv) * (lam ** 0.25)[:, :, None]
                 jinvh = np.swapaxes(jinv.conj(), 1, 2)
                 at = np.matmul(jinv[:, None], g.a) @ jinvh[:, None]
-                scaled_a.append(at.reshape(g.nb, g.m_b, g.d * g.d))
+                scaled_a.append(at.reshape(g.nb, g.m_b, -1).view(np.float64))
                 v_all.append(np.sqrt(lam))
                 jinv_all.append(jinv)
         except np.linalg.LinAlgError as exc:
             raise SdpNumericalError(f"cone factorization failed: {exc}") from exc
 
         schur = np.zeros((m, m))
-        for g, atv in zip(groups, scaled_a):
-            gram = np.matmul(atv, np.swapaxes(atv.conj(), 1, 2)).real
+        for g, atr in zip(groups, scaled_a):
+            gram = atr @ np.swapaxes(atr, 1, 2)
             for n_local in range(g.nb):
                 ii = g.idx[n_local]
                 schur[np.ix_(ii, ii)] += gram[n_local]
@@ -264,10 +288,7 @@ def solve_block_sdp(
         # Predictor (affine) direction; with feasibility maintained the
         # right-hand side reduces to -c exactly.
         dx_aff = cho_solve(factor, -c)
-        ds_aff = [
-            np.einsum("nm,nmx->nx", dx[g.idx], atv).reshape(g.nb, g.d, g.d)
-            for g, atv, dx in zip(groups, scaled_a, [dx_aff] * len(groups))
-        ]
+        ds_aff = [_combine(dx_aff[g.idx], atr, g.d) for g, atr in zip(groups, scaled_a)]
         dz_aff = [-_add_diag(d_s, v) for d_s, v in zip(ds_aff, v_all)]
 
         alpha_aff = min((_max_step(v, d_s) for v, d_s in zip(v_all, ds_aff)), default=np.inf)
@@ -276,13 +297,7 @@ def solve_block_sdp(
 
         mu_aff = (
             sum(
-                float(
-                    np.einsum(
-                        "nij,nji->",
-                        _add_diag(alpha_aff * d_s, v),
-                        _add_diag(beta_aff * d_z, v),
-                    ).real
-                )
+                _inner(_add_diag(alpha_aff * d_s, v), _add_diag(beta_aff * d_z, v))
                 for v, d_s, d_z in zip(v_all, ds_aff, dz_aff)
             )
             / dim_total
@@ -292,22 +307,19 @@ def solve_block_sdp(
         # Corrector with the Mehrotra second-order term.
         rhs = -r.astype(float)
         rt_all = []
-        for g, atv, v, d_s, d_z in zip(groups, scaled_a, v_all, ds_aff, dz_aff):
+        for g, atr, v, d_s, d_z in zip(groups, scaled_a, v_all, ds_aff, dz_aff):
             cross = 0.5 * (d_s @ d_z + d_z @ d_s)
             resid = -cross
             resid -= v[:, :, None] * v[:, None, :] * np.eye(g.d)[None]
             _add_diag_inplace(resid, sigma * mu)
             rt = 2.0 * resid / (v[:, :, None] + v[:, None, :])
             rt_all.append(rt)
-            contrib = np.einsum("nmx,nx->nm", atv.conj(), rt.reshape(g.nb, -1)).real
+            contrib = _inner_each(atr, rt)
             for n_local in range(g.nb):
                 rhs[g.idx[n_local]] += contrib[n_local]
 
         dx = cho_solve(factor, rhs)
-        ds = [
-            np.einsum("nm,nmx->nx", dx[g.idx], atv).reshape(g.nb, g.d, g.d)
-            for g, atv in zip(groups, scaled_a)
-        ]
+        ds = [_combine(dx[g.idx], atr, g.d) for g, atr in zip(groups, scaled_a)]
         dz = [rt - d_s for rt, d_s in zip(rt_all, ds)]
 
         alpha = min(1.0, _STEP_FRACTION * min((_max_step(v, d) for v, d in zip(v_all, ds)), default=np.inf))

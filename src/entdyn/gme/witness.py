@@ -185,25 +185,45 @@ def _sectors(labels: tuple[int, ...]) -> list[list[int]]:
     return [by_label[lab] for lab in sorted(by_label)]
 
 
-def _param_specs(labels: tuple[int, ...]) -> list[tuple[str, int, int]]:
-    specs: list[tuple[str, int, int]] = []
-    for sector in _sectors(labels):
-        for i in sector:
-            specs.append(("d", i, i))
-        for a in range(len(sector)):
-            for b in range(a + 1, len(sector)):
-                specs.append(("r", sector[a], sector[b]))
-                specs.append(("i", sector[a], sector[b]))
-    return specs
+# Parameter kinds of a Hermitian matrix: real diagonal entry (i, i), and the
+# real and imaginary parts of the off-diagonal pair (i, j), (j, i).
+_DIAG, _REAL, _IMAG = 0, 1, 2
 
 
-def _spec_entries(spec: tuple[str, int, int]) -> list[tuple[int, int, complex]]:
-    kind, i, j = spec
-    if kind == "d":
-        return [(i, i, 1.0 + 0.0j)]
-    if kind == "r":
-        return [(i, j, 1.0 + 0.0j), (j, i, 1.0 + 0.0j)]
-    return [(i, j, 1.0j), (j, i, -1.0j)]
+def _param_specs(labels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kind code, row and column of every parameter of a sector-block matrix.
+
+    Sector by sector: its diagonal entries, then a real and an imaginary
+    part for each pair ``i < j`` in the sector.
+    """
+    lab = np.array(labels)
+    ii, jj = np.triu_indices(lab.size, 1)
+    same = lab[ii] == lab[jj]
+    diag = np.arange(lab.size)
+    row = np.r_[diag, np.repeat(ii[same], 2)]
+    col = np.r_[diag, np.repeat(jj[same], 2)]
+    kind = np.r_[np.full(lab.size, _DIAG), np.tile([_REAL, _IMAG], np.count_nonzero(same))]
+    order = np.lexsort((kind != _DIAG, lab[row]))
+    return kind[order], row[order], col[order]
+
+
+def _basis(
+    kind: np.ndarray, row: np.ndarray, col: np.ndarray, sign: np.ndarray, sector: list[int]
+) -> np.ndarray:
+    """Basis matrices ``sign * E_k`` of the given parameters on one sector block.
+
+    ``E_k`` is ``|i><i|`` for a diagonal parameter, ``|i><j| + |j><i|`` for
+    a real part and ``i|i><j| - i|j><i|`` for an imaginary part.
+    """
+    pos = np.zeros(max(sector) + 1, dtype=int)
+    pos[sector] = np.arange(len(sector))
+    a = np.zeros((kind.size, len(sector), len(sector)), dtype=complex)
+    k = np.arange(kind.size)
+    coef = np.where(kind == _IMAG, 1j, 1.0) * sign
+    a[k, pos[row], pos[col]] += coef
+    off = kind != _DIAG
+    a[k[off], pos[col[off]], pos[row[off]]] += coef[off].conj()
+    return a
 
 
 def _cut_mask(cut: Bipartition, n: int) -> int:
@@ -213,19 +233,22 @@ def _cut_mask(cut: Bipartition, n: int) -> int:
     return mask
 
 
-def _transpose_entry(i: int, j: int, mask: int) -> tuple[int, int]:
-    return (i & ~mask) | (j & mask), (j & ~mask) | (i & mask)
-
-
 @dataclass
 class _Formulation:
+    """Variables and SDP blocks of one witness problem.
+
+    Variable ``k`` parametrises matrix ``owner[k]`` (0 for W, ``1 + c`` for
+    the Q of cut ``c``) through its entry ``(row[k], col[k])`` of kind
+    ``kind[k]``; the W variables come first.
+    """
+
     n: int
     cuts: tuple[Bipartition, ...]
     num_vars: int
-    w_specs: list[tuple[str, int, int]]
-    w_offset: int
-    q_specs: list[list[tuple[str, int, int]]]
-    q_offsets: list[int]
+    kind: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    owner: np.ndarray
     blocks: list[SdpBlock]
     block_meta: list[tuple[int, str, tuple[int, ...]]]
     partition: SchurPartition
@@ -239,89 +262,62 @@ def _formulation_for(
     w_labels: tuple[int, ...],
     q_labels: tuple[tuple[int, ...], ...],
 ) -> _Formulation:
-    d = 2**n
-    w_specs = _param_specs(w_labels)
-    q_specs = [_param_specs(ql) for ql in q_labels]
-
-    w_offset = 0
-    q_offsets, pos = [], len(w_specs)
-    for specs in q_specs:
-        q_offsets.append(pos)
-        pos += len(specs)
-    num_vars = pos
-
-    w_sector_of = {i: lab for i, lab in enumerate(w_labels)}
-    w_sector_indices = {lab: sec for lab, sec in zip(sorted(set(w_labels)), _sectors(w_labels))}
+    specs = [_param_specs(w_labels)] + [_param_specs(ql) for ql in q_labels]
+    kind, row, col = (np.concatenate(arrays) for arrays in zip(*specs))
+    owner = np.repeat(np.arange(len(specs)), [sp[0].size for sp in specs])
+    w_sector_of = np.array(w_labels)
+    w_vars = np.flatnonzero(owner == 0)
+    q_vars_of = [np.flatnonzero(owner == ci + 1) for ci in range(len(cuts))]
 
     blocks: list[SdpBlock] = []
     block_meta: list[tuple[int, str, tuple[int, ...]]] = []
 
-    for ci, cut in enumerate(cuts):
+    def add_pair(ci: int, roles: tuple[str, str], sec: list[int], var_idx: np.ndarray, a: np.ndarray):
+        ds = len(sec)
+        blocks.append(SdpBlock(a0=np.zeros((ds, ds), dtype=complex), a=a, var_idx=var_idx))
+        block_meta.append((ci, roles[0], tuple(sec)))
+        blocks.append(SdpBlock(a0=-np.eye(ds, dtype=complex), a=-a, var_idx=var_idx.copy()))
+        block_meta.append((ci, roles[1], tuple(sec)))
+
+    for ci, (cut, q_vars) in enumerate(zip(cuts, q_vars_of)):
         mask = _cut_mask(cut, n)
+        # Q enters P = W - Q^{T_M}: partial transposition moves entry (i, j)
+        # to (ti, tj), which lies in a single W sector.
+        qi, qj = row[q_vars], col[q_vars]
+        ti, tj = (qi & ~mask) | (qj & mask), (qj & ~mask) | (qi & mask)
+        assert np.array_equal(w_sector_of[ti], w_sector_of[tj])
 
-        # Group every variable touching this cut by the W-sector its
-        # contribution lands in: W params directly, Q params through T_M.
-        per_sector: dict[int, list[tuple[int, list[tuple[int, int, complex]], float]]] = {}
-        for k, spec in enumerate(w_specs):
-            lab = w_sector_of[spec[1]]
-            per_sector.setdefault(lab, []).append((w_offset + k, _spec_entries(spec), +1.0))
-        for k, spec in enumerate(q_specs[ci]):
-            entries = [
-                (*_transpose_entry(i, j, mask), coef) for (i, j, coef) in _spec_entries(spec)
-            ]
-            lab = w_sector_of[entries[0][0]]
-            assert all(w_sector_of[i] == lab and w_sector_of[j] == lab for i, j, _ in entries)
-            per_sector.setdefault(lab, []).append((q_offsets[ci] + k, entries, -1.0))
+        # Each W sector's P block holds its W parameters, then the Q
+        # parameters that T_M carries into it.
+        for lab, sec in enumerate(_sectors(w_labels)):
+            w_sel = w_vars[w_sector_of[row[w_vars]] == lab]
+            q_sel = np.flatnonzero(w_sector_of[ti] == lab)
+            a = _basis(
+                np.concatenate([kind[w_sel], kind[q_vars[q_sel]]]),
+                np.concatenate([row[w_sel], ti[q_sel]]),
+                np.concatenate([col[w_sel], tj[q_sel]]),
+                np.concatenate([np.ones(w_sel.size), -np.ones(q_sel.size)]),
+                sec,
+            )
+            add_pair(ci, ("p_lower", "p_upper"), sec, np.concatenate([w_sel, q_vars[q_sel]]), a)
 
-        for lab in sorted(per_sector):
-            sec = w_sector_indices[lab]
-            pos_of = {g: l for l, g in enumerate(sec)}
-            ds = len(sec)
-            members = per_sector[lab]
-            a = np.zeros((len(members), ds, ds), dtype=complex)
-            var_idx = np.zeros(len(members), dtype=int)
-            for row, (gvar, entries, sign) in enumerate(members):
-                var_idx[row] = gvar
-                for i, j, coef in entries:
-                    a[row, pos_of[i], pos_of[j]] += sign * coef
-            blocks.append(SdpBlock(a0=np.zeros((ds, ds), dtype=complex), a=a, var_idx=var_idx))
-            block_meta.append((ci, "p_lower", tuple(sec)))
-            blocks.append(SdpBlock(a0=-np.eye(ds, dtype=complex), a=-a, var_idx=var_idx.copy()))
-            block_meta.append((ci, "p_upper", tuple(sec)))
-
-        for sec in _sectors(q_labels[ci]):
-            pos_of = {g: l for l, g in enumerate(sec)}
-            ds = len(sec)
-            rows = [
-                (q_offsets[ci] + k, _spec_entries(spec))
-                for k, spec in enumerate(q_specs[ci])
-                if spec[1] in pos_of
-            ]
-            a = np.zeros((len(rows), ds, ds), dtype=complex)
-            var_idx = np.zeros(len(rows), dtype=int)
-            for row, (gvar, entries) in enumerate(rows):
-                var_idx[row] = gvar
-                for i, j, coef in entries:
-                    a[row, pos_of[i], pos_of[j]] += coef
-            blocks.append(SdpBlock(a0=np.zeros((ds, ds), dtype=complex), a=a, var_idx=var_idx))
-            block_meta.append((ci, "q_lower", tuple(sec)))
-            blocks.append(SdpBlock(a0=-np.eye(ds, dtype=complex), a=-a, var_idx=var_idx.copy()))
-            block_meta.append((ci, "q_upper", tuple(sec)))
+        q_sector_of = np.array(q_labels[ci])
+        for lab, sec in enumerate(_sectors(q_labels[ci])):
+            sel = q_vars[q_sector_of[row[q_vars]] == lab]
+            a = _basis(kind[sel], row[sel], col[sel], np.ones(sel.size), sec)
+            add_pair(ci, ("q_lower", "q_upper"), sec, sel, a)
 
     # W couples to every cut; the Q variables of different cuts never share
     # a block, so the Schur complement is an arrowhead with W as its border.
-    partition = SchurPartition(
-        border=np.arange(w_offset, w_offset + len(w_specs)),
-        blocks=tuple(np.arange(off, off + len(specs)) for off, specs in zip(q_offsets, q_specs)),
-    )
+    partition = SchurPartition(border=w_vars, blocks=tuple(q_vars_of))
     return _Formulation(
         n=n,
         cuts=cuts,
-        num_vars=num_vars,
-        w_specs=w_specs,
-        w_offset=w_offset,
-        q_specs=q_specs,
-        q_offsets=q_offsets,
+        num_vars=kind.size,
+        kind=kind,
+        row=row,
+        col=col,
+        owner=owner,
         blocks=blocks,
         block_meta=block_meta,
         partition=partition,
@@ -333,27 +329,18 @@ def _formulation_for(
 # per-solve data: objective vector and strictly feasible starting points
 
 def _objective_vector(form: _Formulation, entries: np.ndarray) -> np.ndarray:
+    """``c`` with ``c . x = Re tr(W(x) rho)``; the Q variables cost nothing."""
     c = np.zeros(form.num_vars)
-    for k, (kind, i, j) in enumerate(form.w_specs):
-        if kind == "d":
-            c[form.w_offset + k] = entries[i, i].real
-        elif kind == "r":
-            c[form.w_offset + k] = 2.0 * entries[i, j].real
-        else:
-            c[form.w_offset + k] = 2.0 * entries[i, j].imag
+    w = form.owner == 0
+    kind, e = form.kind[w], entries[form.row[w], form.col[w]]
+    c[w] = np.select([kind == _DIAG, kind == _REAL], [e.real, 2.0 * e.real], 2.0 * e.imag)
     return c
 
 
 def _initial_x(form: _Formulation) -> np.ndarray:
-    x0 = np.zeros(form.num_vars)
-    for k, (kind, _, _) in enumerate(form.w_specs):
-        if kind == "d":
-            x0[form.w_offset + k] = 1.0
-    for ci in range(len(form.cuts)):
-        for k, (kind, _, _) in enumerate(form.q_specs[ci]):
-            if kind == "d":
-                x0[form.q_offsets[ci] + k] = 0.5
-    return x0
+    """W = I and every Q = I/2: strictly inside all four bounds of each cut."""
+    diag = form.kind == _DIAG
+    return np.where(diag & (form.owner == 0), 1.0, np.where(diag, 0.5, 0.0))
 
 
 def _pt_raw(entries: np.ndarray, left: tuple[int, ...], n: int) -> np.ndarray:
@@ -389,28 +376,18 @@ def _initial_z(form: _Formulation, entries: np.ndarray) -> list[np.ndarray]:
 
 
 def _matrices_from_x(form: _Formulation, x: np.ndarray):
+    """W and the per-cut Q matrices that the variable vector ``x`` parametrises."""
     d = 2**form.n
-    w = np.zeros((d, d), dtype=complex)
-    _apply_specs(w, form.w_specs, x[form.w_offset : form.w_offset + len(form.w_specs)])
-    qs = []
-    for ci in range(len(form.cuts)):
-        q = np.zeros((d, d), dtype=complex)
-        off = form.q_offsets[ci]
-        _apply_specs(q, form.q_specs[ci], x[off : off + len(form.q_specs[ci])])
-        qs.append(q)
-    return w, qs
-
-
-def _apply_specs(mat: np.ndarray, specs, values: np.ndarray) -> None:
-    for (kind, i, j), val in zip(specs, values):
-        if kind == "d":
-            mat[i, i] += val
-        elif kind == "r":
-            mat[i, j] += val
-            mat[j, i] += val
-        else:
-            mat[i, j] += 1j * val
-            mat[j, i] -= 1j * val
+    mats = np.zeros((1 + len(form.cuts), d, d), dtype=complex)
+    o, i, j, kind = form.owner, form.row, form.col, form.kind
+    sel = kind != _IMAG
+    mats[o[sel], i[sel], j[sel]] += x[sel]
+    sel = kind == _REAL
+    mats[o[sel], j[sel], i[sel]] += x[sel]
+    sel = kind == _IMAG
+    mats[o[sel], i[sel], j[sel]] += 1j * x[sel]
+    mats[o[sel], j[sel], i[sel]] -= 1j * x[sel]
+    return mats[0], list(mats[1:])
 
 
 def _embed(h: np.ndarray) -> np.ndarray:

@@ -23,6 +23,13 @@ from entdyn.gme.ipm import (
     cho_solve,
     solve_block_sdp,
 )
+from entdyn.gme.witness import (
+    _embed,
+    _formulation_for,
+    _matrices_from_x,
+    _objective_vector,
+    _symmetry_labels,
+)
 from entdyn.states import (
     Bipartition,
     DensityMatrix,
@@ -78,6 +85,44 @@ def test_solver_interval():
     res = solve_block_sdp(blocks, np.array([-1.0]), np.array([1.5]),
                           [np.array([[0.5 + 0j]]), np.array([[0.5 + 0j]])])
     assert res.primal_objective == pytest.approx(-3.0, abs=1e-6)
+
+
+def _random_hermitian(rng, *shape):
+    g = rng.normal(size=(*shape, 2)) @ np.array([1.0, 1j])
+    return g + np.swapaxes(g.conj(), -1, -2)
+
+
+def test_solver_real_embedding_matches_complex_blocks():
+    # random Hermitian SDP with a strictly feasible pair built in: S(x0) = P
+    # and <A_k, Z0> = c_k with P, Z0 positive definite; two blocks share a
+    # shape, so they run as one batched group
+    rng = np.random.default_rng(13)
+    m = 7
+    layout = [(3, [0, 1, 2, 3]), (3, [2, 4, 5, 6]), (2, [0, 5, 6])]
+    x0 = rng.normal(size=m)
+    blocks, z0 = [], []
+    c = np.zeros(m)
+    for d, var_idx in layout:
+        a = _random_hermitian(rng, len(var_idx), d, d)
+        g = _random_hermitian(rng, d, d)
+        p = g @ g / d + np.eye(d)
+        blocks.append(SdpBlock(a0=np.einsum("k,kij->ij", x0[var_idx], a) - p, a=a,
+                               var_idx=np.array(var_idx)))
+        h = _random_hermitian(rng, d, d)
+        z0.append(h @ h / d + np.eye(d))
+        c[var_idx] += np.einsum("kij,ji->k", a, z0[-1]).real
+    embedded = [SdpBlock(a0=_embed(b.a0), a=np.stack([_embed(ak) for ak in b.a]),
+                         var_idx=b.var_idx) for b in blocks]
+    assert all(b.a.dtype == np.float64 for b in embedded)
+
+    # <embed(X), embed(Y)> = 2 <X, Y>, so the halved embedded Z0 keeps the
+    # dual equalities; both runs take the same iterates up to round-off
+    direct = solve_block_sdp(blocks, c, x0, z0)
+    real = solve_block_sdp(embedded, c, x0, [0.5 * _embed(z) for z in z0])
+    assert direct.converged and real.converged
+    assert real.iterations == direct.iterations
+    assert real.primal_objective == pytest.approx(direct.primal_objective, abs=1e-8)
+    assert real.dual_objective == pytest.approx(direct.dual_objective, abs=1e-8)
 
 
 # --- block-arrowhead Schur factorization ---------------------------------------
@@ -165,6 +210,29 @@ def test_freeze_window_points_converge_with_certificate(gamma0_t):
     assert sol.dual_objective <= sol.objective
     if gamma0_t != 31.699:      # the freeze window ends just before 31.699
         assert sol.genuine_negativity == pytest.approx(5 / 26, abs=1e-6)
+
+
+@pytest.mark.parametrize("symmetry_reduction", [True, False])
+def test_objective_vector_prices_the_witness(symmetry_reduction):
+    # c . x must equal Re tr(W(x) rho) for every x, not only at the optimum
+    rng = np.random.default_rng(19)
+    if symmetry_reduction:
+        # GHZ coherence with a complex phase over a random diagonal
+        psi = np.zeros(8, dtype=complex)
+        psi[[0, 7]] = np.array([1.0, np.exp(0.7j)]) / math.sqrt(2)
+        entries = 0.6 * np.outer(psi, psi.conj()) + 0.4 * np.diag(rng.dirichlet(np.ones(8)))
+        rho = DensityMatrix(entries, (2, 2, 2))
+    else:
+        rho = random_density_matrix((2, 2, 2), rng)
+    problem = GmeProblem(rho=rho)
+    form = _formulation_for(3, problem.cuts, *_symmetry_labels(problem, symmetry_reduction))
+    assert form.reduced == symmetry_reduction
+    x = rng.normal(size=form.num_vars)
+    w, qs = _matrices_from_x(form, x)
+    assert len(qs) == len(problem.cuts)
+    np.testing.assert_array_equal(w, w.conj().T)
+    price = float(np.real(np.trace(w @ rho.entries)))
+    assert _objective_vector(form, rho.entries) @ x == pytest.approx(price, abs=1e-12)
 
 
 # --- oracle values -------------------------------------------------------------
@@ -287,6 +355,21 @@ def test_reduced_and_generic_paths_agree():
     assert fast.reduced and not slow.reduced
     assert fast.genuine_negativity == pytest.approx(slow.genuine_negativity, abs=1e-6)
     assert fast.num_variables < slow.num_variables
+
+
+def test_reduced_and_generic_paths_agree_at_freeze_point():
+    # inside the freeze window of the alpha = sqrt(1/26), x = 0.01 sweep
+    s0 = pure_alpha_beta(math.sqrt(1 / 26), 5 * math.sqrt(1 / 26))
+    problem = GmeProblem(rho=evolve_four(s0, AmplitudeModel(1.0, 0.01), 13.5853))
+    fast = solve_gme(problem)
+    slow = solve_gme(problem, symmetry_reduction=False)
+    assert fast.reduced and not slow.reduced
+    for sol in (fast, slow):
+        assert sol.converged
+        assert sol.genuine_negativity == pytest.approx(5 / 26, abs=1e-6)
+        assert verify_witness(sol, problem).passed
+        assert sol.dual_objective - sol.objective <= sol.residuals["rel_gap"]
+    assert fast.genuine_negativity == pytest.approx(slow.genuine_negativity, abs=1e-7)
 
 
 def test_parity_only_reduction_two_qubits():
