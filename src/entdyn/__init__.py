@@ -9,8 +9,8 @@ Library layout:
 - ``gme``: genuine multipartite negativity via a witness SDP with a
   self-contained interior-point solver,
 - ``sweep``: time-grid sweeps, event detection (sudden death / birth,
-  freezing), CSV/JSON emission,
-- ``cli``: the ``entdyn`` command-line driver.
+  freezing), and every config and output file of the command line,
+- ``cli``: the ``entdyn`` argument parser and dispatcher.
 """
 
 from .amplitude import AmplitudeModel, c0, c_excitation, first_zero
@@ -25,6 +25,7 @@ from .evolution import EvolvedPair, evolve_cc, evolve_four, evolve_pair, evolve_
 from .gme import (
     GmeProblem,
     GmeSolution,
+    SdpError,
     SdpNonConvergenceError,
     SdpNumericalError,
     enumerate_bipartitions,

@@ -3,6 +3,7 @@
 from .ipm import (
     SchurPartition,
     SdpBlock,
+    SdpError,
     SdpNonConvergenceError,
     SdpNumericalError,
     SdpResult,
@@ -23,6 +24,7 @@ __all__ = [
     "SchurPartition",
     "SdpBlock",
     "SdpResult",
+    "SdpError",
     "SdpNonConvergenceError",
     "SdpNumericalError",
     "solve_block_sdp",

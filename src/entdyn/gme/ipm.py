@@ -56,6 +56,7 @@ __all__ = [
     "SchurPartition",
     "SdpBlock",
     "SdpResult",
+    "SdpError",
     "SdpNonConvergenceError",
     "SdpNumericalError",
     "solve_block_sdp",
@@ -68,17 +69,26 @@ _MIN_STEP = 1e-10
 _SHIFT_LADDER = np.cumsum([0.0, 1e-12, 1e-11, 1e-10])
 
 
-class SdpNumericalError(RuntimeError):
-    """Newton system became indefinite or a cone factorization failed."""
+class SdpError(RuntimeError):
+    """The iteration stopped before reaching the requested duality gap.
 
+    ``best_bound`` is the largest dual objective seen at an iterate whose
+    dual residual met the feasibility tolerance (None if there was none),
+    and ``iterations`` the iteration at which the solver stopped.
+    """
 
-class SdpNonConvergenceError(RuntimeError):
-    """Iteration cap hit before reaching the requested duality gap."""
-
-    def __init__(self, message: str, best_bound: float | None, iterations: int):
+    def __init__(self, message: str, best_bound: float | None = None, iterations: int | None = None):
         super().__init__(message)
         self.best_bound = best_bound
         self.iterations = iterations
+
+
+class SdpNumericalError(SdpError):
+    """Newton system became indefinite or a cone factorization failed."""
+
+
+class SdpNonConvergenceError(SdpError):
+    """Iteration cap hit before reaching the requested duality gap."""
 
 
 @dataclass(frozen=True)
@@ -119,7 +129,6 @@ class SchurPartition:
 @dataclass
 class SdpResult:
     x: np.ndarray
-    z_blocks: list[np.ndarray]
     primal_objective: float
     dual_objective: float
     gap: float
@@ -200,8 +209,9 @@ def solve_block_sdp(
         If a cone factorization fails, or the Schur complement is not
         positive definite even after the largest identity shift.
     SdpNonConvergenceError
-        If the iteration cap is reached or the step length collapses;
-        carries the best dual bound.
+        If the iteration cap is reached or the step length collapses.
+
+    Both carry the best dual bound and the iteration count (``SdpError``).
     """
     m = c.size
     if partition is None:
@@ -238,7 +248,6 @@ def solve_block_sdp(
         if rel_gap <= tolerance and rd_inf <= feas_tol:
             return SdpResult(
                 x=x,
-                z_blocks=_ungroup(groups, z, len(blocks)),
                 primal_objective=pobj,
                 dual_objective=dobj,
                 gap=gap,
@@ -273,7 +282,7 @@ def solve_block_sdp(
                 v_all.append(np.sqrt(lam))
                 jinv_all.append(jinv)
         except np.linalg.LinAlgError as exc:
-            raise SdpNumericalError(f"cone factorization failed: {exc}") from exc
+            raise SdpNumericalError(f"cone factorization failed: {exc}", best_bound, it) from exc
 
         schur = np.zeros((m, m))
         for g, atr in zip(groups, scaled_a):
@@ -282,7 +291,11 @@ def solve_block_sdp(
                 ii = g.idx[n_local]
                 schur[np.ix_(ii, ii)] += gram[n_local]
 
-        factor = _factor_arrow(schur, partition)
+        try:
+            factor = _factor_arrow(schur, partition)
+        except SdpNumericalError as exc:
+            exc.best_bound, exc.iterations = best_bound, it
+            raise
         mu = gap / dim_total
 
         # Predictor (affine) direction; with feasibility maintained the
@@ -351,14 +364,12 @@ def _add_diag_inplace(mat: np.ndarray, scalar: float) -> None:
     mat[:, idx, idx] += scalar
 
 
-def cho_factor(a: np.ndarray, lower: bool = True) -> np.ndarray:
+def cho_factor(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor ``L`` (``a = L L^T``) of one symmetric matrix.
 
     Raises ``np.linalg.LinAlgError`` when ``a`` is not numerically positive
-    definite.  Only the lower factor is supported.
+    definite.
     """
-    if not lower:
-        raise ValueError("only the lower Cholesky factor is supported")
     return np.linalg.cholesky(a)
 
 
@@ -422,10 +433,3 @@ def cho_solve(factor: _ArrowFactor, b: np.ndarray) -> np.ndarray:
         x[q] = np.linalg.solve(lq.T, yq - cq @ x_border)
     return x
 
-
-def _ungroup(groups: list[_Group], z: list[np.ndarray], n_blocks: int) -> list[np.ndarray]:
-    out: list[np.ndarray | None] = [None] * n_blocks
-    for g, zg in zip(groups, z):
-        for n_local, b in enumerate(g.block_ids):
-            out[b] = zg[n_local]
-    return out  # type: ignore[return-value]

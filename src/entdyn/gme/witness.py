@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 _SUPPORT_TOL = 1e-12
-_ROLES = ("p_lower", "p_upper", "q_lower", "q_upper")
 
 
 def enumerate_bipartitions(n: int) -> list[Bipartition]:

@@ -1,4 +1,5 @@
-"""Time-grid sweeps with sudden-death / sudden-birth / freezing detection.
+"""Time-grid sweeps with sudden-death / sudden-birth / freezing detection,
+and every config and file of the ``entdyn`` command line.
 
 All times are the dimensionless ``gamma0 * t``; the relaxation rate never
 appears separately in sweep input or output.  Each grid row is computed
@@ -7,39 +8,84 @@ independently, so rows can be distributed over a worker pool.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amplitude import AmplitudeModel, c0 as _c0
+from .amplitude import AmplitudeModel, c0 as _c0, c_excitation as _cexc
 from .entanglement import ZERO_ENTANGLEMENT_TOL, negativity_xstate
 from .evolution import evolve_cc, evolve_four, evolve_rr
-from .gme import GmeProblem, SdpNonConvergenceError, SdpNumericalError, solve_gme
-from .states import StateValidationError, XState, pure_alpha_beta, werner, x_state
+from .gme import GmeProblem, GmeSolution, SdpError, problem_json_dict, solve_gme
+from .states import (DensityMatrix, XState, biseparable_bell_mixture, ghz_state, kay_state,
+                     pure_alpha_beta, werner, x_state)
 
 __all__ = [
     "ConfigError",
     "Tolerances",
     "SweepConfig",
+    "GmeSingleConfig",
+    "AmplitudeConfig",
     "SweepTable",
     "EventReport",
+    "SOLVE_ERRORS",
+    "load_config",
     "run_sweep",
     "detect_events",
     "emit",
+    "write_events",
+    "read_trace",
+    "write_problem",
+    "write_gme",
+    "write_gme_failure",
+    "write_amplitude",
     "CSV_HEADER",
 ]
 
 CSV_HEADER = "gamma0_t,c0,e_cc,e_rr,e_gme"
+_COLUMNS = CSV_HEADER.split(",")
 
 _MEASURES = ("cc", "rr", "gme")
 
+# A failed GME solve: NaN and a diagnostic in a sweep, an error payload in gme.json
+SOLVE_ERRORS = (SdpError, np.linalg.LinAlgError)
+
 
 class ConfigError(ValueError):
-    """Invalid sweep configuration."""
+    """Invalid configuration or trace file."""
+
+
+def load_config(path):
+    """The JSON document at ``path``; the ``from_dict`` methods check its shape."""
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _from_dict(cls, doc, what: str, **convert):
+    """The config dataclass ``cls`` from JSON object ``doc``; its fields are the keys.
+
+    Any other key is rejected.  Each key present is converted by
+    ``convert[key]``, or else by the field's annotation (``float``, ``int``,
+    ``bool``, ``tuple[str, ...]``).  Absent keys are not passed, so every
+    default is written once, in ``cls``.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    hints = typing.get_type_hints(cls)
+    unknown = set(doc) - set(hints)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    try:
+        return cls(**{key: convert.get(key, hints[key])(v) for key, v in doc.items()})
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -54,34 +100,30 @@ class Tolerances:
 
     @classmethod
     def from_dict(cls, data: dict | None) -> "Tolerances":
-        data = dict(data or {})
-        known = {"zero", "plateau_slope", "plateau_dwell"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
-        return cls(**{k: float(v) for k, v in data.items()})
+        return _from_dict(cls, {} if data is None else data, "tolerance")
 
 
-def _parse_initial_state(data: dict) -> XState:
+def _tagged(spec, kinds: dict, what: str):
+    """``kinds[kind](spec)`` for a config object tagged by its ``kind``."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{what} needs a 'kind' field, one of {list(kinds)}")
     try:
-        kind = data["kind"]
-    except (TypeError, KeyError):
-        raise ConfigError("initial_state needs a 'kind' field (pure | werner | xstate)")
-    try:
-        if kind == "pure":
-            return pure_alpha_beta(_as_complex(data["alpha"]), _as_complex(data["beta"]))
-        if kind == "werner":
-            return werner(float(data["p"]))
-        if kind == "xstate":
-            return x_state(
-                data["rho11"], data["rho22"], data["rho33"], data["rho44"],
-                _as_complex(data.get("rho14", 0.0)), _as_complex(data.get("rho23", 0.0)),
-            )
+        return kinds[kind](spec)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, StateValidationError) as exc:
-        raise ConfigError(f"invalid initial_state: {exc}") from exc
-    raise ConfigError(f"unknown initial_state kind {kind!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
+
+
+def _parse_initial_state(spec) -> XState:
+    return _tagged(spec, {
+        "pure": lambda d: pure_alpha_beta(_as_complex(d["alpha"]), _as_complex(d["beta"])),
+        "werner": lambda d: werner(float(d["p"])),
+        "xstate": lambda d: x_state(d["rho11"], d["rho22"], d["rho33"], d["rho44"],
+                                    _as_complex(d.get("rho14", 0.0)),
+                                    _as_complex(d.get("rho23", 0.0))),
+    }, "initial_state")
 
 
 def _as_complex(v) -> complex:
@@ -121,31 +163,52 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        known = {
-            "initial_state", "x", "gamma0_t_max", "steps", "measures",
-            "tolerances", "gme_stride", "workers", "sdp_tolerance",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            return cls(
-                initial_state=_parse_initial_state(data["initial_state"]),
-                x=float(data["x"]),
-                gamma0_t_max=float(data["gamma0_t_max"]),
-                steps=int(data.get("steps", 400)),
-                measures=tuple(data.get("measures", list(_MEASURES))),
-                tolerances=Tolerances.from_dict(data.get("tolerances")),
-                gme_stride=int(data.get("gme_stride", 1)),
-                workers=int(data.get("workers", 1)),
-                sdp_tolerance=float(data.get("sdp_tolerance", 1e-7)),
-            )
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid config: {exc}") from exc
+        return _from_dict(cls, data, "config", initial_state=_parse_initial_state,
+                          tolerances=Tolerances.from_dict)
+
+
+def _parse_state(spec) -> DensityMatrix:
+    """A gme-single state: a density-matrix document or a named constructor."""
+    return _tagged(spec, {
+        "matrix": lambda d: DensityMatrix.from_json_dict(d["matrix"]),
+        "ghz": lambda d: ghz_state(int(d.get("n", 3))),
+        "kay": lambda d: kay_state(float(d["alpha"])),
+        "biseparable_bell_mixture": lambda d: biseparable_bell_mixture(),
+        "evolved": lambda d: evolve_four(_parse_initial_state(d["initial_state"]),
+                                         AmplitudeModel(1.0, float(d["x"])),
+                                         float(d["gamma0_t"])),
+    }, "state")
+
+
+@dataclass(frozen=True)
+class GmeSingleConfig:
+    """An ``entdyn gme-single`` config: one state and how to solve it."""
+
+    state: DensityMatrix
+    tolerance: float = GmeProblem.tolerance
+    symmetry_reduction: bool = True
+    dump_problem: bool = False
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "GmeSingleConfig":
+        return _from_dict(cls, data, "gme-single config", state=_parse_state)
+
+
+@dataclass(frozen=True)
+class AmplitudeConfig:
+    """An ``entdyn amplitude`` config: ``steps`` intervals over [0, gamma0_t_max]."""
+
+    x: float
+    gamma0_t_max: float = 10.0
+    steps: int = 400
+
+    def __post_init__(self):
+        if self.steps < 2 or not (self.gamma0_t_max > 0):
+            raise ConfigError("need steps >= 2 and gamma0_t_max > 0")
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "AmplitudeConfig":
+        return _from_dict(cls, data, "amplitude config")
 
 
 @dataclass
@@ -176,20 +239,15 @@ class EventReport:
         }
 
 
-def _xstate_tuple(s: XState):
-    return (s.rho11, s.rho22, s.rho33, s.rho44, s.rho14, s.rho23)
-
-
-def _gme_point(args):
-    """One SDP solve for the worker pool; returns (index, value, diagnostic)."""
-    idx, state_tuple, x, t, tol = args
-    s0 = XState(*state_tuple)
-    model = AmplitudeModel(1.0, x)
+def _gme_point(cfg: SweepConfig, t: float) -> tuple[float, str | None]:
+    """One SDP solve for the worker pool: the value at ``t`` and a diagnostic on failure."""
+    model = AmplitudeModel(1.0, cfg.x)
     try:
-        sol = solve_gme(GmeProblem(rho=evolve_four(s0, model, t), tolerance=tol))
-        return idx, sol.genuine_negativity, None
-    except (SdpNonConvergenceError, SdpNumericalError) as exc:
-        return idx, math.nan, f"gamma0_t={t:.6g}: {type(exc).__name__}: {exc}"
+        sol = solve_gme(GmeProblem(rho=evolve_four(cfg.initial_state, model, t),
+                                   tolerance=cfg.sdp_tolerance))
+        return sol.genuine_negativity, None
+    except SOLVE_ERRORS as exc:
+        return math.nan, f"gamma0_t={t:.6g}: {type(exc).__name__}: {exc}"
 
 
 def run_sweep(cfg: SweepConfig) -> SweepTable:
@@ -212,18 +270,16 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
             e_rr[k] = negativity_xstate(evolve_rr(cfg.initial_state, model, t)).value
 
     if "gme" in cfg.measures:
-        idxs = list(range(0, npts, cfg.gme_stride))
-        jobs = [
-            (k, _xstate_tuple(cfg.initial_state), cfg.x, float(ts[k]), cfg.sdp_tolerance)
-            for k in idxs
-        ]
+        idxs = range(0, npts, cfg.gme_stride)
+        times = [float(ts[k]) for k in idxs]
+        point = functools.partial(_gme_point, cfg)
         if cfg.workers > 1:
-            chunk = max(1, len(jobs) // (4 * cfg.workers))
+            chunk = max(1, len(times) // (4 * cfg.workers))
             with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                results = list(pool.map(_gme_point, jobs, chunksize=chunk))
+                results = list(pool.map(point, times, chunksize=chunk))
         else:
-            results = [_gme_point(job) for job in jobs]
-        for k, val, diag in results:
+            results = list(map(point, times))
+        for k, (val, diag) in zip(idxs, results):
             e_gme[k] = val
             if diag is not None:
                 diagnostics.append(diag)
@@ -400,38 +456,114 @@ def detect_events(table: SweepTable, tolerances: Tolerances | None = None) -> Ev
 
 
 # ---------------------------------------------------------------------------
-# output
+# output files
 
 def _fmt(v: float) -> str:
     """Shortest round-trip text of ``v``, so a re-read gives the same float."""
     return "" if not math.isfinite(v) else repr(float(v))
 
 
+def _write(out_dir, name: str, text: str) -> str:
+    """Write ``text`` to ``out_dir/name``, creating the directory; returns the path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path
+
+
+def _write_json(out_dir, name: str, doc) -> str:
+    """The one JSON writer: two-space indent and a trailing newline."""
+    return _write(out_dir, name, json.dumps(doc, indent=2) + "\n")
+
+
+def _write_csv(out_dir, name: str, header: str, cols) -> str:
+    lines = [header] + [",".join(_fmt(v) for v in row) for row in zip(*cols)]
+    return _write(out_dir, name, "\n".join(lines) + "\n")
+
+
 def emit(table: SweepTable, report: EventReport, out_dir, fmt: str = "csv"):
     """Write trace.csv(|.json) and events.json; output is deterministic."""
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
-    os.makedirs(out_dir, exist_ok=True)
     cols = (table.gamma0_t, table.c0, table.e_cc, table.e_rr, table.e_gme)
     if fmt == "csv":
-        trace_path = os.path.join(out_dir, "trace.csv")
-        lines = [CSV_HEADER]
-        for row in zip(*cols):
-            lines.append(",".join(_fmt(v) for v in row))
-        with open(trace_path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        trace_path = _write_csv(out_dir, "trace.csv", CSV_HEADER, cols)
     else:
-        trace_path = os.path.join(out_dir, "trace.json")
-        doc = {
+        trace_path = _write_json(out_dir, "trace.json", {
             name: [None if not math.isfinite(v) else v for v in col]
-            for name, col in zip(CSV_HEADER.split(","), cols)
-        }
-        with open(trace_path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            for name, col in zip(_COLUMNS, cols)
+        })
+    return trace_path, write_events(report, out_dir)
 
-    events_path = os.path.join(out_dir, "events.json")
-    with open(events_path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
-        fh.write("\n")
-    return trace_path, events_path
+
+def write_events(report: EventReport, out_dir) -> str:
+    """Write events.json, for ``emit`` and ``entdyn events`` alike."""
+    return _write_json(out_dir, "events.json", report.to_json_dict())
+
+
+def read_trace(out_dir) -> SweepTable:
+    """The table ``emit`` wrote to ``out_dir``: trace.csv, or trace.json without one.
+
+    Raises ConfigError for a malformed trace and OSError when there is none.
+    """
+    path = os.path.join(out_dir, "trace.csv")
+    if os.path.exists(path):
+        with open(path) as fh:
+            header, *rows = [ln.strip().split(",") for ln in fh if ln.strip()] or [[]]
+        for row in rows:
+            if len(row) != len(header):
+                raise ConfigError(f"bad trace row in {path}: {','.join(row)!r}")
+        doc = {name: [row[j] or None for row in rows] for j, name in enumerate(header)}
+    else:
+        path = os.path.join(out_dir, "trace.json")
+        with open(path) as fh:
+            doc = json.load(fh)
+    if not isinstance(doc, dict) or set(doc) != set(_COLUMNS):
+        raise ConfigError(f"{path} does not hold the columns {_COLUMNS}")
+    try:
+        cols = [np.array([math.nan if v is None else float(v) for v in doc[name]])
+                for name in _COLUMNS]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad trace column in {path}: {exc}") from exc
+    if len({col.size for col in cols}) != 1:
+        raise ConfigError(f"{path} columns differ in length")
+    return SweepTable(*cols)
+
+
+def write_problem(problem: GmeProblem, symmetry_reduction: bool, out_dir) -> None:
+    """Write the SDP of ``problem`` to sdp_problem.json."""
+    _write_json(out_dir, "sdp_problem.json", problem_json_dict(problem, symmetry_reduction))
+
+
+def write_gme(solution: GmeSolution, dims, out_dir) -> None:
+    """Write gme.json: the solve's values, certificate, residuals and witness."""
+    _write_json(out_dir, "gme.json", {
+        "objective": solution.objective,
+        "genuine_negativity": solution.genuine_negativity,
+        "dual_objective": solution.dual_objective,
+        "iterations": solution.iterations,
+        "converged": solution.converged,
+        "reduced": solution.reduced,
+        "num_variables": solution.num_variables,
+        "residuals": {k: float(v) for k, v in solution.residuals.items()},
+        "witness": {
+            "dims": list(dims),
+            "re": solution.witness.real.tolist(),
+            "im": solution.witness.imag.tolist(),
+        },
+    })
+
+
+def write_gme_failure(exc: Exception, out_dir) -> str:
+    """Write gme.json for a failed solve, with its best dual bound; return the error text."""
+    error = f"{type(exc).__name__}: {exc}"
+    _write_json(out_dir, "gme.json", {"error": error, "best_bound": getattr(exc, "best_bound", None)})
+    return error
+
+
+def write_amplitude(cfg: AmplitudeConfig, out_dir) -> None:
+    """Write amplitude.csv: ``c0`` and ``c`` on the grid, with round-trip digits."""
+    model = AmplitudeModel(1.0, cfg.x)
+    ts = np.linspace(0.0, cfg.gamma0_t_max, cfg.steps + 1)
+    _write_csv(out_dir, "amplitude.csv", "gamma0_t,c0,c", (ts, _c0(model, ts), _cexc(model, ts)))

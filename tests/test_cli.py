@@ -1,12 +1,19 @@
+import importlib
 import json
 import math
+import os
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entdyn
+from entdyn.amplitude import AmplitudeModel, c0, c_excitation
 from entdyn.cli import main
+from entdyn.gme import SdpNumericalError
 from entdyn.states import ghz_state, random_density_matrix
 
 
@@ -222,3 +229,97 @@ def test_io_error_exit_code(tmp_path):
     blocker.write_text("file, not a directory")
     code = main(["amplitude", "--config", cfg, "--out-dir", str(blocker / "sub")])
     assert code == 3
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("gme-single", {"state": {"kind": "ghz", "n": 3}, "symetry_reduction": False},
+     "symetry_reduction"),
+    ("amplitude", {"x": 5.0, "gamma0_t_max": 2.0, "stpes": 20}, "stpes"),
+    ("events", {"tolerances": {"zero": 1e-8}, "tolerance": 1e-7}, "tolerance"),
+])
+def test_unknown_config_key_exits_1(tmp_path, capsys, command, doc, key):
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out-dir", str(out)]) == 1
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_amplitude_csv_keeps_round_trip_digits(tmp_path):
+    cfg = write_config(tmp_path, {"x": 0.1, "gamma0_t_max": 2.0, "steps": 4})
+    out = tmp_path / "out"
+    assert main(["amplitude", "--config", cfg, "--out-dir", str(out)]) == 0
+    table = np.loadtxt(out / "amplitude.csv", delimiter=",", skiprows=1)
+    model = AmplitudeModel(1.0, 0.1)
+    ts = np.linspace(0.0, 2.0, 5)
+    assert np.array_equal(table[:, 0], ts)
+    assert np.array_equal(table[:, 1], c0(model, ts))
+    assert np.array_equal(table[:, 2], c_excitation(model, ts))
+
+
+@pytest.mark.parametrize("exc, best_bound", [
+    (np.linalg.LinAlgError("injected"), None),
+    (SdpNumericalError("injected", best_bound=-0.25, iterations=4), -0.25),
+])
+def test_gme_single_numerical_failure_exit_code(tmp_path, monkeypatch, exc, best_bound):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("entdyn.cli.solve_gme", fail)
+    cfg = write_config(tmp_path, {"state": {"kind": "ghz", "n": 3}})
+    out = tmp_path / "out"
+    assert main(["gme-single", "--config", cfg, "--out-dir", str(out)]) == 2
+    doc = json.loads((out / "gme.json").read_text())
+    assert doc == {"error": f"{type(exc).__name__}: injected", "best_bound": best_bound}
+
+
+def run_with_failing_solver(tmp_path, failure, workers):
+    """``entdyn sweep`` in a fresh process whose GME solves run ``failure``."""
+    cfg = write_config(tmp_path, {
+        "initial_state": {"kind": "werner", "p": 0.45},
+        "x": 5.0,
+        "gamma0_t_max": 1.0,
+        "steps": 4,
+        "measures": ["cc", "gme"],
+        "workers": workers,
+    })
+    out = tmp_path / "out"
+    code = (
+        "import os, sys, numpy as np, entdyn.sweep\n"
+        "def fail(*args, **kwargs):\n"
+        f"    {failure}\n"
+        "entdyn.sweep.solve_gme = fail\n"
+        "from entdyn.cli import main\n"
+        f"sys.exit(main(['sweep', '--config', {cfg!r}, '--out-dir', {str(out)!r}]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(entdyn.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    return proc, out
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_linalg_error_becomes_nan_and_exit_2(tmp_path, workers):
+    proc, out = run_with_failing_solver(
+        tmp_path, "raise np.linalg.LinAlgError('injected')", workers)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("LinAlgError: injected") == 5
+    rows = [row.split(",") for row in (out / "trace.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 5 and all(row[4] == "" and row[2] != "" for row in rows)
+
+
+def test_sweep_crashed_worker_exits_2(tmp_path):
+    proc, _ = run_with_failing_solver(tmp_path, "os._exit(1)", workers=2)
+    assert proc.returncode == 2, proc.stderr
+    assert "worker failure" in proc.stderr
+
+
+def test_benchmark_wrap_sites_resolve():
+    # perfbench/trace_cli.py replaces each SITES entry by module attribute;
+    # a name moved away from its site would fail only in a traced bench run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "trace_cli.py"
+    sites = runpy.run_path(str(path))["SITES"]
+    assert sites
+    for site in sites:
+        module_name, attr = site.rsplit(".", 1)
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), site

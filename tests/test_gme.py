@@ -125,6 +125,37 @@ def test_solver_real_embedding_matches_complex_blocks():
     assert real.dual_objective == pytest.approx(direct.dual_objective, abs=1e-8)
 
 
+def _random_block_sdp(seed):
+    """Random Hermitian block SDP with a strictly feasible pair (S(x0) = P, Z0 > 0)."""
+    rng = np.random.default_rng(seed)
+    m = 7
+    layout = [(3, [0, 1, 2, 3]), (3, [2, 4, 5, 6]), (2, [0, 5, 6])]
+    x0 = rng.normal(size=m)
+    blocks, z0 = [], []
+    c = np.zeros(m)
+    for d, var_idx in layout:
+        a = _random_hermitian(rng, len(var_idx), d, d)
+        g = _random_hermitian(rng, d, d)
+        p = g @ g / d + np.eye(d)
+        blocks.append(SdpBlock(a0=np.einsum("k,kij->ij", x0[var_idx], a) - p, a=a,
+                               var_idx=np.array(var_idx)))
+        h = _random_hermitian(rng, d, d)
+        z0.append(h @ h / d + np.eye(d))
+        c[var_idx] += np.einsum("kij,ji->k", a, z0[-1]).real
+    return blocks, c, x0, z0
+
+
+def test_numerical_failure_keeps_best_bound():
+    # at tolerance 1e-10 the cone factorization fails late in the run; the
+    # bound it had reached lies in the default-tolerance solve's interval
+    sdp = _random_block_sdp(13)
+    ref = solve_block_sdp(*sdp)
+    with pytest.raises(SdpNumericalError) as err:
+        solve_block_sdp(*sdp, tolerance=1e-10)
+    assert err.value.iterations > ref.iterations
+    assert ref.dual_objective <= err.value.best_bound <= ref.primal_objective
+
+
 # --- block-arrowhead Schur factorization ---------------------------------------
 
 def _random_arrowhead(rng, border_size, block_sizes):
