@@ -41,9 +41,11 @@ of the complex arrays, so the Schur complement, the residuals and the
 directions never compute an imaginary part only to drop it (as in SDPT3,
 Toh, Todd & Tutuncu, Optim. Methods Softw. 11, 1999).
 
-Blocks may be complex Hermitian or real symmetric; real blocks are cast to
-complex so that both run through the same code.  All operations are
-batched over groups of equally shaped blocks.
+Blocks may be complex Hermitian or real symmetric.  Each group of equally
+shaped blocks runs in its blocks' own dtype, with no cast to complex: for
+real blocks every Cholesky factor, eigendecomposition, Gram product and
+step is real arithmetic, and the float64 view of a real array is the array
+itself.  All operations are batched over the groups.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ class SdpBlock:
     """One semidefinite block: S_b(x) = sum_k x[var_idx[k]] * a[k] - a0."""
 
     a0: np.ndarray        # (d, d)
-    a: np.ndarray         # (m_b, d, d), Hermitian basis matrices
+    a: np.ndarray         # (m_b, d, d), Hermitian or real symmetric basis matrices
     var_idx: np.ndarray   # (m_b,) indices into the global variable vector
 
 
@@ -139,24 +141,28 @@ class SdpResult:
 
 
 class _Group:
-    """Blocks of identical shape stacked for batched linear algebra."""
+    """Blocks of identical shape stacked, in their common dtype, for batched linear algebra."""
 
     def __init__(self, block_ids: list[int], blocks: list[SdpBlock]):
         self.block_ids = block_ids
-        self.a0 = np.stack([blocks[b].a0 for b in block_ids], dtype=complex)
-        self.a = np.stack([blocks[b].a for b in block_ids], dtype=complex)
+        self.dtype = np.result_type(
+            np.float64, *(m for b in block_ids for m in (blocks[b].a0, blocks[b].a))
+        )
+        self.a0 = np.stack([blocks[b].a0 for b in block_ids], dtype=self.dtype)
+        self.a = np.stack([blocks[b].a for b in block_ids], dtype=self.dtype)
         self.idx = np.stack([blocks[b].var_idx for b in block_ids])
         self.nb, self.m_b, self.d, _ = self.a.shape
-        # (nb, m_b, 2 d^2) float64 view: row k holds Re and Im of A_k interleaved
+        # (nb, m_b, d^2) float64 view, or (nb, m_b, 2 d^2) with Re and Im of
+        # A_k interleaved for complex blocks
         self.a_real = self.a.reshape(self.nb, self.m_b, -1).view(np.float64)
 
     def slack(self, x: np.ndarray) -> np.ndarray:
-        return _combine(x[self.idx], self.a_real, self.d) - self.a0
+        return _combine(x[self.idx], self.a_real, self.d, self.dtype) - self.a0
 
 
-def _combine(coef: np.ndarray, basis_real: np.ndarray, d: int) -> np.ndarray:
-    """``sum_k coef[n, k] B[n, k]`` for each ``n``, from the float64 view of ``B``."""
-    return (coef[:, None, :] @ basis_real).view(complex).reshape(-1, d, d)
+def _combine(coef: np.ndarray, basis_real: np.ndarray, d: int, dtype: np.dtype) -> np.ndarray:
+    """``sum_k coef[n, k] B[n, k]`` for each ``n``, from the float64 view of ``B`` in ``dtype``."""
+    return (coef[:, None, :] @ basis_real).view(dtype).reshape(-1, d, d)
 
 
 def _inner_each(basis_real: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -197,7 +203,8 @@ def solve_block_sdp(
 ) -> SdpResult:
     """Run the interior-point iteration from a strictly feasible pair.
 
-    ``partition`` tells the Schur factorization which variables never
+    ``z0`` holds one dual block per SDP block; a real block needs a real
+    one.  ``partition`` tells the Schur factorization which variables never
     couple; without one all variables form a single dense block.
 
     Raises
@@ -221,7 +228,7 @@ def solve_block_sdp(
     dim_total = sum(g.nb * g.d for g in groups)
 
     x = np.array(x0, dtype=float)
-    z = [np.stack([z0[b] for b in g.block_ids], dtype=complex) for g in groups]
+    z = [np.stack([z0[b] for b in g.block_ids], dtype=g.dtype) for g in groups]
 
     feas_tol = max(tolerance, 1e-9)
     best_bound: float | None = None
@@ -301,7 +308,7 @@ def solve_block_sdp(
         # Predictor (affine) direction; with feasibility maintained the
         # right-hand side reduces to -c exactly.
         dx_aff = cho_solve(factor, -c)
-        ds_aff = [_combine(dx_aff[g.idx], atr, g.d) for g, atr in zip(groups, scaled_a)]
+        ds_aff = [_combine(dx_aff[g.idx], atr, g.d, g.dtype) for g, atr in zip(groups, scaled_a)]
         dz_aff = [-_add_diag(d_s, v) for d_s, v in zip(ds_aff, v_all)]
 
         alpha_aff = min((_max_step(v, d_s) for v, d_s in zip(v_all, ds_aff)), default=np.inf)
@@ -332,7 +339,7 @@ def solve_block_sdp(
                 rhs[g.idx[n_local]] += contrib[n_local]
 
         dx = cho_solve(factor, rhs)
-        ds = [_combine(dx[g.idx], atr, g.d) for g, atr in zip(groups, scaled_a)]
+        ds = [_combine(dx[g.idx], atr, g.d, g.dtype) for g, atr in zip(groups, scaled_a)]
         dz = [rt - d_s for rt, d_s in zip(rt_all, ds)]
 
         alpha = min(1.0, _STEP_FRACTION * min((_max_step(v, d) for v, d in zip(v_all, ds)), default=np.inf))

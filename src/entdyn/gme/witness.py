@@ -20,6 +20,15 @@ optimum: conjugating a feasible witness by a local phase unitary keeps it
 feasible, so group-averaging an optimal solution lands in the commutant.
 The constraint blocks then split into charge sectors, which is what makes
 dense interior-point solves cheap enough for time sweeps.
+
+When the state is also real (``rho = conj(rho)``), the witness can be taken
+real.  Complex conjugation commutes with partial transposition and keeps
+spectra, so it maps a feasible ``(W, P_M, Q_M)`` to a feasible one, and the
+objective ``Tr(W rho)`` is unchanged because ``rho`` is real.  The average
+of an optimal solution and its conjugate is therefore a real optimal
+solution, and every imaginary parameter can be dropped (the invariance
+reduction of Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004).  The
+SDP blocks are then real symmetric and the solver runs in real arithmetic.
 """
 
 from __future__ import annotations
@@ -158,12 +167,16 @@ def _sector_labels(n: int, span: np.ndarray, parity_ok: bool, signs: np.ndarray)
 
 def _symmetry_labels(
     problem: GmeProblem, symmetry_reduction: bool
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Sector labels of W and of each cut's Q (all zero without reduction)."""
+) -> tuple[bool, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Whether the witness can be real, and the sector labels of W and of each cut's Q.
+
+    Without reduction the witness is complex and every label is zero.
+    """
     n = problem.rho.num_subsystems
     if not symmetry_reduction:
         trivial = (0,) * (2**n)
-        return trivial, tuple(trivial for _ in problem.cuts)
+        return False, trivial, tuple(trivial for _ in problem.cuts)
+    real = float(np.max(np.abs(problem.rho.entries.imag))) <= _SUPPORT_TOL
     span, parity_ok = _support_symmetry(problem.rho.entries, n)
     w_labels = _sector_labels(n, span, parity_ok, np.ones(n))
     q_labels = []
@@ -171,7 +184,7 @@ def _symmetry_labels(
         signs = np.ones(n)
         signs[list(cut.left)] = -1.0
         q_labels.append(_sector_labels(n, span, parity_ok, signs))
-    return w_labels, tuple(q_labels)
+    return real, w_labels, tuple(q_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -189,36 +202,42 @@ def _sectors(labels: tuple[int, ...]) -> list[list[int]]:
 _DIAG, _REAL, _IMAG = 0, 1, 2
 
 
-def _param_specs(labels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _param_specs(
+    labels: tuple[int, ...], real: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kind code, row and column of every parameter of a sector-block matrix.
 
-    Sector by sector: its diagonal entries, then a real and an imaginary
-    part for each pair ``i < j`` in the sector.
+    Sector by sector: its diagonal entries, then a real and (unless the
+    matrix is ``real``) an imaginary part for each pair ``i < j`` in the
+    sector.
     """
     lab = np.array(labels)
     ii, jj = np.triu_indices(lab.size, 1)
     same = lab[ii] == lab[jj]
     diag = np.arange(lab.size)
-    row = np.r_[diag, np.repeat(ii[same], 2)]
-    col = np.r_[diag, np.repeat(jj[same], 2)]
-    kind = np.r_[np.full(lab.size, _DIAG), np.tile([_REAL, _IMAG], np.count_nonzero(same))]
+    kinds = [_REAL] if real else [_REAL, _IMAG]
+    row = np.r_[diag, np.repeat(ii[same], len(kinds))]
+    col = np.r_[diag, np.repeat(jj[same], len(kinds))]
+    kind = np.r_[np.full(lab.size, _DIAG), np.tile(kinds, np.count_nonzero(same))]
     order = np.lexsort((kind != _DIAG, lab[row]))
     return kind[order], row[order], col[order]
 
 
 def _basis(
-    kind: np.ndarray, row: np.ndarray, col: np.ndarray, sign: np.ndarray, sector: list[int]
+    kind: np.ndarray, row: np.ndarray, col: np.ndarray, sign: np.ndarray, sector: list[int],
+    dtype: type,
 ) -> np.ndarray:
     """Basis matrices ``sign * E_k`` of the given parameters on one sector block.
 
     ``E_k`` is ``|i><i|`` for a diagonal parameter, ``|i><j| + |j><i|`` for
-    a real part and ``i|i><j| - i|j><i|`` for an imaginary part.
+    a real part and ``i|i><j| - i|j><i|`` for an imaginary part, which only
+    a complex ``dtype`` holds.
     """
     pos = np.zeros(max(sector) + 1, dtype=int)
     pos[sector] = np.arange(len(sector))
-    a = np.zeros((kind.size, len(sector), len(sector)), dtype=complex)
+    a = np.zeros((kind.size, len(sector), len(sector)), dtype=dtype)
     k = np.arange(kind.size)
-    coef = np.where(kind == _IMAG, 1j, 1.0) * sign
+    coef = sign if dtype is float else np.where(kind == _IMAG, 1j, 1.0) * sign
     a[k, pos[row], pos[col]] += coef
     off = kind != _DIAG
     a[k[off], pos[col[off]], pos[row[off]]] += coef[off].conj()
@@ -238,11 +257,13 @@ class _Formulation:
 
     Variable ``k`` parametrises matrix ``owner[k]`` (0 for W, ``1 + c`` for
     the Q of cut ``c``) through its entry ``(row[k], col[k])`` of kind
-    ``kind[k]``; the W variables come first.
+    ``kind[k]``; the W variables come first.  A ``real`` formulation has no
+    imaginary parameters and real symmetric blocks.
     """
 
     n: int
     cuts: tuple[Bipartition, ...]
+    real: bool
     num_vars: int
     kind: np.ndarray
     row: np.ndarray
@@ -258,10 +279,12 @@ class _Formulation:
 def _formulation_for(
     n: int,
     cuts: tuple[Bipartition, ...],
+    real: bool,
     w_labels: tuple[int, ...],
     q_labels: tuple[tuple[int, ...], ...],
 ) -> _Formulation:
-    specs = [_param_specs(w_labels)] + [_param_specs(ql) for ql in q_labels]
+    dtype = float if real else complex
+    specs = [_param_specs(w_labels, real)] + [_param_specs(ql, real) for ql in q_labels]
     kind, row, col = (np.concatenate(arrays) for arrays in zip(*specs))
     owner = np.repeat(np.arange(len(specs)), [sp[0].size for sp in specs])
     w_sector_of = np.array(w_labels)
@@ -273,9 +296,9 @@ def _formulation_for(
 
     def add_pair(ci: int, roles: tuple[str, str], sec: list[int], var_idx: np.ndarray, a: np.ndarray):
         ds = len(sec)
-        blocks.append(SdpBlock(a0=np.zeros((ds, ds), dtype=complex), a=a, var_idx=var_idx))
+        blocks.append(SdpBlock(a0=np.zeros((ds, ds), dtype=dtype), a=a, var_idx=var_idx))
         block_meta.append((ci, roles[0], tuple(sec)))
-        blocks.append(SdpBlock(a0=-np.eye(ds, dtype=complex), a=-a, var_idx=var_idx.copy()))
+        blocks.append(SdpBlock(a0=-np.eye(ds, dtype=dtype), a=-a, var_idx=var_idx.copy()))
         block_meta.append((ci, roles[1], tuple(sec)))
 
     for ci, (cut, q_vars) in enumerate(zip(cuts, q_vars_of)):
@@ -297,13 +320,14 @@ def _formulation_for(
                 np.concatenate([col[w_sel], tj[q_sel]]),
                 np.concatenate([np.ones(w_sel.size), -np.ones(q_sel.size)]),
                 sec,
+                dtype,
             )
             add_pair(ci, ("p_lower", "p_upper"), sec, np.concatenate([w_sel, q_vars[q_sel]]), a)
 
         q_sector_of = np.array(q_labels[ci])
         for lab, sec in enumerate(_sectors(q_labels[ci])):
             sel = q_vars[q_sector_of[row[q_vars]] == lab]
-            a = _basis(kind[sel], row[sel], col[sel], np.ones(sel.size), sec)
+            a = _basis(kind[sel], row[sel], col[sel], np.ones(sel.size), sec, dtype)
             add_pair(ci, ("q_lower", "q_upper"), sec, sel, a)
 
     # W couples to every cut; the Q variables of different cuts never share
@@ -312,6 +336,7 @@ def _formulation_for(
     return _Formulation(
         n=n,
         cuts=cuts,
+        real=real,
         num_vars=kind.size,
         kind=kind,
         row=row,
@@ -320,7 +345,7 @@ def _formulation_for(
         blocks=blocks,
         block_meta=block_meta,
         partition=partition,
-        reduced=len(set(w_labels)) > 1,
+        reduced=real or len(set(w_labels)) > 1,
     )
 
 
@@ -351,6 +376,8 @@ def _pt_raw(entries: np.ndarray, left: tuple[int, ...], n: int) -> np.ndarray:
 
 
 def _initial_z(form: _Formulation, entries: np.ndarray) -> list[np.ndarray]:
+    if form.real:
+        entries = entries.real
     mc = len(form.cuts)
     shift = 0.2
     pts, bumps = [], []
@@ -366,11 +393,11 @@ def _initial_z(form: _Formulation, entries: np.ndarray) -> list[np.ndarray]:
         if role == "p_lower":
             z0.append(entries[sel] / mc + shift * np.eye(ds))
         elif role == "p_upper":
-            z0.append(shift * np.eye(ds, dtype=complex))
+            z0.append(shift * np.eye(ds))
         elif role == "q_lower":
             z0.append(pts[ci][sel] / mc + bumps[ci] * np.eye(ds))
         else:
-            z0.append(bumps[ci] * np.eye(ds, dtype=complex))
+            z0.append(bumps[ci] * np.eye(ds))
     return z0
 
 
@@ -389,10 +416,6 @@ def _matrices_from_x(form: _Formulation, x: np.ndarray):
     return mats[0], list(mats[1:])
 
 
-def _embed(h: np.ndarray) -> np.ndarray:
-    return np.block([[h.real, -h.imag], [h.imag, h.real]])
-
-
 # ---------------------------------------------------------------------------
 # public entry points
 
@@ -400,17 +423,14 @@ def solve_gme(
     problem: GmeProblem | DensityMatrix,
     *,
     symmetry_reduction: bool = True,
-    real_embedding: bool = False,
     max_iterations: int = 200,
 ) -> GmeSolution:
     """Solve the fully-decomposable-witness SDP for one state.
 
     ``symmetry_reduction`` restricts the variables to the commutant of the
     local diagonal-phase symmetries detected from the state's support
-    pattern (the optimum is unchanged).  ``real_embedding`` runs the solver
-    on the real-symmetric embedding ``[[Re, -Im], [Im, Re]]`` of every block
-    instead of complex Hermitian arithmetic; both paths agree to solver
-    accuracy and the embedding is kept as a cross-check.
+    pattern, and to real witnesses when the state is real (the optimum is
+    unchanged).  Without it the generic complex formulation is solved.
     """
     if isinstance(problem, DensityMatrix):
         problem = GmeProblem(rho=problem)
@@ -418,20 +438,10 @@ def solve_gme(
     form = _formulation_for(
         problem.rho.num_subsystems, problem.cuts, *_symmetry_labels(problem, symmetry_reduction)
     )
-    c = _objective_vector(form, entries)
-    x0 = _initial_x(form)
-    z0 = _initial_z(form, entries)
-    blocks = form.blocks
-    if real_embedding:
-        blocks = [
-            SdpBlock(a0=_embed(b.a0), a=np.stack([_embed(ak) for ak in b.a]), var_idx=b.var_idx)
-            for b in blocks
-        ]
-        z0 = [0.5 * _embed(zb) for zb in z0]
-
     result = solve_block_sdp(
-        blocks, c, x0, z0, tolerance=problem.tolerance, max_iterations=max_iterations,
-        partition=form.partition,
+        form.blocks, _objective_vector(form, entries), _initial_x(form),
+        _initial_z(form, entries), tolerance=problem.tolerance,
+        max_iterations=max_iterations, partition=form.partition,
     )
     return _solution_from_result(form, problem, result)
 

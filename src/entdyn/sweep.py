@@ -66,13 +66,26 @@ def load_config(path):
         return json.load(fh)
 
 
+def _exact(kind: type, json_name: str):
+    """Converter that accepts only a JSON ``json_name``; a boolean is not an integer."""
+    def check(v):
+        if type(v) is not kind:
+            raise TypeError(f"expected a JSON {json_name}, got {v!r}")
+        return v
+    return check
+
+
+_STRICT = {bool: _exact(bool, "boolean"), int: _exact(int, "integer")}
+
+
 def _from_dict(cls, doc, what: str, **convert):
     """The config dataclass ``cls`` from JSON object ``doc``; its fields are the keys.
 
     Any other key is rejected.  Each key present is converted by
-    ``convert[key]``, or else by the field's annotation (``float``, ``int``,
-    ``bool``, ``tuple[str, ...]``).  Absent keys are not passed, so every
-    default is written once, in ``cls``.
+    ``convert[key]``, or else by the field's annotation (``float``,
+    ``tuple[str, ...]``); a ``bool`` or ``int`` field takes only a JSON
+    boolean or integer.  Absent keys are not passed, so every default is
+    written once, in ``cls``.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object")
@@ -81,7 +94,10 @@ def _from_dict(cls, doc, what: str, **convert):
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
     try:
-        return cls(**{key: convert.get(key, hints[key])(v) for key, v in doc.items()})
+        return cls(**{
+            key: convert.get(key, _STRICT.get(hints[key], hints[key]))(v)
+            for key, v in doc.items()
+        })
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:

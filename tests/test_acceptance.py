@@ -247,6 +247,47 @@ def test_criterion_7_werner_events(werner_x5, werner_x01, werner_x001):
     _criterion(7, "Werner p=0.45 events", checks)
 
 
+# initial state and x of each GME acceptance sweep, by fixture name
+GME_SWEEPS = {
+    "pure26_x5": (pure_alpha_beta(ALPHA_26, BETA_26), 5.0),
+    "pure26_x01": (pure_alpha_beta(ALPHA_26, BETA_26), 0.1),
+    "pure26_x001": (pure_alpha_beta(ALPHA_26, BETA_26), 0.01),
+    "werner_x5": (werner(0.45), 5.0),
+    "werner_x01": (werner(0.45), 0.1),
+    "werner_x001": (werner(0.45), 0.01),
+}
+
+
+def _min_cut_negativity(rho: np.ndarray, n: int) -> float:
+    """Smallest negativity over the cuts of ``n`` qubits, from numpy partial transposes."""
+    best = math.inf
+    for mask in range(1, 2 ** (n - 1)):       # qubit n-1 stays on the right
+        axes = list(range(2 * n))
+        for k in range(n):
+            if mask >> k & 1:
+                axes[k], axes[k + n] = k + n, k
+        pt = rho.reshape((2,) * (2 * n)).transpose(axes).reshape(2**n, 2**n)
+        eig = np.linalg.eigvalsh(pt)
+        best = min(best, float(-eig[eig < 0].sum()))
+    return best
+
+
+@pytest.mark.parametrize("sweep", list(GME_SWEEPS))
+def test_gme_sweep_within_min_cut_bound(request, sweep):
+    # a fully decomposable witness is decomposable across each single cut,
+    # so the genuine negativity never exceeds the smallest cut negativity
+    table, _ = request.getfixturevalue(sweep)
+    state, x = GME_SWEEPS[sweep]
+    model = AmplitudeModel(1.0, x)
+    slack = 10 * SweepConfig.sdp_tolerance
+    finite = np.flatnonzero(np.isfinite(table.e_gme))
+    assert finite.size >= 134
+    for k in finite:
+        t, e = table.gamma0_t[k], table.e_gme[k]
+        bound = _min_cut_negativity(evolve_four(state, model, t).entries, 4)
+        assert 0.0 <= e <= bound + slack, (sweep, t, e, bound)
+
+
 def test_criterion_8_sdp_oracles():
     rng = np.random.default_rng(808)
     checks = []

@@ -121,3 +121,44 @@ def test_gamma0_scaling():
     assert c0(AmplitudeModel(2.0, 0.7), 1.5) == pytest.approx(
         c0(AmplitudeModel(1.0, 0.7), 3.0), abs=1e-14
     )
+
+
+def _rk4_c0(xs, tau_max, steps):
+    """``c0`` from ``c0'' + x c0' + (x/2) c0 = 0``, ``c0(0) = 1``, ``c0'(0) = 0``.
+
+    Classical RK4 in ``tau = gamma0 t``, one step size per ``x``; returns the
+    time grid and the solution, each of shape ``(steps + 1, len(xs))``.
+    """
+    xs = np.asarray(xs, dtype=float)
+    h = np.asarray(tau_max, dtype=float) / steps
+
+    def f(y, v):
+        return v, -xs * v - 0.5 * xs * y
+
+    y, v = np.ones_like(xs), np.zeros_like(xs)
+    out = [y]
+    for _ in range(steps):
+        k1y, k1v = f(y, v)
+        k2y, k2v = f(y + 0.5 * h * k1y, v + 0.5 * h * k1v)
+        k3y, k3v = f(y + 0.5 * h * k2y, v + 0.5 * h * k2v)
+        k4y, k4v = f(y + h * k3y, v + h * k3v)
+        y = y + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
+        v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        out.append(y)
+    return np.outer(np.arange(steps + 1), h), np.array(out)
+
+
+def test_c0_matches_independent_ode_integration():
+    # oscillatory, near-critical (either side of the 1e-12 closed-form
+    # window and inside it), overdamped, and overdamped far enough that the
+    # asymptotic branch (u = s tau / 2 >= 350) is reached on the grid
+    xs = [1e-3, 1e-2, 0.1, 1.0, 2 - 1e-9, 2 - 1e-13, 2.0, 2 + 1e-13, 2 + 1e-9, 5.0, 100.0, 1e3]
+    tau_max = [50.0] * 10 + [20.0, 5.0]
+    taus, ref = _rk4_c0(xs, tau_max, 50_000)
+    for j, x in enumerate(xs):
+        tau = taus[::100, j]
+        got = c0(AmplitudeModel(1.0, x), tau)
+        np.testing.assert_allclose(got, ref[::100, j], rtol=0, atol=1e-9, err_msg=f"x={x}")
+        if x > 2:
+            s = math.sqrt(x * (x - 2))
+            assert (0.5 * s * tau[-1] >= 350) == (x >= 100)

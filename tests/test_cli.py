@@ -245,6 +245,48 @@ def test_unknown_config_key_exits_1(tmp_path, capsys, command, doc, key):
     assert not out.exists()
 
 
+SWEEP_DOC = {"initial_state": {"kind": "werner", "p": 0.45}, "x": 5.0,
+             "gamma0_t_max": 1.0, "measures": ["cc"]}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("gme-single", {"state": {"kind": "ghz", "n": 3}, "symmetry_reduction": "false"}),
+    ("gme-single", {"state": {"kind": "ghz", "n": 3}, "dump_problem": 1}),
+    ("sweep", {**SWEEP_DOC, "steps": 4.7}),
+    ("sweep", {**SWEEP_DOC, "workers": 1.9}),
+    ("sweep", {**SWEEP_DOC, "gme_stride": True}),
+])
+def test_config_value_of_wrong_json_type_exits_1(tmp_path, capsys, command, doc):
+    # booleans take only true/false and integers only JSON integers: nothing
+    # is coerced, so "false" does not run the reduced solve and 4.7 is not 4
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out-dir", str(out)]) == 1
+    assert "expected a JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_worker_pool_writes_the_same_bytes(tmp_path):
+    doc = {
+        "initial_state": {"kind": "pure", "alpha": math.sqrt(1 / 26),
+                          "beta": 5 * math.sqrt(1 / 26)},
+        "x": 5.0,
+        "gamma0_t_max": 1.2,
+        "steps": 12,
+        "gme_stride": 3,
+    }
+    outs = []
+    for workers in (1, 2):
+        cfg = write_config(tmp_path, {**doc, "workers": workers}, f"w{workers}.json")
+        outs.append(tmp_path / f"w{workers}")
+        assert main(["sweep", "--config", cfg, "--out-dir", str(outs[-1])]) == 0
+    serial, pooled = outs
+    rows = (serial / "trace.csv").read_text().splitlines()[1:]
+    assert sum(row.split(",")[4] != "" for row in rows) == 5
+    for name in ("trace.csv", "events.json"):
+        assert (pooled / name).read_bytes() == (serial / name).read_bytes()
+
+
 def test_amplitude_csv_keeps_round_trip_digits(tmp_path):
     cfg = write_config(tmp_path, {"x": 0.1, "gamma0_t_max": 2.0, "steps": 4})
     out = tmp_path / "out"

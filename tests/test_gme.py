@@ -20,11 +20,11 @@ from entdyn.gme.ipm import (
     SdpBlock,
     SdpNumericalError,
     _factor_arrow,
+    _group_blocks,
     cho_solve,
     solve_block_sdp,
 )
 from entdyn.gme.witness import (
-    _embed,
     _formulation_for,
     _matrices_from_x,
     _objective_vector,
@@ -92,25 +92,14 @@ def _random_hermitian(rng, *shape):
     return g + np.swapaxes(g.conj(), -1, -2)
 
 
+def _embed(h):
+    """Real-symmetric embedding ``[[Re, -Im], [Im, Re]]`` of a Hermitian matrix."""
+    return np.block([[h.real, -h.imag], [h.imag, h.real]])
+
+
 def test_solver_real_embedding_matches_complex_blocks():
-    # random Hermitian SDP with a strictly feasible pair built in: S(x0) = P
-    # and <A_k, Z0> = c_k with P, Z0 positive definite; two blocks share a
-    # shape, so they run as one batched group
-    rng = np.random.default_rng(13)
-    m = 7
-    layout = [(3, [0, 1, 2, 3]), (3, [2, 4, 5, 6]), (2, [0, 5, 6])]
-    x0 = rng.normal(size=m)
-    blocks, z0 = [], []
-    c = np.zeros(m)
-    for d, var_idx in layout:
-        a = _random_hermitian(rng, len(var_idx), d, d)
-        g = _random_hermitian(rng, d, d)
-        p = g @ g / d + np.eye(d)
-        blocks.append(SdpBlock(a0=np.einsum("k,kij->ij", x0[var_idx], a) - p, a=a,
-                               var_idx=np.array(var_idx)))
-        h = _random_hermitian(rng, d, d)
-        z0.append(h @ h / d + np.eye(d))
-        c[var_idx] += np.einsum("kij,ji->k", a, z0[-1]).real
+    # two blocks share a shape, so they run as one batched group
+    blocks, c, x0, z0 = _random_block_sdp(13)
     embedded = [SdpBlock(a0=_embed(b.a0), a=np.stack([_embed(ak) for ak in b.a]),
                          var_idx=b.var_idx) for b in blocks]
     assert all(b.a.dtype == np.float64 for b in embedded)
@@ -126,7 +115,10 @@ def test_solver_real_embedding_matches_complex_blocks():
 
 
 def _random_block_sdp(seed):
-    """Random Hermitian block SDP with a strictly feasible pair (S(x0) = P, Z0 > 0)."""
+    """Random Hermitian block SDP with a strictly feasible pair built in.
+
+    ``S(x0) = P`` and ``<A_k, Z0> = c_k`` with ``P`` and ``Z0`` positive definite.
+    """
     rng = np.random.default_rng(seed)
     m = 7
     layout = [(3, [0, 1, 2, 3]), (3, [2, 4, 5, 6]), (2, [0, 5, 6])]
@@ -143,6 +135,28 @@ def _random_block_sdp(seed):
         z0.append(h @ h / d + np.eye(d))
         c[var_idx] += np.einsum("kij,ji->k", a, z0[-1]).real
     return blocks, c, x0, z0
+
+
+def test_real_blocks_run_real_and_match_complex_blocks():
+    # one real symmetric SDP, solved with float64 blocks and with the same
+    # blocks cast to complex: the real run stays real and takes the same steps
+    blocks, c, x0, z0 = _random_block_sdp(17)
+    real = [SdpBlock(a0=b.a0.real, a=b.a.real, var_idx=b.var_idx) for b in blocks]
+    # the real parts keep S(x0) > 0, and c is re-priced against real Z0
+    z_real = [z.real for z in z0]
+    c = np.zeros_like(c)
+    for b, z in zip(real, z_real):
+        c[b.var_idx] += np.einsum("kij,ji->k", b.a, z)
+    as_complex = [SdpBlock(a0=b.a0.astype(complex), a=b.a.astype(complex), var_idx=b.var_idx)
+                  for b in real]
+    assert {g.a.dtype for g in _group_blocks(real)} == {np.dtype(np.float64)}
+    assert {g.a.dtype for g in _group_blocks(as_complex)} == {np.dtype(complex)}
+    r = solve_block_sdp(real, c, x0, z_real)
+    z = solve_block_sdp(as_complex, c, x0, [zz.astype(complex) for zz in z_real])
+    assert r.converged and z.converged
+    assert r.iterations == z.iterations
+    assert r.primal_objective == pytest.approx(z.primal_objective, abs=1e-8)
+    assert r.dual_objective == pytest.approx(z.dual_objective, abs=1e-8)
 
 
 def test_numerical_failure_keeps_best_bound():
@@ -434,18 +448,68 @@ def test_parity_only_reduction_four_qubits():
     assert fast.genuine_negativity == pytest.approx(slow.genuine_negativity, abs=1e-6)
 
 
-def test_real_embedding_agrees_with_complex_path():
+def test_real_path_agrees_with_generic_complex_path():
+    # a real state with no diagonal-phase symmetry: only the real reduction
+    # applies, so the reduced solve differs from the generic one in that alone
     rng = np.random.default_rng(29)
-    # a state with genuinely complex coherences
-    psi = random_pure_state(8, rng)
+    psi = random_pure_state(8, rng).real
+    psi /= np.linalg.norm(psi)
     rho = DensityMatrix(
-        0.7 * np.outer(psi, psi.conj()) + 0.3 * np.eye(8) / 8, (2, 2, 2), validate=False
+        0.7 * np.outer(psi, psi) + 0.3 * np.eye(8) / 8, (2, 2, 2), validate=False
     )
-    direct = solve_gme(rho)
-    embedded = solve_gme(rho, real_embedding=True)
-    assert direct.genuine_negativity == pytest.approx(embedded.genuine_negativity, abs=1e-6)
-    ghz_emb = solve_gme(ghz_state(3), real_embedding=True)
-    assert ghz_emb.genuine_negativity == pytest.approx(0.5, abs=1e-4)
+    problem = GmeProblem(rho=rho)
+    real = solve_gme(problem)
+    generic = solve_gme(problem, symmetry_reduction=False)
+    assert real.reduced and not generic.reduced
+    assert (real.num_variables, generic.num_variables) == (144, 256)
+    for sol in (real, generic):
+        assert sol.converged and verify_witness(sol, problem).passed
+    assert real.genuine_negativity > 0.1
+    assert real.genuine_negativity == pytest.approx(generic.genuine_negativity, abs=1e-6)
+    np.testing.assert_array_equal(real.witness.imag, 0.0)
+
+
+def _xstate_four(rho14, rho23):
+    from entdyn.states import x_state
+
+    s0 = x_state(0.35, 0.15, 0.1, 0.4, rho14=rho14, rho23=rho23)
+    return GmeProblem(rho=evolve_four(s0, AmplitudeModel(1.0, 0.5), 1.3))
+
+
+def test_reduction_counts_real_and_complex_states():
+    # (state, reduced variable count); the generic formulation has 2048
+    pure = pure_alpha_beta(math.sqrt(1 / 26), 5 * math.sqrt(1 / 26))
+    u = _random_local_unitary(np.random.default_rng(3), 4)
+    turned = evolve_four(pure, AmplitudeModel(1.0, 0.01), 8.0).entries
+    cases = [
+        (GmeProblem(rho=evolve_four(pure, AmplitudeModel(1.0, 0.01), 8.0)), 344),
+        (GmeProblem(rho=evolve_four(werner(0.45), AmplitudeModel(1.0, 0.1), 3.96)), 344),
+        (_xstate_four(0.2, 0.05), 576),
+        (_xstate_four(0.2 + 0.25j, 0.05 - 0.08j), 1024),
+        (GmeProblem(rho=DensityMatrix(u @ turned @ u.conj().T, (2,) * 4, validate=False)), 2048),
+    ]
+    for problem, count in cases:
+        real = not np.any(problem.rho.entries.imag)
+        assert problem_json_dict(problem)["num_variables"] == count
+        assert problem_json_dict(problem, symmetry_reduction=False)["num_variables"] == 2048
+        form = _formulation_for(4, problem.cuts, *_symmetry_labels(problem, True))
+        assert form.real == real
+        assert {b.a.dtype for b in form.blocks} == {np.dtype(float if real else complex)}
+        generic = _formulation_for(4, problem.cuts, *_symmetry_labels(problem, False))
+        assert not generic.real and not generic.reduced
+        assert {b.a.dtype for b in generic.blocks} == {np.dtype(complex)}
+
+
+# pure alpha = sqrt(1/10), x = 0.01 next to its recurrent plateau at |alpha beta| = 0.3:
+# the dual iterate loses definiteness late in the run, with best bound about -0.29377
+@pytest.mark.xfail(strict=True, raises=SdpNumericalError,
+                   reason="known solver failure near the alpha^2 = 1/10 plateau")
+@pytest.mark.parametrize("symmetry_reduction", [True, False])
+def test_known_failure_alpha10_x001_t33(symmetry_reduction):
+    s0 = pure_alpha_beta(math.sqrt(1 / 10), math.sqrt(9 / 10))
+    problem = GmeProblem(rho=evolve_four(s0, AmplitudeModel(1.0, 0.01), 33.0))
+    sol = solve_gme(problem, symmetry_reduction=symmetry_reduction)
+    assert sol.converged and verify_witness(sol, problem).passed
 
 
 def test_witness_certificate_sound_on_biseparable_states():
