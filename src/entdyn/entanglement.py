@@ -2,7 +2,8 @@
 
 Negativity is the reported measure (it matches the witness-based monotone
 on a single cut); concurrence is kept as an independent cross-check with
-the same zero set on X states.
+the same zero set on X states.  The X-state negativity also takes an X
+state with array fields, a whole trajectory at once.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ ZERO_ENTANGLEMENT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class EntanglementValue:
-    value: float
+    value: float | np.ndarray
     method: str  # negativity_eigen | negativity_xstate_closed_form | concurrence
 
     def __float__(self) -> float:
@@ -51,16 +52,22 @@ def negativity_xstate(s: XState) -> EntanglementValue:
 
     The partially transposed X state splits into the blocks
     ``{rho22, rho33; rho14}`` and ``{rho11, rho44; rho23}``; only the lower
-    eigenvalue of each block can go negative.
+    eigenvalue of each block can go negative.  For an X state with array
+    fields the value is an array of their shape; otherwise it is a float.
     """
-    lo1 = 0.5 * (s.rho22 + s.rho33) - math.sqrt(
-        0.25 * (s.rho22 - s.rho33) ** 2 + abs(s.rho14) ** 2
-    )
-    lo2 = 0.5 * (s.rho11 + s.rho44) - math.sqrt(
-        0.25 * (s.rho11 - s.rho44) ** 2 + abs(s.rho23) ** 2
-    )
-    val = max(0.0, -lo1) + max(0.0, -lo2)
+    val = _negative_part(s.rho22, s.rho33, s.rho14) + _negative_part(s.rho11, s.rho44, s.rho23)
+    val = val + 0.0                     # no -0.0 in written traces
+    if val.ndim == 0:
+        val = float(val)
     return EntanglementValue(val, "negativity_xstate_closed_form")
+
+
+def _negative_part(p, q, coh):
+    """``max(0, -lo)`` for the lower eigenvalue ``lo`` of ``{p, q; coh}``."""
+    d = 0.5 * (p - q)
+    r = np.hypot(np.real(coh), np.imag(coh))
+    lo = 0.5 * (p + q) - np.sqrt(d * d + r * r)
+    return np.maximum(-lo, 0.0)
 
 
 def concurrence_xstate(s: XState) -> EntanglementValue:

@@ -6,7 +6,8 @@ Starting from an X state on the cavities and both reservoirs in vacuum, the
 cavity-cavity and reservoir-reservoir marginals stay in the X family and
 have closed forms; the full four-qubit state is built by applying the
 isometry per pair (dilation), so the closed forms double as independent
-cross-checks.
+cross-checks.  The closed forms take a scalar time or an array of times, so
+a sweep evaluates a whole grid in one call; the dilation takes one time.
 
 Qubit ordering of the four-qubit state is ``(c1, c2, r1, r2)``.
 """
@@ -35,40 +36,41 @@ class EvolvedPair:
     c: float
 
 
-def _amplitudes(model: AmplitudeModel, t: float) -> tuple[float, float]:
-    a = float(_c0(model, t))
-    c = float(_cexc(model, t))
-    return a, c
+def _amplitudes(model: AmplitudeModel, t):
+    """``c0`` and ``c`` at ``t``: floats for a scalar, arrays of its shape otherwise."""
+    return _c0(model, t), _cexc(model, t)
 
 
-def evolve_cc(s0: XState, model: AmplitudeModel, t: float) -> XState:
-    """Cavity-cavity X state at time t."""
-    a, c = _amplitudes(model, t)
-    a2, c2 = a * a, c * c
-    r11 = s0.rho11 + (s0.rho22 + s0.rho33 + s0.rho44 * c2) * c2
+def _marginal(s0: XState, keep, leak) -> XState:
+    """Marginal X state of one qubit from each pair, when each pair's
+    excitation sits on the observed qubit with probability ``keep`` and on
+    its partner with probability ``leak``."""
+    r11 = s0.rho11 + (s0.rho22 + s0.rho33 + s0.rho44 * leak) * leak
     return XState(
         r11,
-        (s0.rho22 + s0.rho44 * c2) * a2,
-        (s0.rho33 + s0.rho44 * c2) * a2,
-        s0.rho44 * a2 * a2,
-        s0.rho14 * a2,
-        s0.rho23 * a2,
+        (s0.rho22 + s0.rho44 * leak) * keep,
+        (s0.rho33 + s0.rho44 * leak) * keep,
+        s0.rho44 * keep * keep,
+        s0.rho14 * keep,
+        s0.rho23 * keep,
     )
 
 
-def evolve_rr(s0: XState, model: AmplitudeModel, t: float) -> XState:
-    """Reservoir-reservoir X state at time t (roles of c0 and c swapped)."""
+def evolve_cc(s0: XState, model: AmplitudeModel, t) -> XState:
+    """Cavity-cavity X state at time ``t``.
+
+    ``t`` is a scalar or an array; for an array every field of the result
+    is an array of its shape, and every point is validated.
+    """
     a, c = _amplitudes(model, t)
-    a2, c2 = a * a, c * c
-    s11 = s0.rho11 + (s0.rho22 + s0.rho33 + s0.rho44 * a2) * a2
-    return XState(
-        s11,
-        (s0.rho22 + s0.rho44 * a2) * c2,
-        (s0.rho33 + s0.rho44 * a2) * c2,
-        s0.rho44 * c2 * c2,
-        s0.rho14 * c2,
-        s0.rho23 * c2,
-    )
+    return _marginal(s0, a * a, c * c)
+
+
+def evolve_rr(s0: XState, model: AmplitudeModel, t) -> XState:
+    """Reservoir-reservoir X state at time ``t`` (scalar or array): the roles
+    of c0 and c in ``evolve_cc`` swapped."""
+    a, c = _amplitudes(model, t)
+    return _marginal(s0, c * c, a * a)
 
 
 def _pair_isometry(a: float, c: float) -> np.ndarray:

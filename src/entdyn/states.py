@@ -155,6 +155,9 @@ class XState:
 
     Validity requires unit trace, nonnegative populations, and the block
     positivity conditions rho22*rho33 >= |rho23|^2 and rho11*rho44 >= |rho14|^2.
+    The fields may also be arrays of one shape, a family of X states such as
+    a trajectory on a time grid, validated entry by entry; ``to_density``
+    needs scalar fields.
     """
 
     rho11: float
@@ -165,25 +168,32 @@ class XState:
     rho23: complex = 0.0
 
     def __post_init__(self):
-        pops = (self.rho11, self.rho22, self.rho33, self.rho44)
-        for name, p in zip(("rho11", "rho22", "rho33", "rho44"), pops):
-            if abs(complex(p).imag) > 0:
-                raise StateValidationError(f"population {name} must be real, got {p}")
-            if p < -_X_SLACK:
-                raise StateValidationError(f"population {name} = {p:.6g} is negative")
-        tr = sum(pops)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise StateValidationError(f"populations sum to {tr:.12g}, expected 1")
-        if self.rho22 * self.rho33 - abs(self.rho23) ** 2 < -_X_SLACK:
+        # every entry of array fields is checked; a message names the worst
+        fields = (self.rho11, self.rho22, self.rho33, self.rho44, self.rho14, self.rho23)
+        *pops, r14, r23 = (np.ravel(f) for f in np.broadcast_arrays(*fields))
+        for k, name in enumerate(("rho11", "rho22", "rho33", "rho44")):
+            imag = np.abs(np.imag(pops[k]))
+            if np.any(imag > 0):
+                raise StateValidationError(
+                    f"population {name} must be real, got {pops[k][np.nanargmax(imag)]}")
+            pops[k] = np.real(pops[k])
+            if np.any(pops[k] < -_X_SLACK):
+                raise StateValidationError(
+                    f"population {name} = {np.nanmin(pops[k]):.6g} is negative")
+        r11, r22, r33, r44 = pops
+        tr = r11 + r22 + r33 + r44
+        dev = np.abs(tr - 1.0)
+        if np.any(dev > TRACE_TOL):
             raise StateValidationError(
-                f"positivity violated: rho22*rho33 = {self.rho22 * self.rho33:.6g} "
-                f"< |rho23|^2 = {abs(self.rho23) ** 2:.6g}"
-            )
-        if self.rho11 * self.rho44 - abs(self.rho14) ** 2 < -_X_SLACK:
-            raise StateValidationError(
-                f"positivity violated: rho11*rho44 = {self.rho11 * self.rho44:.6g} "
-                f"< |rho14|^2 = {abs(self.rho14) ** 2:.6g}"
-            )
+                f"populations sum to {tr[np.nanargmax(dev)]:.12g}, expected 1")
+        for pa, pb, coh, prod, sq in ((r22, r33, r23, "rho22*rho33", "|rho23|^2"),
+                                      (r11, r44, r14, "rho11*rho44", "|rho14|^2")):
+            both, mag = pa * pb, np.abs(coh) ** 2
+            gap = both - mag
+            if np.any(gap < -_X_SLACK):
+                k = np.nanargmin(gap)
+                raise StateValidationError(
+                    f"positivity violated: {prod} = {both[k]:.6g} < {sq} = {mag[k]:.6g}")
 
     def to_density(self) -> DensityMatrix:
         m = np.zeros((4, 4), dtype=complex)

@@ -75,7 +75,14 @@ def _exact(kind: type, json_name: str):
     return check
 
 
-_STRICT = {bool: _exact(bool, "boolean"), int: _exact(int, "integer")}
+def _number(v) -> float:
+    """A JSON number (integer or not) as a float; a boolean is not a number."""
+    if type(v) not in (int, float):
+        raise TypeError(f"expected a JSON number, got {v!r}")
+    return float(v)
+
+
+_STRICT = {bool: _exact(bool, "boolean"), int: _exact(int, "integer"), float: _number}
 
 
 def _from_dict(cls, doc, what: str, **convert):
@@ -83,9 +90,9 @@ def _from_dict(cls, doc, what: str, **convert):
 
     Any other key is rejected.  Each key present is converted by
     ``convert[key]``, or else by the field's annotation (``float``,
-    ``tuple[str, ...]``); a ``bool`` or ``int`` field takes only a JSON
-    boolean or integer.  Absent keys are not passed, so every default is
-    written once, in ``cls``.
+    ``tuple[str, ...]``); a ``bool``, ``int`` or ``float`` field takes only a
+    JSON boolean, integer or number.  Absent keys are not passed, so every
+    default is written once, in ``cls``.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object")
@@ -135,8 +142,8 @@ def _tagged(spec, kinds: dict, what: str):
 def _parse_initial_state(spec) -> XState:
     return _tagged(spec, {
         "pure": lambda d: pure_alpha_beta(_as_complex(d["alpha"]), _as_complex(d["beta"])),
-        "werner": lambda d: werner(float(d["p"])),
-        "xstate": lambda d: x_state(d["rho11"], d["rho22"], d["rho33"], d["rho44"],
+        "werner": lambda d: werner(_number(d["p"])),
+        "xstate": lambda d: x_state(*(_number(d[k]) for k in ("rho11", "rho22", "rho33", "rho44")),
                                     _as_complex(d.get("rho14", 0.0)),
                                     _as_complex(d.get("rho23", 0.0))),
     }, "initial_state")
@@ -146,8 +153,8 @@ def _as_complex(v) -> complex:
     if isinstance(v, (list, tuple)):
         if len(v) != 2:
             raise ConfigError(f"complex values are [re, im] pairs, got {v!r}")
-        return complex(float(v[0]), float(v[1]))
-    return complex(float(v), 0.0)
+        return complex(_number(v[0]), _number(v[1]))
+    return complex(_number(v), 0.0)
 
 
 @dataclass(frozen=True)
@@ -187,12 +194,12 @@ def _parse_state(spec) -> DensityMatrix:
     """A gme-single state: a density-matrix document or a named constructor."""
     return _tagged(spec, {
         "matrix": lambda d: DensityMatrix.from_json_dict(d["matrix"]),
-        "ghz": lambda d: ghz_state(int(d.get("n", 3))),
-        "kay": lambda d: kay_state(float(d["alpha"])),
+        "ghz": lambda d: ghz_state(_STRICT[int](d.get("n", 3))),
+        "kay": lambda d: kay_state(_number(d["alpha"])),
         "biseparable_bell_mixture": lambda d: biseparable_bell_mixture(),
         "evolved": lambda d: evolve_four(_parse_initial_state(d["initial_state"]),
-                                         AmplitudeModel(1.0, float(d["x"])),
-                                         float(d["gamma0_t"])),
+                                         AmplitudeModel(1.0, _number(d["x"])),
+                                         _number(d["gamma0_t"])),
     }, "state")
 
 
@@ -279,11 +286,9 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
     diagnostics: list[str] = []
 
     if "cc" in cfg.measures:
-        for k, t in enumerate(ts):
-            e_cc[k] = negativity_xstate(evolve_cc(cfg.initial_state, model, t)).value
+        e_cc = negativity_xstate(evolve_cc(cfg.initial_state, model, ts)).value
     if "rr" in cfg.measures:
-        for k, t in enumerate(ts):
-            e_rr[k] = negativity_xstate(evolve_rr(cfg.initial_state, model, t)).value
+        e_rr = negativity_xstate(evolve_rr(cfg.initial_state, model, ts)).value
 
     if "gme" in cfg.measures:
         idxs = range(0, npts, cfg.gme_stride)

@@ -255,10 +255,29 @@ SWEEP_DOC = {"initial_state": {"kind": "werner", "p": 0.45}, "x": 5.0,
     ("sweep", {**SWEEP_DOC, "steps": 4.7}),
     ("sweep", {**SWEEP_DOC, "workers": 1.9}),
     ("sweep", {**SWEEP_DOC, "gme_stride": True}),
+    ("sweep", {**SWEEP_DOC, "x": True}),
+    ("sweep", {**SWEEP_DOC, "gamma0_t_max": "1.0"}),
+    ("sweep", {**SWEEP_DOC, "tolerances": {"zero": "1e-8"}}),
+    ("sweep", {**SWEEP_DOC, "initial_state": {"kind": "werner", "p": "0.45"}}),
+    ("sweep", {**SWEEP_DOC, "initial_state": {"kind": "pure", "alpha": True, "beta": 0}}),
+    ("sweep", {**SWEEP_DOC, "initial_state": {"kind": "pure", "alpha": [0.6, "0"],
+                                              "beta": 0.8}}),
+    ("sweep", {**SWEEP_DOC, "initial_state": {"kind": "xstate", "rho11": "1", "rho22": 0,
+                                              "rho33": 0, "rho44": 0}}),
+    ("gme-single", {"state": {"kind": "ghz", "n": 3.0}}),
+    ("gme-single", {"state": {"kind": "ghz", "n": 3}, "tolerance": "1e-7"}),
+    ("gme-single", {"state": {"kind": "kay", "alpha": "3"}}),
+    ("gme-single", {"state": {"kind": "evolved", "initial_state": {"kind": "werner", "p": 0.45},
+                              "x": True, "gamma0_t": 1.0}}),
+    ("gme-single", {"state": {"kind": "evolved", "initial_state": {"kind": "werner", "p": 0.45},
+                              "x": 5.0, "gamma0_t": "1"}}),
+    ("amplitude", {"x": "5"}),
+    ("amplitude", {"x": 5.0, "gamma0_t_max": False}),
 ])
 def test_config_value_of_wrong_json_type_exits_1(tmp_path, capsys, command, doc):
-    # booleans take only true/false and integers only JSON integers: nothing
-    # is coerced, so "false" does not run the reduced solve and 4.7 is not 4
+    # booleans take only true/false, integers only JSON integers and floats
+    # only JSON numbers: nothing is coerced, so "false" does not run the
+    # reduced solve, 4.7 is not 4, and neither true nor "1.0" is 1.0
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out-dir", str(out)]) == 1

@@ -6,7 +6,8 @@ import pytest
 from entdyn.amplitude import AmplitudeModel
 from entdyn.entanglement import concurrence_xstate, negativity, negativity_xstate
 from entdyn.evolution import evolve_cc
-from entdyn.states import Bipartition, bell_pair, pure_alpha_beta, werner, x_state, x_state_is_entangled
+from entdyn.states import (Bipartition, XState, bell_pair, pure_alpha_beta, werner, x_state,
+                           x_state_is_entangled)
 
 from test_states import random_x_state
 
@@ -83,6 +84,21 @@ def test_zero_crossing_agreement_along_trajectory():
     k_neg = int(np.argmax(neg <= 1e-8))
     k_con = int(np.argmax(con <= 1e-8))
     assert abs(k_neg - k_con) <= 1
+
+
+def test_array_fields_match_scalar_values():
+    rng = np.random.default_rng(29)
+    states = [random_x_state(rng) for _ in range(200)]
+    model = AmplitudeModel(1.0, 0.1)
+    states += [evolve_cc(states[0], model, 0.0), evolve_cc(states[1], model, 3.0),
+               x_state(0.3, 0.2, 0.15, 0.35, 0.2 + 0.15j, 0.05 - 0.1j), x_state(1, 0, 0, 0)]
+    attrs = ("rho11", "rho22", "rho33", "rho44", "rho14", "rho23")
+    family = XState(*(np.array([getattr(s, a) for s in states]) for a in attrs))
+    got = negativity_xstate(family).value
+    want = np.array([negativity_xstate(s).value for s in states])
+    assert got.shape == (len(states),)
+    np.testing.assert_array_max_ulp(got, want, maxulp=1)
+    assert not np.any(np.signbit(got))
 
 
 def test_negativity_multiqubit_cut():

@@ -105,3 +105,20 @@ def test_evolve_pair_consistency():
     assert np.allclose(
         partial_trace(pair.full, [0, 1]).entries, pair.cc.to_density().entries, atol=1e-10
     )
+
+
+@pytest.mark.parametrize("evolve", [evolve_cc, evolve_rr])
+def test_array_times_match_scalar_calls(evolve):
+    rng = np.random.default_rng(44)
+    ts = np.concatenate([[0.0], rng.uniform(0.0, 60.0, 40)])
+    for x in (0.01, 0.5, 2.0, 5.0):
+        model = AmplitudeModel(1.0, x)
+        s0 = random_x_state(rng)
+        grid = evolve(s0, model, ts)
+        points = [evolve(s0, model, float(t)) for t in ts]
+        for attr in ("rho11", "rho22", "rho33", "rho44", "rho14", "rho23"):
+            got = np.asarray(getattr(grid, attr))
+            want = np.array([getattr(p, attr) for p in points])
+            assert got.shape == ts.shape
+            np.testing.assert_array_max_ulp(got.real, want.real, maxulp=1)
+            np.testing.assert_array_max_ulp(got.imag, want.imag, maxulp=1)

@@ -54,6 +54,24 @@ def test_x_state_rejects_bad_coherence():
         x_state(0.25, 0.25, 0.25, 0.25, rho23=0.3)
 
 
+def test_x_state_array_fields_checked_entry_by_entry():
+    quarter = np.full(3, 0.25)
+    s = XState(quarter, quarter, quarter, quarter, np.array([0.1, 0.25j, 0.0]))
+    assert s.rho14.shape == (3,)
+    # one negative population among valid entries; the message names the worst
+    with pytest.raises(StateValidationError, match="rho22 = -0.02 is negative"):
+        XState(np.array([0.25, 0.26, 0.27]), np.array([0.25, -0.01, -0.02]),
+               np.array([0.25, 0.25, 0.25]), np.array([0.25, 0.5, 0.5]))
+    # one entry breaking positivity of the outer block
+    with pytest.raises(StateValidationError,
+                       match=r"rho11\*rho44 = 0.0625 < \|rho14\|\^2 = 0.09"):
+        XState(quarter, quarter, quarter, quarter, np.array([0.1, 0.3j, 0.2]))
+    with pytest.raises(StateValidationError, match=r"rho22\*rho33"):
+        XState(quarter, quarter, quarter, quarter, 0.0, np.array([0.0, 0.0, 0.26]))
+    with pytest.raises(StateValidationError, match="sum to 1.01"):
+        XState(np.array([0.25, 0.26]), quarter[:2], quarter[:2], quarter[:2])
+
+
 def test_x_state_rejects_bad_trace():
     with pytest.raises(StateValidationError, match="sum to"):
         x_state(0.5, 0.5, 0.5, 0.5)

@@ -1,9 +1,14 @@
+import collections
 import json
 import math
 
 import numpy as np
 import pytest
 
+import entdyn.evolution
+import entdyn.sweep
+from entdyn.amplitude import AmplitudeModel, c0
+from entdyn.states import StateValidationError
 from entdyn.sweep import (
     CSV_HEADER,
     ConfigError,
@@ -174,6 +179,8 @@ def test_emit_csv_schema_and_determinism(tmp_path):
     assert len(lines) == 52
     # gme column empty when not computed
     assert lines[1].split(",")[4] == ""
+    cells = [cell for line in lines[1:] for cell in line.split(",")]
+    assert "0.0" in cells and "-0.0" not in cells
 
     events1 = json.loads((d1 / "events.json").read_text())
     assert set(events1) == {
@@ -262,3 +269,59 @@ def test_event_report_json_round_trip():
     rep2 = EventReport()
     doc2 = rep2.to_json_dict()
     assert doc2["esd_time"] is None and doc2["dead_window"] is None
+
+
+def test_bipartite_layer_runs_once_per_measure(monkeypatch):
+    # the cc and rr columns come from one call per measure on the whole grid,
+    # so the bench spans around these names cover the whole bipartite layer
+    calls = collections.Counter()
+    for name in ("evolve_cc", "evolve_rr", "negativity_xstate"):
+        def counted(*args, _fn=getattr(entdyn.sweep, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(entdyn.sweep, name, counted)
+    table = run_sweep(bipartite_config(steps=300))
+    assert np.all(np.isfinite(table.e_cc)) and np.all(np.isfinite(table.e_rr))
+    assert calls == {"evolve_cc": 1, "evolve_rr": 1, "negativity_xstate": 2}
+
+
+def test_sweep_rejects_an_invalid_marginal_at_one_grid_point(monkeypatch):
+    def bad_c0(model, t):
+        a = c0(model, t)
+        a[len(a) // 2] *= 1.01          # |c0| above 1 breaks the trace there
+        return a
+    monkeypatch.setattr(entdyn.evolution, "_c0", bad_c0)
+    with pytest.raises(StateValidationError, match="sum to"):
+        run_sweep(bipartite_config(measures=["cc"]))
+
+
+def _first_root(model, level, tmax):
+    """First time c0**2 falls to ``level``: a dense scan, then bisection."""
+    grid = np.linspace(0.0, tmax, 20001)
+    k = int(np.argmax(np.asarray(c0(model, grid)) ** 2 <= level))
+    assert k > 0
+    lo, hi = float(grid[k - 1]), float(grid[k])
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if c0(model, mid) ** 2 > level:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("steps", [400, 6000])
+@pytest.mark.parametrize("x, tmax", [(5.0, 8.0), (0.1, 10.0), (0.01, 50.0)])
+def test_event_times_within_a_grid_step_of_c0_roots(x, tmax, steps):
+    # alpha|00> + beta|11> with |alpha| < |beta| and r = |alpha/beta|: the
+    # cavity pair dies where c0**2 = 1 - r, the reservoir pair is born where
+    # c0**2 = r
+    alpha, beta = math.sqrt(1 / 3), math.sqrt(2 / 3)
+    r = alpha / beta
+    cfg = bipartite_config(initial_state={"kind": "pure", "alpha": alpha, "beta": beta},
+                           x=x, gamma0_t_max=tmax, steps=steps)
+    rep = detect_events(run_sweep(cfg), cfg.tolerances)
+    model = AmplitudeModel(1.0, x)
+    step = tmax / steps
+    assert abs(rep.esd_time - _first_root(model, 1.0 - r, tmax)) <= step
+    assert abs(rep.esb_time - _first_root(model, r, tmax)) <= step
