@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..states import Bipartition, DensityMatrix
-from .ipm import SchurPartition, SdpBlock, SdpResult, solve_block_sdp
+from .ipm import SchurPartition, SdpBlock, SdpResult, StackedBlocks, solve_block_sdp
 
 __all__ = [
     "GmeProblem",
@@ -258,7 +258,8 @@ class _Formulation:
     Variable ``k`` parametrises matrix ``owner[k]`` (0 for W, ``1 + c`` for
     the Q of cut ``c``) through its entry ``(row[k], col[k])`` of kind
     ``kind[k]``; the W variables come first.  A ``real`` formulation has no
-    imaginary parameters and real symmetric blocks.
+    imaginary parameters and real symmetric blocks.  ``blocks`` are stacked
+    once, with the Schur partition under which W is the border.
     """
 
     n: int
@@ -269,9 +270,8 @@ class _Formulation:
     row: np.ndarray
     col: np.ndarray
     owner: np.ndarray
-    blocks: list[SdpBlock]
+    blocks: StackedBlocks
     block_meta: list[tuple[int, str, tuple[int, ...]]]
-    partition: SchurPartition
     reduced: bool
 
 
@@ -342,9 +342,8 @@ def _formulation_for(
         row=row,
         col=col,
         owner=owner,
-        blocks=blocks,
+        blocks=StackedBlocks(blocks, kind.size, partition),
         block_meta=block_meta,
-        partition=partition,
         reduced=real or len(set(w_labels)) > 1,
     )
 
@@ -441,7 +440,7 @@ def solve_gme(
     result = solve_block_sdp(
         form.blocks, _objective_vector(form, entries), _initial_x(form),
         _initial_z(form, entries), tolerance=problem.tolerance,
-        max_iterations=max_iterations, partition=form.partition,
+        max_iterations=max_iterations,
     )
     return _solution_from_result(form, problem, result)
 

@@ -7,6 +7,7 @@ ordering), so the two-qubit basis is ``|1> = |0_A 0_B>``, ``|2> = |0_A 1_B>``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,35 @@ _X_SLACK = 1e-12
 
 class StateValidationError(ValueError):
     """Raised when a matrix or parameter set is not a valid quantum state."""
+
+
+def json_exact(kind: type, json_name: str):
+    """Converter that accepts only a JSON ``json_name``; a boolean is not an integer.
+
+    With ``json_number`` this is the value rule of every document entdyn reads.
+    """
+    def check(v):
+        if type(v) is not kind:
+            raise TypeError(f"expected a JSON {json_name}, got {v!r}")
+        return v
+    return check
+
+
+def json_number(v) -> float:
+    """A JSON number (integer or not) as a float.
+
+    A boolean is not a number, and neither are the ``NaN`` and ``Infinity``
+    tokens, which standard JSON forbids but ``json.load`` reads, nor an
+    integer beyond the float range.
+    """
+    if type(v) in (int, float):
+        try:
+            x = float(v)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise TypeError(f"expected a JSON number, got {v!r}")
 
 
 def _as_complex_matrix(entries) -> np.ndarray:
@@ -106,10 +136,12 @@ class DensityMatrix:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DensityMatrix":
+        """Inverse of ``to_json_dict``: entries must be JSON numbers and dims JSON integers."""
+        integer = json_exact(int, "integer")
         try:
-            re = np.array(data["re"], dtype=float)
-            im = np.array(data["im"], dtype=float)
-            dims = tuple(int(k) for k in data["dims"])
+            re, im = (np.array([[json_number(v) for v in row] for row in data[k]])
+                      for k in ("re", "im"))
+            dims = tuple(integer(k) for k in data["dims"])
         except (KeyError, TypeError, ValueError) as exc:
             raise StateValidationError(f"malformed density-matrix document: {exc}") from exc
         return cls(re + 1j * im, dims)
@@ -149,12 +181,16 @@ class Bipartition:
         return "".join(map(str, self.left)) + "|" + "".join(map(str, self.right))
 
 
+_X_FIELDS = ("rho11", "rho22", "rho33", "rho44", "rho14", "rho23")
+
+
 @dataclass(frozen=True)
 class XState:
     """Two-qubit X state: populations rho11..rho44 plus coherences rho14, rho23.
 
-    Validity requires unit trace, nonnegative populations, and the block
-    positivity conditions rho22*rho33 >= |rho23|^2 and rho11*rho44 >= |rho14|^2.
+    Validity requires finite entries, unit trace, nonnegative populations,
+    and the block positivity conditions rho22*rho33 >= |rho23|^2 and
+    rho11*rho44 >= |rho14|^2.
     The fields may also be arrays of one shape, a family of X states such as
     a trajectory on a time grid, validated entry by entry; ``to_density``
     needs scalar fields.
@@ -170,8 +206,12 @@ class XState:
     def __post_init__(self):
         # every entry of array fields is checked; a message names the worst
         fields = (self.rho11, self.rho22, self.rho33, self.rho44, self.rho14, self.rho23)
-        *pops, r14, r23 = (np.ravel(f) for f in np.broadcast_arrays(*fields))
-        for k, name in enumerate(("rho11", "rho22", "rho33", "rho44")):
+        *pops, r14, r23 = flat = [np.ravel(f) for f in np.broadcast_arrays(*fields)]
+        for name, f in zip(_X_FIELDS, flat):
+            bad = ~np.isfinite(f)
+            if np.any(bad):
+                raise StateValidationError(f"{name} must be finite, got {f[bad][0]}")
+        for k, name in enumerate(_X_FIELDS[:4]):
             imag = np.abs(np.imag(pops[k]))
             if np.any(imag > 0):
                 raise StateValidationError(

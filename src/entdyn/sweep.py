@@ -22,8 +22,8 @@ from .amplitude import AmplitudeModel, c0 as _c0, c_excitation as _cexc
 from .entanglement import ZERO_ENTANGLEMENT_TOL, negativity_xstate
 from .evolution import evolve_cc, evolve_four, evolve_rr
 from .gme import GmeProblem, GmeSolution, SdpError, problem_json_dict, solve_gme
-from .states import (DensityMatrix, XState, biseparable_bell_mixture, ghz_state, kay_state,
-                     pure_alpha_beta, werner, x_state)
+from .states import (DensityMatrix, XState, biseparable_bell_mixture, ghz_state, json_exact,
+                     json_number, kay_state, pure_alpha_beta, werner, x_state)
 
 __all__ = [
     "ConfigError",
@@ -66,23 +66,7 @@ def load_config(path):
         return json.load(fh)
 
 
-def _exact(kind: type, json_name: str):
-    """Converter that accepts only a JSON ``json_name``; a boolean is not an integer."""
-    def check(v):
-        if type(v) is not kind:
-            raise TypeError(f"expected a JSON {json_name}, got {v!r}")
-        return v
-    return check
-
-
-def _number(v) -> float:
-    """A JSON number (integer or not) as a float; a boolean is not a number."""
-    if type(v) not in (int, float):
-        raise TypeError(f"expected a JSON number, got {v!r}")
-    return float(v)
-
-
-_STRICT = {bool: _exact(bool, "boolean"), int: _exact(int, "integer"), float: _number}
+_STRICT = {bool: json_exact(bool, "boolean"), int: json_exact(int, "integer"), float: json_number}
 
 
 def _from_dict(cls, doc, what: str, **convert):
@@ -142,8 +126,9 @@ def _tagged(spec, kinds: dict, what: str):
 def _parse_initial_state(spec) -> XState:
     return _tagged(spec, {
         "pure": lambda d: pure_alpha_beta(_as_complex(d["alpha"]), _as_complex(d["beta"])),
-        "werner": lambda d: werner(_number(d["p"])),
-        "xstate": lambda d: x_state(*(_number(d[k]) for k in ("rho11", "rho22", "rho33", "rho44")),
+        "werner": lambda d: werner(json_number(d["p"])),
+        "xstate": lambda d: x_state(*(json_number(d[k])
+                                      for k in ("rho11", "rho22", "rho33", "rho44")),
                                     _as_complex(d.get("rho14", 0.0)),
                                     _as_complex(d.get("rho23", 0.0))),
     }, "initial_state")
@@ -153,8 +138,8 @@ def _as_complex(v) -> complex:
     if isinstance(v, (list, tuple)):
         if len(v) != 2:
             raise ConfigError(f"complex values are [re, im] pairs, got {v!r}")
-        return complex(_number(v[0]), _number(v[1]))
-    return complex(_number(v), 0.0)
+        return complex(json_number(v[0]), json_number(v[1]))
+    return complex(json_number(v), 0.0)
 
 
 @dataclass(frozen=True)
@@ -195,11 +180,11 @@ def _parse_state(spec) -> DensityMatrix:
     return _tagged(spec, {
         "matrix": lambda d: DensityMatrix.from_json_dict(d["matrix"]),
         "ghz": lambda d: ghz_state(_STRICT[int](d.get("n", 3))),
-        "kay": lambda d: kay_state(_number(d["alpha"])),
+        "kay": lambda d: kay_state(json_number(d["alpha"])),
         "biseparable_bell_mixture": lambda d: biseparable_bell_mixture(),
         "evolved": lambda d: evolve_four(_parse_initial_state(d["initial_state"]),
-                                         AmplitudeModel(1.0, _number(d["x"])),
-                                         _number(d["gamma0_t"])),
+                                         AmplitudeModel(1.0, json_number(d["x"])),
+                                         json_number(d["gamma0_t"])),
     }, "state")
 
 

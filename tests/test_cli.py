@@ -249,6 +249,16 @@ SWEEP_DOC = {"initial_state": {"kind": "werner", "p": 0.45}, "x": 5.0,
              "gamma0_t_max": 1.0, "measures": ["cc"]}
 
 
+def _matrix_state(key, bad):
+    """gme-single state: the two-qubit GHZ document with one entry or dim replaced."""
+    matrix = ghz_state(2).to_json_dict()
+    if key == "dims":
+        matrix["dims"][0] = bad
+    else:
+        matrix[key][0][0] = bad
+    return {"state": {"kind": "matrix", "matrix": matrix}}
+
+
 @pytest.mark.parametrize("command, doc", [
     ("gme-single", {"state": {"kind": "ghz", "n": 3}, "symmetry_reduction": "false"}),
     ("gme-single", {"state": {"kind": "ghz", "n": 3}, "dump_problem": 1}),
@@ -273,6 +283,13 @@ SWEEP_DOC = {"initial_state": {"kind": "werner", "p": 0.45}, "x": 5.0,
                               "x": 5.0, "gamma0_t": "1"}}),
     ("amplitude", {"x": "5"}),
     ("amplitude", {"x": 5.0, "gamma0_t_max": False}),
+    ("gme-single", _matrix_state("re", "1")),
+    ("gme-single", _matrix_state("im", False)),
+    ("gme-single", _matrix_state("dims", 2.7)),
+    ("gme-single", _matrix_state("re", math.nan)),
+    ("gme-single", _matrix_state("im", math.inf)),
+    ("sweep", {**SWEEP_DOC, "x": math.nan}),
+    ("sweep", {**SWEEP_DOC, "x": 10**400}),
 ])
 def test_config_value_of_wrong_json_type_exits_1(tmp_path, capsys, command, doc):
     # booleans take only true/false, integers only JSON integers and floats

@@ -19,8 +19,10 @@ from entdyn.gme.ipm import (
     SchurPartition,
     SdpBlock,
     SdpNumericalError,
+    StackedBlocks,
     _factor_arrow,
     _group_blocks,
+    cho_factor,
     cho_solve,
     solve_block_sdp,
 )
@@ -241,6 +243,115 @@ def test_partition_check_rejects_mismatched_partitions():
         with pytest.raises(ValueError, match=message):
             part.check(3, blocks)
     SchurPartition(np.array([0]), (np.array([1, 2]),)).check(3, blocks)
+
+
+# --- Schur and residual scatter -------------------------------------------------
+
+# (size, variables) of each block.  The blocks of size 3 form one group in
+# which each variable set belongs to two blocks, like a lower/upper bound
+# pair, and the two sets overlap in part; the blocks of size 2 form a group
+# in which one set belongs to two blocks and the others to one.
+_SCATTER_LAYOUT = [(3, [0, 1, 2, 3]), (2, [0, 5, 8]), (3, [2, 4, 5, 6]), (3, [0, 1, 2, 3]),
+                   (2, [0, 5, 8]), (3, [2, 4, 5, 6]), (2, [1, 2, 7]), (2, [3, 5, 8])]
+
+
+def _dense_reference(blocks, scaled, ys, m):
+    """``sum_b P_b^T G_b P_b`` and ``sum_b P_b^T <B_bk, Y_b>``, one block at a time."""
+    schur, adj = np.zeros((m, m)), np.zeros(m)
+    for blk, bk, y in zip(blocks, scaled, ys):
+        p = np.zeros((blk.var_idx.size, m))
+        p[np.arange(blk.var_idx.size), blk.var_idx] = 1.0
+        schur += p.T @ np.einsum("kij,lji->kl", bk, bk).real @ p
+        adj += p.T @ np.einsum("kij,ji->k", bk, y).real
+    return schur, adj
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_stacked_scatter_matches_dense_reference(dtype):
+    rng = np.random.default_rng(23)
+    m = 9
+
+    def herm(*shape):
+        h = _random_hermitian(rng, *shape)
+        return h if dtype is complex else h.real
+
+    blocks = [SdpBlock(a0=herm(d, d), a=herm(len(v), d, d), var_idx=np.array(v))
+              for d, v in _SCATTER_LAYOUT]
+    stack = StackedBlocks(blocks, m)
+    assert sorted(g.k for g in stack.groups) == [1, 2]
+    assert len(stack) == len(blocks)
+    for g in stack.groups:
+        for n, b in enumerate(g.block_ids):
+            np.testing.assert_array_equal(g.a[n], blocks[b].a)
+            np.testing.assert_array_equal(g.idx[n], blocks[b].var_idx)
+    # repeated targets: a single fancy-index += would drop contributions
+    assert np.unique(stack.schur_idx).size < stack.schur_idx.size
+
+    # a congruence per block, as the NT scaling applies, and a Hermitian Y
+    # per block, as the dual iterate Z or the corrector's scaled residual
+    scaled, ys = [], []
+    for b in blocks:
+        j = herm(*b.a0.shape)
+        scaled.append(j @ b.a @ j.conj().T)
+        ys.append(herm(*b.a0.shape))
+    by_group = [(np.stack([scaled[b] for b in g.block_ids]), np.stack([ys[b] for b in g.block_ids]))
+                for g in stack.groups]
+    bases = [bk.reshape(bk.shape[0], bk.shape[1], -1).view(np.float64) for bk, _ in by_group]
+
+    schur_ref, adj_ref = _dense_reference(blocks, scaled, ys, m)
+    np.testing.assert_allclose(stack.schur(bases), schur_ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(stack.adjoint(bases, [y for _, y in by_group]), adj_ref,
+                               rtol=1e-12, atol=1e-12)
+    # the dual residual c - A*(Z) uses the unscaled basis
+    _, adj_ref = _dense_reference(blocks, [b.a for b in blocks], ys, m)
+    np.testing.assert_allclose(stack.adjoint([g.a_real for g in stack.groups],
+                                             [y for _, y in by_group]), adj_ref,
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_stacked_blocks_carry_their_partition():
+    blocks, c, x0, z0 = _random_block_sdp(13)
+    whole = SchurPartition(np.zeros(0, dtype=int), (np.arange(c.size),))
+    stack = StackedBlocks(blocks, c.size, whole)
+    assert solve_block_sdp(stack, c, x0, z0).primal_objective == \
+        solve_block_sdp(blocks, c, x0, z0).primal_objective
+    with pytest.raises(ValueError, match="misses a variable"):
+        StackedBlocks(blocks, c.size, SchurPartition(np.zeros(0, dtype=int), (np.arange(1),)))
+
+
+def test_solve_gme_keeps_the_per_layer_call_contract(monkeypatch):
+    # perfbench/trace_cli.py wraps these names and reads args[0].shape[0] of
+    # cho_factor, and len(args[0]) and args[1].size of solve_block_sdp: a
+    # batched factor or a keyword call would corrupt its figures
+    factored, solves, sdp_args = [], [], []
+
+    def factor(*args):
+        factored.append(args)
+        return cho_factor(*args)
+
+    def solve(*args):
+        solves.append(args)
+        return cho_solve(*args)
+
+    def sdp(*args, **kwargs):
+        sdp_args.append(args)
+        return solve_block_sdp(*args, **kwargs)
+
+    monkeypatch.setattr("entdyn.gme.ipm.cho_factor", factor)
+    monkeypatch.setattr("entdyn.gme.ipm.cho_solve", solve)
+    monkeypatch.setattr("entdyn.gme.witness.solve_block_sdp", sdp)
+    s0 = pure_alpha_beta(math.sqrt(1 / 26), 5 * math.sqrt(1 / 26))
+    sol = solve_gme(GmeProblem(rho=evolve_four(s0, AmplitudeModel(1.0, 0.01), 8.0)))
+    assert sol.reduced and sol.converged
+
+    (args,) = sdp_args
+    assert len(args) >= 2
+    assert len(args[0]) == 140 and args[1].size == sol.num_variables == 344
+    # one diagonal block per cut plus the border, at least, every iteration
+    assert len(factored) >= 8 * sol.iterations
+    for args in factored:
+        assert len(args) == 1 and args[0].ndim == 2 and args[0].shape[0] == args[0].shape[1]
+    assert len(solves) == 2 * sol.iterations
 
 
 @pytest.mark.parametrize("gamma0_t", [9.05687, 13.5853, 31.699, 40.7559])
@@ -494,22 +605,32 @@ def test_reduction_counts_real_and_complex_states():
         assert problem_json_dict(problem, symmetry_reduction=False)["num_variables"] == 2048
         form = _formulation_for(4, problem.cuts, *_symmetry_labels(problem, True))
         assert form.real == real
-        assert {b.a.dtype for b in form.blocks} == {np.dtype(float if real else complex)}
+        assert {g.a.dtype for g in form.blocks.groups} == {np.dtype(float if real else complex)}
         generic = _formulation_for(4, problem.cuts, *_symmetry_labels(problem, False))
         assert not generic.real and not generic.reduced
-        assert {b.a.dtype for b in generic.blocks} == {np.dtype(complex)}
+        assert {g.a.dtype for g in generic.blocks.groups} == {np.dtype(complex)}
 
 
 # pure alpha = sqrt(1/10), x = 0.01 next to its recurrent plateau at |alpha beta| = 0.3:
-# the dual iterate loses definiteness late in the run, with best bound about -0.29377
-@pytest.mark.xfail(strict=True, raises=SdpNumericalError,
-                   reason="known solver failure near the alpha^2 = 1/10 plateau")
-@pytest.mark.parametrize("symmetry_reduction", [True, False])
+# on the reduced path the dual iterate loses definiteness late in the run, with
+# best bound about -0.29377; the generic path converges to that value
+@pytest.mark.parametrize("symmetry_reduction", [
+    pytest.param(True, marks=pytest.mark.xfail(
+        strict=True, raises=SdpNumericalError,
+        reason="known solver failure near the alpha^2 = 1/10 plateau")),
+    # the generic path converges here only since its round-off changed, with
+    # its dual 2.5e-7 above its primal; if round-off makes it fail again, put
+    # it back under the strict xfail, never loosen the tolerance
+    False,
+])
 def test_known_failure_alpha10_x001_t33(symmetry_reduction):
     s0 = pure_alpha_beta(math.sqrt(1 / 10), math.sqrt(9 / 10))
     problem = GmeProblem(rho=evolve_four(s0, AmplitudeModel(1.0, 0.01), 33.0))
     sol = solve_gme(problem, symmetry_reduction=symmetry_reduction)
     assert sol.converged and verify_witness(sol, problem).passed
+    min_cut = min(negativity(problem.rho, cut).value for cut in problem.cuts)
+    assert sol.genuine_negativity <= min_cut + 1e-6
+    assert sol.genuine_negativity == pytest.approx(0.293765, abs=1e-6)
 
 
 def test_witness_certificate_sound_on_biseparable_states():

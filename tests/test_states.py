@@ -72,6 +72,19 @@ def test_x_state_array_fields_checked_entry_by_entry():
         XState(np.array([0.25, 0.26]), quarter[:2], quarter[:2], quarter[:2])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["rho11", "rho22", "rho33", "rho44", "rho14", "rho23"])
+def test_x_state_rejects_non_finite_fields(field, bad):
+    # every check is a comparison, which NaN passes; the field is named
+    fields = dict(rho11=0.25, rho22=0.25, rho33=0.25, rho44=0.25, rho14=0.0, rho23=0.0)
+    with pytest.raises(StateValidationError, match=f"{field} must be finite"):
+        XState(**{**fields, field: bad})
+    # on the array path one bad entry among valid ones is enough
+    column = np.array([fields[field], bad, fields[field]])
+    with pytest.raises(StateValidationError, match=f"{field} must be finite"):
+        XState(**{**{k: np.full(3, v) for k, v in fields.items()}, field: column})
+
+
 def test_x_state_rejects_bad_trace():
     with pytest.raises(StateValidationError, match="sum to"):
         x_state(0.5, 0.5, 0.5, 0.5)
@@ -166,6 +179,22 @@ def test_from_density_rejects_non_x():
     dm = random_density_matrix((2, 2), np.random.default_rng(3))
     with pytest.raises(StateValidationError, match="off-X"):
         XState.from_density(dm)
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("re", "1"), ("re", False), ("im", None), ("re", [0.5]), ("dims", 2.0), ("dims", True),
+    ("re", math.nan), ("im", math.inf), ("re", -math.inf),
+])
+def test_json_matrix_takes_only_json_numbers(key, bad):
+    # entries must be JSON numbers and dims JSON integers: nothing is coerced,
+    # and the NaN and Infinity tokens that json.load reads are not numbers
+    doc = bell_pair().to_density().to_json_dict()
+    if key == "dims":
+        doc["dims"] = [bad, 2]
+    else:
+        doc[key][0][0] = bad
+    with pytest.raises(StateValidationError, match="malformed density-matrix document"):
+        DensityMatrix.from_json_dict(doc)
 
 
 def test_json_round_trip():
