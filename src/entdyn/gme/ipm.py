@@ -27,7 +27,12 @@ built once per problem structure; ``bincount`` adds every contribution to
 a variable or Schur entry that several blocks share, where a fancy-index
 ``+=`` would keep only one.  Blocks with the same variable set, such as the
 two bounds of ``0 <= X <= I``, add their Gram matrices ``G_b`` before the
-scatter, which halves its indices and work.
+scatter, which halves its indices and work.  The stages that see only the
+iterates and not the basis matrices (the NT scaling, the step lengths and
+the dual update) run once per size class, a stack of every block of one
+size and dtype whatever its variable count; the primal and dual step
+lengths of a class share one ``eigvalsh`` call.  Only the stages that read
+the basis (slack, Gram, directions, adjoint) run per group.
 
 The Schur complement is factored as a block arrowhead matrix.  A
 ``SchurPartition`` splits the variables into diagonal blocks that never
@@ -163,7 +168,12 @@ class _Group:
     group belongs to the same number ``k`` of blocks, the blocks are stacked
     in ``k`` layers, the ``j``-th block of every set in layer ``j``, and
     ``sets`` holds the variables of layer 0.  Otherwise ``k`` is 1.
+    ``_group_blocks`` places the group's blocks at rows ``span`` of the
+    stack of size class ``cls``.
     """
+
+    cls: int
+    span: slice
 
     def __init__(self, block_ids: list[int], blocks: Sequence[SdpBlock]):
         idx = np.stack([blocks[b].var_idx for b in block_ids]).astype(np.intp)
@@ -182,9 +192,6 @@ class _Group:
         # (nb, m_b, d^2) float64 view, or (nb, m_b, 2 d^2) with Re and Im of
         # A_k interleaved for complex blocks
         self.a_real = self.a.reshape(self.nb, self.m_b, -1).view(np.float64)
-
-    def slack(self, x: np.ndarray) -> np.ndarray:
-        return _combine(x[self.idx], self.a_real, self.d, self.dtype) - self.a0
 
 
 class StackedBlocks:
@@ -220,6 +227,14 @@ class StackedBlocks:
         groups = _group_blocks(self._blocks)
         del self._blocks
         return groups
+
+    @cached_property
+    def classes(self) -> list[tuple[int, int, np.dtype]]:
+        """Block count, block size and dtype of each size class (see ``_group_blocks``)."""
+        shapes: dict[int, tuple[int, int, np.dtype]] = {}
+        for g in self.groups:
+            shapes[g.cls] = (g.span.stop, g.d, g.dtype)
+        return [shapes[k] for k in range(len(shapes))]
 
     @cached_property
     def var_idx(self) -> np.ndarray:
@@ -284,20 +299,37 @@ def _inner(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _group_blocks(blocks: Sequence[SdpBlock]) -> list[_Group]:
+    """Blocks grouped by shape, each group placed in the stack of its size class.
+
+    A size class holds every group of one block size and dtype, whatever
+    its variable count: group ``g`` fills rows ``g.span`` of class
+    ``g.cls``, so the stages that see only matrices run once per class.
+    """
     by_shape: dict[tuple[int, int], list[int]] = {}
     for bi, blk in enumerate(blocks):
         by_shape.setdefault((blk.a0.shape[0], blk.a.shape[0]), []).append(bi)
-    return [_Group(ids, blocks) for ids in by_shape.values()]
+    groups = [_Group(ids, blocks) for ids in by_shape.values()]
+    classes: dict[tuple[int, np.dtype], int] = {}
+    filled: list[int] = []
+    for g in groups:
+        g.cls = classes.setdefault((g.d, g.dtype), len(classes))
+        if g.cls == len(filled):
+            filled.append(0)
+        g.span = slice(filled[g.cls], filled[g.cls] + g.nb)
+        filled[g.cls] += g.nb
+    return groups
 
 
-def _max_step(v: np.ndarray, dmat: np.ndarray) -> float:
-    """Largest step a with diag(v) + a*dmat staying PSD (may be inf)."""
-    w = 1.0 / np.sqrt(v)
+def _max_steps(v: np.ndarray, d_s: np.ndarray, d_z: np.ndarray) -> tuple[float, float]:
+    """Largest steps a, b with diag(v) + a*d_s and diag(v) + b*d_z staying PSD (may be inf).
+
+    Both directions of one size class share one ``eigvalsh`` call.
+    """
+    w = 1.0 / np.sqrt(np.concatenate([v, v]))
+    dmat = np.concatenate([d_s, d_z])
     scaled = dmat * w[:, :, None] * w[:, None, :]
-    lo = float(np.min(np.linalg.eigvalsh(scaled)))
-    if lo >= -1e-14:
-        return np.inf
-    return 1.0 / (-lo)
+    lows = np.linalg.eigvalsh(scaled).reshape(2, -1).min(axis=1)
+    return tuple(np.inf if lo >= -1e-14 else 1.0 / (-float(lo)) for lo in lows)
 
 
 def solve_block_sdp(
@@ -329,22 +361,41 @@ def solve_block_sdp(
     m = c.size
     stack = blocks if isinstance(blocks, StackedBlocks) else StackedBlocks(blocks, m)
     groups = stack.groups
+    classes = stack.classes
     dim_total = sum(g.nb * g.d for g in groups)
 
+    def per_group(stacks: list[np.ndarray]) -> list[np.ndarray]:
+        """Each group's rows of its class stack, in group order."""
+        return [stacks[g.cls][g.span] for g in groups]
+
+    def by_class(arrays: list[np.ndarray]) -> list[np.ndarray]:
+        """One array per group, in group order, gathered into the class stacks."""
+        out = [np.empty((n, d, d), dtype) for n, d, dtype in classes]
+        for a, o in zip(arrays, per_group(out)):
+            o[...] = a
+        return out
+
+    def combine(coef: np.ndarray, bases: list[np.ndarray]) -> list[np.ndarray]:
+        """``sum_k coef_k B_k`` of every block, from each group's float64 view of ``B``."""
+        return by_class([_combine(coef[g.idx], b, g.d, g.dtype) for g, b in zip(groups, bases)])
+
+    a_real = [g.a_real for g in groups]
+    a0 = by_class([g.a0 for g in groups])
     x = np.array(x0, dtype=float)
-    z = [np.stack([z0[b] for b in g.block_ids], dtype=g.dtype) for g in groups]
+    z = by_class([np.stack([z0[b] for b in g.block_ids]) for g in groups])
 
     feas_tol = max(tolerance, 1e-9)
     best_bound: float | None = None
     stalls = 0
 
     for it in range(max_iterations + 1):
-        s = [g.slack(x) for g in groups]
+        s = [sc - a for sc, a in zip(combine(x, a_real), a0)]
+        z_g = per_group(z)
 
-        gap = sum(_inner(sg, zg) for sg, zg in zip(s, z))
+        gap = sum(_inner(sg, zg) for sg, zg in zip(per_group(s), z_g))
         pobj = float(c @ x)
-        dobj = sum(_inner(g.a0, zg) for g, zg in zip(groups, z))
-        r = c - stack.adjoint([g.a_real for g in groups], z)
+        dobj = sum(_inner(g.a0, zg) for g, zg in zip(groups, z_g))
+        r = c - stack.adjoint(a_real, z_g)
         rd_inf = float(np.max(np.abs(r))) if m else 0.0
 
         if rd_inf <= feas_tol and (best_bound is None or dobj > best_bound):
@@ -373,23 +424,24 @@ def solve_block_sdp(
             )
 
         # Nesterov-Todd scaling per block: J^-1 S J^-H = J^H Z J = diag(v).
-        scaled_a, v_all, jinv_all = [], [], []
+        v_all, jinv_all = [], []
         try:
-            for g, sg, zg in zip(groups, s, z):
-                ls = np.linalg.cholesky(sg)
-                k = np.swapaxes(ls.conj(), 1, 2) @ zg @ ls
+            for sc, zc in zip(s, z):
+                ls = np.linalg.cholesky(sc)
+                k = np.swapaxes(ls.conj(), 1, 2) @ zc @ ls
                 lam, uk = np.linalg.eigh(k)
                 if np.min(lam) <= 0.0:
                     raise np.linalg.LinAlgError("dual iterate lost definiteness")
-                lsinv = np.linalg.solve(ls, np.broadcast_to(np.eye(g.d), sg.shape))
-                jinv = (np.swapaxes(uk.conj(), 1, 2) @ lsinv) * (lam ** 0.25)[:, :, None]
-                jinvh = np.swapaxes(jinv.conj(), 1, 2)
-                at = np.matmul(jinv[:, None], g.a) @ jinvh[:, None]
-                scaled_a.append(at.reshape(g.nb, g.m_b, -1).view(np.float64))
+                lsinv = np.linalg.solve(ls, np.broadcast_to(np.eye(sc.shape[1]), sc.shape))
+                jinv_all.append((np.swapaxes(uk.conj(), 1, 2) @ lsinv) * (lam ** 0.25)[:, :, None])
                 v_all.append(np.sqrt(lam))
-                jinv_all.append(jinv)
         except np.linalg.LinAlgError as exc:
             raise SdpNumericalError(f"cone factorization failed: {exc}", best_bound, it) from exc
+        scaled_a = []
+        for g, jinv in zip(groups, per_group(jinv_all)):
+            jinvh = np.swapaxes(jinv.conj(), 1, 2)
+            at = np.matmul(jinv[:, None], g.a) @ jinvh[:, None]
+            scaled_a.append(at.reshape(g.nb, g.m_b, -1).view(np.float64))
 
         try:
             factor = _factor_arrow(stack.schur(scaled_a), stack.partition)
@@ -401,48 +453,45 @@ def solve_block_sdp(
         # Predictor (affine) direction; with feasibility maintained the
         # right-hand side reduces to -c exactly.
         dx_aff = cho_solve(factor, -c)
-        ds_aff = [_combine(dx_aff[g.idx], atr, g.d, g.dtype) for g, atr in zip(groups, scaled_a)]
+        ds_aff = combine(dx_aff, scaled_a)
         dz_aff = [-_add_diag(d_s, v) for d_s, v in zip(ds_aff, v_all)]
 
-        alpha_aff = min((_max_step(v, d_s) for v, d_s in zip(v_all, ds_aff)), default=np.inf)
-        beta_aff = min((_max_step(v, d_z) for v, d_z in zip(v_all, dz_aff)), default=np.inf)
-        alpha_aff, beta_aff = min(1.0, alpha_aff), min(1.0, beta_aff)
+        steps = [_max_steps(v, d_s, d_z) for v, d_s, d_z in zip(v_all, ds_aff, dz_aff)]
+        alpha_aff = min(1.0, min((a for a, _ in steps), default=np.inf))
+        beta_aff = min(1.0, min((b for _, b in steps), default=np.inf))
 
-        mu_aff = (
-            sum(
-                _inner(_add_diag(alpha_aff * d_s, v), _add_diag(beta_aff * d_z, v))
-                for v, d_s, d_z in zip(v_all, ds_aff, dz_aff)
-            )
-            / dim_total
-        )
+        s_aff = [_add_diag(alpha_aff * d_s, v) for v, d_s in zip(v_all, ds_aff)]
+        z_aff = [_add_diag(beta_aff * d_z, v) for v, d_z in zip(v_all, dz_aff)]
+        mu_aff = sum(_inner(a, b) for a, b in zip(per_group(s_aff), per_group(z_aff))) / dim_total
         sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-10, 1.0))
 
         # Corrector with the Mehrotra second-order term.
         rt_all = []
-        for g, v, d_s, d_z in zip(groups, v_all, ds_aff, dz_aff):
+        for v, d_s, d_z in zip(v_all, ds_aff, dz_aff):
             cross = 0.5 * (d_s @ d_z + d_z @ d_s)
             resid = -cross
-            resid -= v[:, :, None] * v[:, None, :] * np.eye(g.d)[None]
+            resid -= v[:, :, None] * v[:, None, :] * np.eye(v.shape[1])[None]
             _add_diag_inplace(resid, sigma * mu)
             rt_all.append(2.0 * resid / (v[:, :, None] + v[:, None, :]))
 
-        dx = cho_solve(factor, stack.adjoint(scaled_a, rt_all) - r)
-        ds = [_combine(dx[g.idx], atr, g.d, g.dtype) for g, atr in zip(groups, scaled_a)]
+        dx = cho_solve(factor, stack.adjoint(scaled_a, per_group(rt_all)) - r)
+        ds = combine(dx, scaled_a)
         dz = [rt - d_s for rt, d_s in zip(rt_all, ds)]
 
-        alpha = min(1.0, _STEP_FRACTION * min((_max_step(v, d) for v, d in zip(v_all, ds)), default=np.inf))
-        beta = min(1.0, _STEP_FRACTION * min((_max_step(v, d) for v, d in zip(v_all, dz)), default=np.inf))
+        steps = [_max_steps(v, d_s, d_z) for v, d_s, d_z in zip(v_all, ds, dz)]
+        alpha = min(1.0, _STEP_FRACTION * min((a for a, _ in steps), default=np.inf))
+        beta = min(1.0, _STEP_FRACTION * min((b for _, b in steps), default=np.inf))
         if alpha < _MIN_STEP and beta < _MIN_STEP:
             stalls += 1
         else:
             stalls = 0
 
         x = x + alpha * dx
-        for gi, (g, jinv, d_z) in enumerate(zip(groups, jinv_all, dz)):
+        for ci, (jinv, d_z) in enumerate(zip(jinv_all, dz)):
             jinvh = np.swapaxes(jinv.conj(), 1, 2)
             delta = jinvh @ d_z @ jinv
-            znew = z[gi] + beta * delta
-            z[gi] = 0.5 * (znew + np.swapaxes(znew.conj(), 1, 2))
+            znew = z[ci] + beta * delta
+            z[ci] = 0.5 * (znew + np.swapaxes(znew.conj(), 1, 2))
 
     raise AssertionError("unreachable")
 

@@ -22,14 +22,18 @@ from entdyn.gme.ipm import (
     StackedBlocks,
     _factor_arrow,
     _group_blocks,
+    _max_steps,
     cho_factor,
     cho_solve,
     solve_block_sdp,
 )
 from entdyn.gme.witness import (
     _formulation_for,
+    _initial_z,
     _matrices_from_x,
     _objective_vector,
+    _solve,
+    _swap_perm,
     _symmetry_labels,
 )
 from entdyn.states import (
@@ -346,9 +350,9 @@ def test_solve_gme_keeps_the_per_layer_call_contract(monkeypatch):
 
     (args,) = sdp_args
     assert len(args) >= 2
-    assert len(args[0]) == 140 and args[1].size == sol.num_variables == 344
-    # one diagonal block per cut plus the border, at least, every iteration
-    assert len(factored) >= 8 * sol.iterations
+    assert len(args[0]) == 84 and args[1].size == sol.num_variables == 194
+    # one diagonal block per kept cut plus the border, at least, every iteration
+    assert len(factored) >= 6 * sol.iterations
     for args in factored:
         assert len(args) == 1 and args[0].ndim == 2 and args[0].shape[0] == args[0].shape[1]
     assert len(solves) == 2 * sol.iterations
@@ -593,8 +597,8 @@ def test_reduction_counts_real_and_complex_states():
     u = _random_local_unitary(np.random.default_rng(3), 4)
     turned = evolve_four(pure, AmplitudeModel(1.0, 0.01), 8.0).entries
     cases = [
-        (GmeProblem(rho=evolve_four(pure, AmplitudeModel(1.0, 0.01), 8.0)), 344),
-        (GmeProblem(rho=evolve_four(werner(0.45), AmplitudeModel(1.0, 0.1), 3.96)), 344),
+        (GmeProblem(rho=evolve_four(pure, AmplitudeModel(1.0, 0.01), 8.0)), 194),
+        (GmeProblem(rho=evolve_four(werner(0.45), AmplitudeModel(1.0, 0.1), 3.96)), 194),
         (_xstate_four(0.2, 0.05), 576),
         (_xstate_four(0.2 + 0.25j, 0.05 - 0.08j), 1024),
         (GmeProblem(rho=DensityMatrix(u @ turned @ u.conj().T, (2,) * 4, validate=False)), 2048),
@@ -612,25 +616,146 @@ def test_reduction_counts_real_and_complex_states():
 
 
 # pure alpha = sqrt(1/10), x = 0.01 next to its recurrent plateau at |alpha beta| = 0.3:
-# on the reduced path the dual iterate loses definiteness late in the run, with
-# best bound about -0.29377; the generic path converges to that value
+# on the reduced formulation without the pair swap the dual iterate loses
+# definiteness late in the run, with best bound about -0.29377; the public
+# reduced path (with the swap) and the generic path converge to that value
 @pytest.mark.parametrize("symmetry_reduction", [
-    pytest.param(True, marks=pytest.mark.xfail(
+    pytest.param("unswapped", marks=pytest.mark.xfail(
         strict=True, raises=SdpNumericalError,
         reason="known solver failure near the alpha^2 = 1/10 plateau")),
-    # the generic path converges here only since its round-off changed, with
-    # its dual 2.5e-7 above its primal; if round-off makes it fail again, put
-    # it back under the strict xfail, never loosen the tolerance
+    # both paths converge here only through their round-off (the swap's
+    # smaller formulation, the generic path's changed arithmetic), the
+    # generic one with its dual 2.5e-7 above its primal; if round-off makes
+    # one fail again, put it back under the strict xfail, never loosen the
+    # tolerance
+    True,
     False,
 ])
 def test_known_failure_alpha10_x001_t33(symmetry_reduction):
     s0 = pure_alpha_beta(math.sqrt(1 / 10), math.sqrt(9 / 10))
     problem = GmeProblem(rho=evolve_four(s0, AmplitudeModel(1.0, 0.01), 33.0))
-    sol = solve_gme(problem, symmetry_reduction=symmetry_reduction)
+    if symmetry_reduction == "unswapped":
+        assert _symmetry_labels(problem, True)[1]
+        sol = _solve(_unswapped(problem), problem)
+    else:
+        sol = solve_gme(problem, symmetry_reduction=symmetry_reduction)
     assert sol.converged and verify_witness(sol, problem).passed
     min_cut = min(negativity(problem.rho, cut).value for cut in problem.cuts)
     assert sol.genuine_negativity <= min_cut + 1e-6
     assert sol.genuine_negativity == pytest.approx(0.293765, abs=1e-6)
+
+
+# --- pair-swap reduction --------------------------------------------------------
+
+def _paper_problem(gamma0_t=13.5853):
+    s0 = pure_alpha_beta(math.sqrt(1 / 26), 5 * math.sqrt(1 / 26))
+    return GmeProblem(rho=evolve_four(s0, AmplitudeModel(1.0, 0.01), gamma0_t))
+
+
+def _unswapped(problem):
+    real, _, w_labels, q_labels = _symmetry_labels(problem, True)
+    return _formulation_for(problem.rho.num_subsystems, problem.cuts, real, False, w_labels,
+                            q_labels)
+
+
+@pytest.mark.parametrize("problem", [
+    _paper_problem(),
+    GmeProblem(rho=evolve_four(werner(0.45), AmplitudeModel(1.0, 0.1), 3.96)),
+], ids=["pure26_freeze", "werner"])
+def test_pair_swap_reduction_matches_unswapped(problem):
+    real, swap, _, _ = _symmetry_labels(problem, True)
+    assert real and swap
+    form = _formulation_for(4, problem.cuts, *_symmetry_labels(problem, True))
+    plain = _unswapped(problem)
+    assert (len(form.blocks), form.num_vars) == (84, 194)
+    assert (len(plain.blocks), plain.num_vars) == (140, 344)
+    part = form.blocks.partition
+    assert (part.border.size, [q.size for q in part.blocks]) == (27, [43, 27, 27, 27, 43])
+
+    swapped, unswapped = solve_gme(problem), _solve(plain, problem)
+    for sol in (swapped, unswapped):
+        assert sol.converged
+        assert set(sol.decompositions) == set(problem.cuts)
+        report = verify_witness(sol, problem)
+        assert report.passed, report.violations
+    assert swapped.genuine_negativity == pytest.approx(unswapped.genuine_negativity, abs=1e-7)
+    # W(x) is swap invariant for every x, and c . x prices it
+    perm = _swap_perm(4)
+    x = np.random.default_rng(5).normal(size=form.num_vars)
+    w, qs = _matrices_from_x(form, x)
+    np.testing.assert_array_equal(w[np.ix_(perm, perm)], w)
+    assert len(qs) == 7
+    price = float(np.real(np.trace(w @ problem.rho.entries)))
+    assert _objective_vector(form, problem.rho.entries) @ x == pytest.approx(price, abs=1e-12)
+
+
+def _swap_invariant_complex_state():
+    from entdyn.states import x_state
+
+    # rho22 = rho33 and a real rho23 keep the swap; the complex rho14 makes it complex
+    s0 = x_state(0.35, 0.15, 0.15, 0.35, rho14=0.2 + 0.25j, rho23=0.05)
+    return GmeProblem(rho=evolve_four(s0, AmplitudeModel(1.0, 0.5), 1.3))
+
+
+@pytest.mark.parametrize("problem, count", [
+    (_xstate_four(0.2, 0.05), 576),         # rho22 != rho33 breaks the swap
+    (_swap_invariant_complex_state(), 1024),
+    (GmeProblem(rho=_paper_problem().rho,   # c2|rest is missing: not swap-closed
+                cuts=tuple(enumerate_bipartitions(4)[:-1])), 301),
+    (GmeProblem(rho=ghz_state(3)), 36),
+], ids=["xstate_rho22_ne_rho33", "complex_swap_invariant", "cut_list_not_closed", "three_qubits"])
+def test_pair_swap_reduction_keeps_its_scope(problem, count):
+    n = problem.rho.num_subsystems
+    entries = problem.rho.entries
+    if n == 4:
+        perm = _swap_perm(4)
+        invariant = np.array_equal(entries[np.ix_(perm, perm)], entries)
+        assert invariant == (count != 576)
+    labels = _symmetry_labels(problem, True)
+    assert labels[1] is False
+    form = _formulation_for(n, problem.cuts, *labels)
+    assert form is _unswapped(problem)
+    assert form.num_vars == count and form.kept == list(range(len(problem.cuts)))
+    sol = solve_gme(problem)
+    assert sol.converged and verify_witness(sol, problem).passed
+
+
+@pytest.mark.parametrize("swap", [True, False])
+def test_initial_dual_is_feasible(swap):
+    # the solver assumes a strictly feasible start: c - A*(Z0) at round-off
+    # and every Z0 block positive definite, also with the twin blocks folded
+    problem = _paper_problem(8.0)
+    form = _formulation_for(4, problem.cuts, *_symmetry_labels(problem, True)) if swap \
+        else _unswapped(problem)
+    z0 = _initial_z(form, problem.rho.entries)
+    assert len(z0) == len(form.blocks)
+    adjoint = np.zeros(form.num_vars)
+    for g in form.blocks.groups:
+        for n, b in enumerate(g.block_ids):
+            adjoint[g.idx[n]] += np.einsum("kij,ji->k", g.a[n], z0[b])
+            assert np.linalg.eigvalsh(z0[b])[0] > 0.1
+    c = _objective_vector(form, problem.rho.entries)
+    assert np.max(np.abs(c - adjoint)) <= 1e-14
+
+
+def test_fused_step_lengths_equal_separate_calls():
+    # one eigvalsh on both directions of a size class gives bit for bit the
+    # steps of one call per direction
+    rng = np.random.default_rng(37)
+
+    def separate(v, dmat):
+        w = 1.0 / np.sqrt(v)
+        scaled = dmat * w[:, :, None] * w[:, None, :]
+        lo = float(np.min(np.linalg.eigvalsh(scaled)))
+        return np.inf if lo >= -1e-14 else 1.0 / (-lo)
+
+    for d in (1, 4, 6):
+        v = rng.uniform(0.1, 2.0, size=(5, d))
+        d_s = rng.normal(size=(5, d, d))
+        d_s = d_s + np.swapaxes(d_s, 1, 2)
+        psd = np.eye(d)[None] * rng.uniform(0.0, 1.0, size=(5, 1, 1))
+        for pair in ((d_s, -d_s), (d_s, psd), (psd, d_s)):
+            assert _max_steps(v, *pair) == (separate(v, pair[0]), separate(v, pair[1]))
 
 
 def test_witness_certificate_sound_on_biseparable_states():
