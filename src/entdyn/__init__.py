@@ -7,7 +7,7 @@ Library layout:
 - ``evolution``: closed-form marginals and the dilated four-qubit state,
 - ``entanglement``: negativity and the X-state concurrence cross-check,
 - ``gme``: genuine multipartite negativity via a witness SDP with a
-  self-contained interior-point solver,
+  self-contained interior-point solver; its names here load it on first use,
 - ``sweep``: time-grid sweeps, event detection (sudden death / birth,
   freezing), and every config and output file of the command line,
 - ``cli``: the ``entdyn`` argument parser and dispatcher.
@@ -22,17 +22,6 @@ from .entanglement import (
     negativity_xstate,
 )
 from .evolution import EvolvedPair, evolve_cc, evolve_four, evolve_pair, evolve_rr
-from .gme import (
-    GmeProblem,
-    GmeSolution,
-    SdpError,
-    SdpNonConvergenceError,
-    SdpNumericalError,
-    enumerate_bipartitions,
-    negativity_via_gme,
-    solve_gme,
-    verify_witness,
-)
 from .states import (
     Bipartition,
     DensityMatrix,
@@ -55,3 +44,25 @@ from .states import (
 )
 
 __version__ = "0.1.0"
+
+# The witness-SDP solver loads on first use of one of its names, so a process
+# that does no GME work (a cc/rr sweep, events, amplitude) never imports it.
+_GME_NAMES = frozenset({
+    "GmeProblem",
+    "GmeSolution",
+    "SdpError",
+    "SdpNonConvergenceError",
+    "SdpNumericalError",
+    "enumerate_bipartitions",
+    "negativity_via_gme",
+    "solve_gme",
+    "verify_witness",
+})
+
+
+def __getattr__(name: str):
+    if name in _GME_NAMES:
+        from . import gme
+
+        return getattr(gme, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

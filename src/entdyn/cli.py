@@ -6,6 +6,10 @@ this module parses arguments and dispatches.  Exit codes: 0 success; 1 config
 error (invalid JSON, an unknown top-level key or a bad value, a malformed
 trace); 2 numerical failure (an SDP solve that failed or did not converge, a
 sweep worker that died); 3 I/O error (a missing file, an unwritable directory).
+
+The witness-SDP solver is imported only by the commands that solve: gme-single
+and a sweep whose measures include gme.  The process pool is imported only by
+a sweep with ``workers > 1``.
 """
 
 from __future__ import annotations
@@ -13,17 +17,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 from . import sweep
-from .gme import GmeProblem
 
 # perfbench/trace_cli.py times the commands by wrapping these names here;
 # _c0 and evolve_four are reached through entdyn.sweep, where it wraps them too
 from .amplitude import c0 as _c0  # noqa: F401
 from .evolution import evolve_four  # noqa: F401
-from .gme import solve_gme
-from .sweep import detect_events, emit, run_sweep
+from .sweep import detect_events, emit, run_sweep, solve_gme
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -51,13 +52,15 @@ def _cmd_events(args) -> int:
 
 
 def _cmd_gme_single(args) -> int:
+    from .gme import SOLVE_ERRORS, GmeProblem
+
     cfg = sweep.GmeSingleConfig.from_dict(sweep.load_config(args.config))
     problem = GmeProblem(rho=cfg.state, tolerance=cfg.tolerance)
     if cfg.dump_problem:
         sweep.write_problem(problem, cfg.symmetry_reduction, args.out_dir)
     try:
         solution = solve_gme(problem, symmetry_reduction=cfg.symmetry_reduction)
-    except sweep.SOLVE_ERRORS as exc:
+    except SOLVE_ERRORS as exc:
         print(f"sdp failure: {sweep.write_gme_failure(exc, args.out_dir)}", file=sys.stderr)
         return EXIT_NUMERICAL
     sweep.write_gme(solution, problem.rho.dims, args.out_dir)
@@ -100,7 +103,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except BrokenProcessPool as exc:
+    except sweep.WorkerError as exc:
         print(f"worker failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:   # ConfigError, StateValidationError and JSONDecodeError too

@@ -1,5 +1,7 @@
 """Genuine multipartite negativity via the fully-decomposable-witness SDP."""
 
+import numpy as np
+
 from .ipm import (
     SchurPartition,
     SdpBlock,
@@ -20,7 +22,12 @@ from .witness import (
     verify_witness,
 )
 
+# What a failed solve raises: NaN and a diagnostic in a sweep, an error
+# payload in gme.json
+SOLVE_ERRORS = (SdpError, np.linalg.LinAlgError)
+
 __all__ = [
+    "SOLVE_ERRORS",
     "SchurPartition",
     "SdpBlock",
     "SdpResult",

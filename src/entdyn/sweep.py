@@ -13,7 +13,6 @@ import json
 import math
 import os
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,19 +20,23 @@ import numpy as np
 from .amplitude import AmplitudeModel, c0 as _c0, c_excitation as _cexc
 from .entanglement import ZERO_ENTANGLEMENT_TOL, negativity_xstate
 from .evolution import evolve_cc, evolve_four, evolve_rr
-from .gme import GmeProblem, GmeSolution, SdpError, problem_json_dict, solve_gme
 from .states import (DensityMatrix, XState, biseparable_bell_mixture, ghz_state, json_exact,
                      json_number, kay_state, pure_alpha_beta, werner, x_state)
 
+if typing.TYPE_CHECKING:
+    from .gme import GmeProblem, GmeSolution
+
 __all__ = [
     "ConfigError",
+    "WorkerError",
+    "SDP_TOLERANCE",
     "Tolerances",
     "SweepConfig",
     "GmeSingleConfig",
     "AmplitudeConfig",
     "SweepTable",
     "EventReport",
-    "SOLVE_ERRORS",
+    "solve_gme",
     "load_config",
     "run_sweep",
     "detect_events",
@@ -52,12 +55,17 @@ _COLUMNS = CSV_HEADER.split(",")
 
 _MEASURES = ("cc", "rr", "gme")
 
-# A failed GME solve: NaN and a diagnostic in a sweep, an error payload in gme.json
-SOLVE_ERRORS = (SdpError, np.linalg.LinAlgError)
+# The default of both configs' SDP tolerance: GmeProblem.tolerance, written
+# here so that reading a config does not import the solver
+SDP_TOLERANCE = 1e-7
 
 
 class ConfigError(ValueError):
     """Invalid configuration or trace file."""
+
+
+class WorkerError(RuntimeError):
+    """A worker process of a sweep's pool died before the sweep finished."""
 
 
 def load_config(path):
@@ -152,7 +160,7 @@ class SweepConfig:
     tolerances: Tolerances = field(default_factory=Tolerances)
     gme_stride: int = 1
     workers: int = 1
-    sdp_tolerance: float = 1e-7
+    sdp_tolerance: float = SDP_TOLERANCE
 
     def __post_init__(self):
         if self.steps < 2:
@@ -193,7 +201,7 @@ class GmeSingleConfig:
     """An ``entdyn gme-single`` config: one state and how to solve it."""
 
     state: DensityMatrix
-    tolerance: float = GmeProblem.tolerance
+    tolerance: float = SDP_TOLERANCE
     symmetry_reduction: bool = True
     dump_problem: bool = False
 
@@ -247,8 +255,21 @@ class EventReport:
         }
 
 
+def solve_gme(problem: GmeProblem, *, symmetry_reduction: bool = True) -> GmeSolution:
+    """:func:`entdyn.gme.solve_gme`, importing the solver at the first call.
+
+    Only GME work loads the witness-SDP solver; a cc/rr sweep, ``events`` and
+    ``amplitude`` never import it.
+    """
+    from .gme import solve_gme as solve
+
+    return solve(problem, symmetry_reduction=symmetry_reduction)
+
+
 def _gme_point(cfg: SweepConfig, t: float) -> tuple[float, str | None]:
     """One SDP solve for the worker pool: the value at ``t`` and a diagnostic on failure."""
+    from .gme import SOLVE_ERRORS, GmeProblem
+
     model = AmplitudeModel(1.0, cfg.x)
     try:
         sol = solve_gme(GmeProblem(rho=evolve_four(cfg.initial_state, model, t),
@@ -259,7 +280,11 @@ def _gme_point(cfg: SweepConfig, t: float) -> tuple[float, str | None]:
 
 
 def run_sweep(cfg: SweepConfig) -> SweepTable:
-    """Evaluate the requested measures on a uniform grid over [0, gamma0_t_max]."""
+    """Evaluate the requested measures on a uniform grid over [0, gamma0_t_max].
+
+    With ``workers > 1`` the GME points run on a process pool, and a worker
+    that dies raises :class:`WorkerError`.
+    """
     model = AmplitudeModel(1.0, cfg.x)
     ts = np.linspace(0.0, cfg.gamma0_t_max, cfg.steps + 1)
     amp = np.asarray(_c0(model, ts))
@@ -280,9 +305,16 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
         times = [float(ts[k]) for k in idxs]
         point = functools.partial(_gme_point, cfg)
         if cfg.workers > 1:
+            # imported here: the pool machinery costs a process ~25 ms to load
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+
             chunk = max(1, len(times) // (4 * cfg.workers))
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                results = list(pool.map(point, times, chunksize=chunk))
+            try:
+                with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+                    results = list(pool.map(point, times, chunksize=chunk))
+            except BrokenProcessPool as exc:
+                raise WorkerError(str(exc)) from exc
         else:
             results = list(map(point, times))
         for k, (val, diag) in zip(idxs, results):
@@ -464,11 +496,6 @@ def detect_events(table: SweepTable, tolerances: Tolerances | None = None) -> Ev
 # ---------------------------------------------------------------------------
 # output files
 
-def _fmt(v: float) -> str:
-    """Shortest round-trip text of ``v``, so a re-read gives the same float."""
-    return "" if not math.isfinite(v) else repr(float(v))
-
-
 def _write(out_dir, name: str, text: str) -> str:
     """Write ``text`` to ``out_dir/name``, creating the directory; returns the path."""
     os.makedirs(out_dir, exist_ok=True)
@@ -483,9 +510,19 @@ def _write_json(out_dir, name: str, doc) -> str:
     return _write(out_dir, name, json.dumps(doc, indent=2) + "\n")
 
 
+def _csv_cells(col) -> list[str]:
+    """Shortest round-trip text of each value, so a re-read gives the same
+    floats; an empty cell for NaN and ±inf."""
+    col = np.asarray(col, dtype=float)
+    cells = list(map(repr, col.tolist()))
+    for k in np.flatnonzero(~np.isfinite(col)).tolist():
+        cells[k] = ""
+    return cells
+
+
 def _write_csv(out_dir, name: str, header: str, cols) -> str:
-    lines = [header] + [",".join(_fmt(v) for v in row) for row in zip(*cols)]
-    return _write(out_dir, name, "\n".join(lines) + "\n")
+    rows = map(",".join, zip(*map(_csv_cells, cols)))
+    return _write(out_dir, name, "\n".join([header, *rows]) + "\n")
 
 
 def emit(table: SweepTable, report: EventReport, out_dir, fmt: str = "csv"):
@@ -497,7 +534,7 @@ def emit(table: SweepTable, report: EventReport, out_dir, fmt: str = "csv"):
         trace_path = _write_csv(out_dir, "trace.csv", CSV_HEADER, cols)
     else:
         trace_path = _write_json(out_dir, "trace.json", {
-            name: [None if not math.isfinite(v) else v for v in col]
+            name: [v if math.isfinite(v) else None for v in col.tolist()]
             for name, col in zip(_COLUMNS, cols)
         })
     return trace_path, write_events(report, out_dir)
@@ -511,7 +548,8 @@ def write_events(report: EventReport, out_dir) -> str:
 def read_trace(out_dir) -> SweepTable:
     """The table ``emit`` wrote to ``out_dir``: trace.csv, or trace.json without one.
 
-    Raises ConfigError for a malformed trace and OSError when there is none.
+    Raises ConfigError for a malformed trace, such as a gamma0_t column that
+    is not finite and strictly increasing, and OSError when there is none.
     """
     path = os.path.join(out_dir, "trace.csv")
     if os.path.exists(path):
@@ -534,11 +572,18 @@ def read_trace(out_dir) -> SweepTable:
         raise ConfigError(f"bad trace column in {path}: {exc}") from exc
     if len({col.size for col in cols}) != 1:
         raise ConfigError(f"{path} columns differ in length")
+    ts = cols[0]
+    if not np.all(np.isfinite(ts)):
+        raise ConfigError(f"{path}: every gamma0_t must be a finite number")
+    if np.any(np.diff(ts) <= 0):
+        raise ConfigError(f"{path}: gamma0_t must increase from row to row")
     return SweepTable(*cols)
 
 
 def write_problem(problem: GmeProblem, symmetry_reduction: bool, out_dir) -> None:
     """Write the SDP of ``problem`` to sdp_problem.json."""
+    from .gme import problem_json_dict
+
     _write_json(out_dir, "sdp_problem.json", problem_json_dict(problem, symmetry_reduction))
 
 

@@ -1,3 +1,4 @@
+import collections
 import importlib
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import runpy
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +104,24 @@ def test_events_command_rejects_malformed_json_trace(tmp_path):
     assert main(["events", "--out-dir", str(tmp_path / "missing")]) == 3
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("times", [[0.0, None, 1.0, 1.5], [0.0, 0.5, 0.4, 1.5],
+                                   [0.0, 0.5, 0.5, 1.5]], ids=["empty", "decreasing", "repeated"])
+def test_events_command_rejects_a_bad_time_column(tmp_path, capsys, fmt, times):
+    # events on a grid with a hole or out of order would be meaningless, and
+    # a NaN time would reach events.json as NaN, which is not JSON
+    doc = {"gamma0_t": times, "c0": [1.0, 0.9, 0.8, 0.7], "e_cc": [0.4, 0.2, 0.0, 0.0],
+           "e_rr": [0.0, 0.0, 0.1, 0.2], "e_gme": [None] * 4}
+    if fmt == "csv":
+        rows = zip(*(["" if v is None else repr(v) for v in col] for col in doc.values()))
+        (tmp_path / "trace.csv").write_text("\n".join([",".join(doc), *map(",".join, rows)]))
+    else:
+        (tmp_path / "trace.json").write_text(json.dumps(doc))
+    assert main(["events", "--out-dir", str(tmp_path)]) == 1
+    assert "gamma0_t" in capsys.readouterr().err
+    assert not (tmp_path / "events.json").exists()
+
+
 def test_gme_single_reduced_flag_ignores_problem_dump(tmp_path):
     rho = random_density_matrix((2, 2, 2), np.random.default_rng(7))
     for dump in (True, False):
@@ -120,6 +140,41 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+SOLVER = ("entdyn.gme.ipm", "entdyn.gme.witness")
+POOL = ("concurrent.futures.process", "multiprocessing")
+
+
+def test_only_commands_that_solve_load_the_solver_and_the_pool(tmp_path):
+    # each command runs in a fresh process, which reports its exit code and
+    # which of the solver and pool modules it has loaded by then
+    code = ("import sys\n"
+            "from entdyn.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            f"print(code, *(m for m in {SOLVER + POOL!r} if m in sys.modules))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(entdyn.__file__).parents[1])}
+
+    def loaded(*argv):
+        proc = subprocess.run([sys.executable, "-c", code, *argv, "--out-dir", str(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        exit_code, *modules = proc.stdout.split()
+        assert exit_code == "0", proc.stderr
+        return tuple(modules)
+
+    gme_doc = {**SWEEP_DOC, "steps": 4, "measures": ["cc", "gme"]}
+    serial = write_config(tmp_path, gme_doc, "serial.json")
+    pooled = write_config(tmp_path, {**gme_doc, "workers": 2}, "pooled.json")
+    amplitude = write_config(tmp_path, {"x": 5.0, "gamma0_t_max": 2.0, "steps": 20}, "amp.json")
+    ghz = write_config(tmp_path, {"state": {"kind": "ghz", "n": 3}}, "ghz.json")
+    assert loaded("sweep", "--config", pooled, "--measures", "cc,rr") == ()
+    assert loaded("events") == ()
+    assert loaded("amplitude", "--config", amplitude) == ()
+    assert loaded("gme-single", "--config", ghz) == SOLVER
+    assert loaded("sweep", "--config", serial) == SOLVER
+    # with a pool, the solves and so the solver imports happen in the workers
+    assert loaded("sweep", "--config", pooled) == POOL
 
 
 def test_gme_single_named_state(tmp_path):
@@ -390,6 +445,32 @@ def test_sweep_crashed_worker_exits_2(tmp_path):
     proc, _ = run_with_failing_solver(tmp_path, "os._exit(1)", workers=2)
     assert proc.returncode == 2, proc.stderr
     assert "worker failure" in proc.stderr
+
+
+def test_benchmark_spans_count_the_calls_at_the_wrapped_sites(tmp_path):
+    # the bench replaces each site's module attribute once, at start-up; a
+    # name the program bound elsewhere, or imported again later, would be
+    # called without its span and leave these counts at zero
+    script = Path(__file__).resolve().parents[1] / "perfbench" / "trace_cli.py"
+    spans = tmp_path / "spans"
+    spans.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(Path(entdyn.__file__).parents[1]),
+           "PERFBENCH_SPANS": str(spans), "PERFBENCH_LAUNCH": repr(time.monotonic())}
+    sweep = write_config(tmp_path, {**SWEEP_DOC, "steps": 4, "gme_stride": 2,
+                                    "measures": ["cc", "gme"]}, "sweep.json")
+    ghz = write_config(tmp_path, {"state": {"kind": "ghz", "n": 3}}, "ghz.json")
+    for argv in (["sweep", "--config", sweep], ["gme-single", "--config", ghz]):
+        subprocess.run([sys.executable, str(script), *argv, "--out-dir", str(tmp_path)],
+                       check=True, env=env, timeout=120)
+    calls = collections.Counter()
+    for path in spans.glob("spans-*.jsonl"):
+        for line in path.read_text().splitlines():
+            for site, (count, _, _) in json.loads(line)["totals"].items():
+                calls[site] += count
+    assert calls["entdyn.sweep.solve_gme"] == 3
+    assert calls["entdyn.cli.solve_gme"] == 1
+    assert calls["entdyn.gme.witness.solve_block_sdp"] == 4
+    assert calls["entdyn.gme.ipm.cho_factor"] >= 4
 
 
 def test_benchmark_wrap_sites_resolve():

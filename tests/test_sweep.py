@@ -8,11 +8,14 @@ import pytest
 import entdyn.evolution
 import entdyn.sweep
 from entdyn.amplitude import AmplitudeModel, c0
+from entdyn.gme import GmeProblem
 from entdyn.states import StateValidationError
 from entdyn.sweep import (
     CSV_HEADER,
+    SDP_TOLERANCE,
     ConfigError,
     EventReport,
+    GmeSingleConfig,
     SweepConfig,
     SweepTable,
     Tolerances,
@@ -198,6 +201,41 @@ def test_emit_json_format(tmp_path):
     assert list(doc) == CSV_HEADER.split(",")
     assert len(doc["gamma0_t"]) == 11
     assert doc["e_gme"][0] is None
+
+
+def _fmt(v) -> str:
+    """The per-value CSV formatter the column writer replaced, kept as its reference."""
+    return "" if not math.isfinite(v) else repr(float(v))
+
+
+def test_emit_writes_the_bytes_of_the_per_value_formatters(tmp_path):
+    rng = np.random.default_rng(17)
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+               1.7976931348623157e308, 0.1 + 0.2, 1 / 3, 2.0 / 3e-7]
+    seventeen_digits = (rng.choice([-1.0, 1.0], 40) * rng.random(40)
+                        * 10.0 ** rng.integers(-300, 300, 40))
+    values = np.concatenate([special, seventeen_digits])
+    assert sum(len(repr(v).lstrip("-").split("e")[0]) == 18 for v in values.tolist()) >= 10
+    cols = [np.roll(values, k) for k in range(5)]    # every value in every column
+    table = SweepTable(*cols)
+
+    emit(table, EventReport(), tmp_path / "csv")
+    rows = [",".join(_fmt(v) for v in row) for row in zip(*cols)]
+    expected = "\n".join([CSV_HEADER, *rows]) + "\n"
+    assert (tmp_path / "csv" / "trace.csv").read_bytes() == expected.encode()
+
+    emit(table, EventReport(), tmp_path / "json", fmt="json")
+    doc = {name: [None if not math.isfinite(v) else v for v in col]
+           for name, col in zip(CSV_HEADER.split(","), cols)}
+    expected = json.dumps(doc, indent=2) + "\n"
+    assert (tmp_path / "json" / "trace.json").read_bytes() == expected.encode()
+
+
+def test_one_default_sdp_tolerance():
+    # both configs default to one constant, which must stay the solver's own
+    # default: sweep.py cannot read GmeProblem without importing the solver
+    assert SDP_TOLERANCE == GmeProblem.tolerance
+    assert SweepConfig.sdp_tolerance == GmeSingleConfig.tolerance == SDP_TOLERANCE
 
 
 def test_gme_sweep_with_stride_and_workers():
