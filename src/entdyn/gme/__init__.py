@@ -10,6 +10,7 @@ from .ipm import (
     SdpNumericalError,
     SdpResult,
     solve_block_sdp,
+    solve_block_sdp_batch,
 )
 from .witness import (
     GmeProblem,
@@ -19,6 +20,7 @@ from .witness import (
     negativity_via_gme,
     problem_json_dict,
     solve_gme,
+    solve_gme_batch,
     verify_witness,
 )
 
@@ -35,6 +37,7 @@ __all__ = [
     "SdpNonConvergenceError",
     "SdpNumericalError",
     "solve_block_sdp",
+    "solve_block_sdp_batch",
     "GmeProblem",
     "GmeSolution",
     "WitnessReport",
@@ -42,5 +45,6 @@ __all__ = [
     "negativity_via_gme",
     "problem_json_dict",
     "solve_gme",
+    "solve_gme_batch",
     "verify_witness",
 ]

@@ -2,13 +2,15 @@
 and every config and file of the ``entdyn`` command line.
 
 All times are the dimensionless ``gamma0 * t``; the relaxation rate never
-appears separately in sweep input or output.  Each grid row is computed
-independently, so rows can be distributed over a worker pool.
+appears separately in sweep input or output.  The GME points of a sweep are
+solved in batches of consecutive points, which can be distributed over a
+worker pool.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -30,6 +32,7 @@ __all__ = [
     "ConfigError",
     "WorkerError",
     "SDP_TOLERANCE",
+    "GME_BATCH",
     "Tolerances",
     "SweepConfig",
     "GmeSingleConfig",
@@ -58,6 +61,12 @@ _MEASURES = ("cc", "rr", "gme")
 # The default of both configs' SDP tolerance: GmeProblem.tolerance, written
 # here so that reading a config does not import the solver
 SDP_TOLERANCE = 1e-7
+
+# GME points per batch.  A sweep cuts its GME points into batches of this
+# many consecutive points whatever ``workers`` is, so that its output does
+# not depend on the pool: a point's value can differ at round-off between
+# batches of other sizes.
+GME_BATCH = 16
 
 
 class ConfigError(ValueError):
@@ -255,35 +264,49 @@ class EventReport:
         }
 
 
-def solve_gme(problem: GmeProblem, *, symmetry_reduction: bool = True) -> GmeSolution:
-    """:func:`entdyn.gme.solve_gme`, importing the solver at the first call.
+def solve_gme(problem, *, symmetry_reduction: bool = True):
+    """:func:`entdyn.gme.solve_gme` for a ``GmeProblem``, or
+    :func:`entdyn.gme.solve_gme_batch` for a list of them, importing the
+    solver at the first call.
 
     Only GME work loads the witness-SDP solver; a cc/rr sweep, ``events`` and
     ``amplitude`` never import it.
     """
-    from .gme import solve_gme as solve
+    from . import gme
 
-    return solve(problem, symmetry_reduction=symmetry_reduction)
+    if isinstance(problem, list):
+        return gme.solve_gme_batch(problem, symmetry_reduction=symmetry_reduction)
+    return gme.solve_gme(problem, symmetry_reduction=symmetry_reduction)
 
 
-def _gme_point(cfg: SweepConfig, t: float) -> tuple[float, str | None]:
-    """One SDP solve for the worker pool: the value at ``t`` and a diagnostic on failure."""
+def _gme_batch(
+    cfg: SweepConfig, ts: list[float], states: np.ndarray
+) -> list[tuple[float, str | None]]:
+    """One batch of SDP solves, also for the worker pool: each point's value,
+    and a diagnostic where it failed.
+
+    A point that fails gets NaN and its own diagnostic; if the batch's solve
+    raises, every point of the batch does.
+    """
     from .gme import SOLVE_ERRORS, GmeProblem
 
-    model = AmplitudeModel(1.0, cfg.x)
+    problems = [GmeProblem(rho=DensityMatrix(rho, (2, 2, 2, 2), validate=False),
+                           tolerance=cfg.sdp_tolerance) for rho in states]
     try:
-        sol = solve_gme(GmeProblem(rho=evolve_four(cfg.initial_state, model, t),
-                                   tolerance=cfg.sdp_tolerance))
-        return sol.genuine_negativity, None
+        solved = solve_gme(problems)
     except SOLVE_ERRORS as exc:
-        return math.nan, f"gamma0_t={t:.6g}: {type(exc).__name__}: {exc}"
+        solved = [exc] * len(problems)
+    return [(math.nan, f"gamma0_t={t:.6g}: {type(sol).__name__}: {sol}")
+            if isinstance(sol, Exception) else (sol.genuine_negativity, None)
+            for t, sol in zip(ts, solved)]
 
 
 def run_sweep(cfg: SweepConfig) -> SweepTable:
     """Evaluate the requested measures on a uniform grid over [0, gamma0_t_max].
 
-    With ``workers > 1`` the GME points run on a process pool, and a worker
-    that dies raises :class:`WorkerError`.
+    The GME states are built in one call and solved in batches of
+    ``GME_BATCH`` consecutive points.  With ``workers > 1`` the batches run
+    on a process pool, and a worker that dies raises :class:`WorkerError`.
     """
     model = AmplitudeModel(1.0, cfg.x)
     ts = np.linspace(0.0, cfg.gamma0_t_max, cfg.steps + 1)
@@ -301,23 +324,26 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
         e_rr = negativity_xstate(evolve_rr(cfg.initial_state, model, ts)).value
 
     if "gme" in cfg.measures:
-        idxs = range(0, npts, cfg.gme_stride)
-        times = [float(ts[k]) for k in idxs]
-        point = functools.partial(_gme_point, cfg)
+        idxs = np.arange(0, npts, cfg.gme_stride)
+        times = ts[idxs].tolist()
+        states = evolve_four(cfg.initial_state, model, ts[idxs])
+        starts = range(0, len(times), GME_BATCH)
+        batches = ([times[k:k + GME_BATCH] for k in starts],
+                   [states[k:k + GME_BATCH] for k in starts])
+        solve = functools.partial(_gme_batch, cfg)
         if cfg.workers > 1:
             # imported here: the pool machinery costs a process ~25 ms to load
             from concurrent.futures import ProcessPoolExecutor
             from concurrent.futures.process import BrokenProcessPool
 
-            chunk = max(1, len(times) // (4 * cfg.workers))
             try:
                 with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                    results = list(pool.map(point, times, chunksize=chunk))
+                    results = list(pool.map(solve, *batches))
             except BrokenProcessPool as exc:
                 raise WorkerError(str(exc)) from exc
         else:
-            results = list(map(point, times))
-        for k, (val, diag) in zip(idxs, results):
+            results = list(map(solve, *batches))
+        for k, (val, diag) in zip(idxs.tolist(), itertools.chain.from_iterable(results)):
             e_gme[k] = val
             if diag is not None:
                 diagnostics.append(diag)
@@ -550,6 +576,7 @@ def read_trace(out_dir) -> SweepTable:
 
     Raises ConfigError for a malformed trace, such as a gamma0_t column that
     is not finite and strictly increasing, and OSError when there is none.
+    Each column is converted by one numpy call.
     """
     path = os.path.join(out_dir, "trace.csv")
     if os.path.exists(path):
@@ -558,7 +585,9 @@ def read_trace(out_dir) -> SweepTable:
         for row in rows:
             if len(row) != len(header):
                 raise ConfigError(f"bad trace row in {path}: {','.join(row)!r}")
-        doc = {name: [row[j] or None for row in rows] for j, name in enumerate(header)}
+        # an empty cell holds a value that was not computed
+        columns = list(zip(*rows)) or [()] * len(header)
+        doc = {name: [cell or "nan" for cell in col] for name, col in zip(header, columns)}
     else:
         path = os.path.join(out_dir, "trace.json")
         with open(path) as fh:
@@ -566,11 +595,11 @@ def read_trace(out_dir) -> SweepTable:
     if not isinstance(doc, dict) or set(doc) != set(_COLUMNS):
         raise ConfigError(f"{path} does not hold the columns {_COLUMNS}")
     try:
-        cols = [np.array([math.nan if v is None else float(v) for v in doc[name]])
-                for name in _COLUMNS]
+        # JSON null, which trace.json writes for NaN, converts to NaN
+        cols = [np.array(doc[name], dtype=float) for name in _COLUMNS]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad trace column in {path}: {exc}") from exc
-    if len({col.size for col in cols}) != 1:
+    if any(col.ndim != 1 for col in cols) or len({col.size for col in cols}) != 1:
         raise ConfigError(f"{path} columns differ in length")
     ts = cols[0]
     if not np.all(np.isfinite(ts)):

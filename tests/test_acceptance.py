@@ -288,6 +288,19 @@ def test_gme_sweep_within_min_cut_bound(request, sweep):
         assert 0.0 <= e <= bound + slack, (sweep, t, e, bound)
 
 
+@pytest.mark.parametrize("sweep", list(GME_SWEEPS))
+def test_gme_sweep_within_conserved_pair_cut_negativity(request, sweep):
+    # the genuine negativity never exceeds the negativity across c1 r1 |
+    # c2 r2, which the pairs' local isometries keep at N_cc(0); the bound
+    # needs no eigensolver on the SDP side
+    table, _ = request.getfixturevalue(sweep)
+    state, _ = GME_SWEEPS[sweep]
+    ceiling = negativity_xstate(state).value
+    finite = np.isfinite(table.e_gme)
+    assert np.count_nonzero(finite) >= 134
+    assert np.all(table.e_gme[finite] <= ceiling + 10 * SweepConfig.sdp_tolerance), sweep
+
+
 def test_criterion_8_sdp_oracles():
     rng = np.random.default_rng(808)
     checks = []

@@ -122,6 +122,18 @@ def test_events_command_rejects_a_bad_time_column(tmp_path, capsys, fmt, times):
     assert not (tmp_path / "events.json").exists()
 
 
+@pytest.mark.parametrize("row, message", [
+    ("0.5,0.9,abc,0.1,", "bad trace column"),
+    ("0.5,0.9,0.2,0.1", "bad trace row"),
+], ids=["non_numeric_e_cc", "ragged"])
+def test_events_command_rejects_a_malformed_csv_row(tmp_path, capsys, row, message):
+    rows = ["gamma0_t,c0,e_cc,e_rr,e_gme", "0.0,1.0,0.4,0.0,", row, "1.0,0.8,0.0,0.2,"]
+    (tmp_path / "trace.csv").write_text("\n".join(rows) + "\n")
+    assert main(["events", "--out-dir", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "events.json").exists()
+
+
 def test_gme_single_reduced_flag_ignores_problem_dump(tmp_path):
     rho = random_density_matrix((2, 2, 2), np.random.default_rng(7))
     for dump in (True, False):
@@ -407,7 +419,11 @@ def test_gme_single_numerical_failure_exit_code(tmp_path, monkeypatch, exc, best
 
 
 def run_with_failing_solver(tmp_path, failure, workers):
-    """``entdyn sweep`` in a fresh process whose GME solves run ``failure``."""
+    """``entdyn sweep`` in a fresh process whose GME batches run ``failure``.
+
+    ``entdyn.sweep.solve_gme`` is the batch entry: the sweep calls it once
+    per batch of GME points, with the list of their problems.
+    """
     cfg = write_config(tmp_path, {
         "initial_state": {"kind": "werner", "p": 0.45},
         "x": 5.0,
@@ -433,12 +449,16 @@ def run_with_failing_solver(tmp_path, failure, workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_linalg_error_becomes_nan_and_exit_2(tmp_path, workers):
+    # a batch whose solve raises gives every one of its points NaN and a
+    # diagnostic of its own
     proc, out = run_with_failing_solver(
         tmp_path, "raise np.linalg.LinAlgError('injected')", workers)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.count("LinAlgError: injected") == 5
     rows = [row.split(",") for row in (out / "trace.csv").read_text().splitlines()[1:]]
     assert len(rows) == 5 and all(row[4] == "" and row[2] != "" for row in rows)
+    for row in rows:
+        assert f"gamma0_t={float(row[0]):.6g}: LinAlgError: injected" in proc.stderr
 
 
 def test_sweep_crashed_worker_exits_2(tmp_path):
@@ -467,9 +487,11 @@ def test_benchmark_spans_count_the_calls_at_the_wrapped_sites(tmp_path):
         for line in path.read_text().splitlines():
             for site, (count, _, _) in json.loads(line)["totals"].items():
                 calls[site] += count
-    assert calls["entdyn.sweep.solve_gme"] == 3
+    # the sweep solves its 3 GME points as one batch, through
+    # solve_block_sdp_batch; only gme-single calls solve_block_sdp
+    assert calls["entdyn.sweep.solve_gme"] == 1
     assert calls["entdyn.cli.solve_gme"] == 1
-    assert calls["entdyn.gme.witness.solve_block_sdp"] == 4
+    assert calls["entdyn.gme.witness.solve_block_sdp"] == 1
     assert calls["entdyn.gme.ipm.cho_factor"] >= 4
 
 

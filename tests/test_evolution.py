@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from entdyn.amplitude import AmplitudeModel
+from entdyn.entanglement import negativity_xstate
 from entdyn.evolution import evolve_cc, evolve_four, evolve_pair, evolve_rr
-from entdyn.states import DensityMatrix, partial_trace, permute_subsystems, pure_alpha_beta, werner
+from entdyn.states import (DensityMatrix, partial_trace, permute_subsystems, pure_alpha_beta,
+                           werner, x_state)
 
 from test_states import random_x_state
 
@@ -122,3 +124,42 @@ def test_array_times_match_scalar_calls(evolve):
             assert got.shape == ts.shape
             np.testing.assert_array_max_ulp(got.real, want.real, maxulp=1)
             np.testing.assert_array_max_ulp(got.imag, want.imag, maxulp=1)
+
+
+def test_four_qubit_array_times_match_scalar_calls():
+    rng = np.random.default_rng(45)
+    ts = np.concatenate([[0.0], rng.uniform(0.0, 60.0, 20)])
+    for s0 in (random_x_state(rng), pure_alpha_beta(math.sqrt(1 / 26), 5 * math.sqrt(1 / 26)),
+               werner(0.45)):
+        for x in (0.01, 0.5, 5.0):
+            model = AmplitudeModel(1.0, x)
+            stack = evolve_four(s0, model, ts)
+            assert stack.shape == (ts.size, 16, 16)
+            for t, rho in zip(ts, stack):
+                np.testing.assert_array_equal(rho, evolve_four(s0, model, float(t)).entries)
+
+
+def _pair_cut_negativity(stack: np.ndarray) -> np.ndarray:
+    """Negativity across c1 r1 | c2 r2 of each (c1, c2, r1, r2) state of a stack,
+    from numpy partial transposes over c1 and r1."""
+    # axes: stack, rows of c1 c2 r1 r2, columns of c1 c2 r1 r2
+    pt = stack.reshape((-1,) + (2,) * 8).transpose(0, 5, 2, 7, 4, 1, 6, 3, 8)
+    eig = np.linalg.eigvalsh(pt.reshape(-1, 16, 16))
+    return -np.where(eig < 0.0, eig, 0.0).sum(axis=-1)
+
+
+@pytest.mark.parametrize("s0", [
+    pure_alpha_beta(math.sqrt(1 / 26), 5 * math.sqrt(1 / 26)),
+    werner(0.45),
+    x_state(0.1, 0.4, 0.3, 0.2, rho14=0.05 + 0.1j, rho23=0.3 * np.exp(0.7j)),
+], ids=["pure", "werner", "complex_coherences"])
+def test_pair_cut_negativity_stays_at_its_initial_value(s0):
+    # each cavity-reservoir pair evolves by its own isometry, a local
+    # operation across c1 r1 | c2 r2, so that cut keeps the cavities'
+    # initial negativity N_cc(0): the ceiling of the genuine negativity
+    n0 = negativity_xstate(s0).value
+    assert n0 > 0.05
+    ts = np.linspace(0.0, 50.0, 51)
+    for x in (0.01, 0.1, 1.0, 5.0):
+        got = _pair_cut_negativity(evolve_four(s0, AmplitudeModel(1.0, x), ts))
+        np.testing.assert_allclose(got, n0, rtol=0.0, atol=1e-12)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from entdyn.gme import (
     negativity_via_gme,
     problem_json_dict,
     solve_gme,
+    solve_gme_batch,
     verify_witness,
 )
 from entdyn.gme.ipm import (
@@ -20,15 +22,18 @@ from entdyn.gme.ipm import (
     SdpBlock,
     SdpNumericalError,
     StackedBlocks,
+    _ArrowLayout,
     _factor_arrow,
     _group_blocks,
     _max_steps,
     cho_factor,
     cho_solve,
     solve_block_sdp,
+    solve_block_sdp_batch,
 )
 from entdyn.gme.witness import (
     _formulation_for,
+    _initial_x,
     _initial_z,
     _matrices_from_x,
     _objective_vector,
@@ -196,15 +201,34 @@ def _random_arrowhead(rng, border_size, block_sizes):
     return mat, SchurPartition(border=border, blocks=tuple(blocks))
 
 
-@pytest.mark.parametrize("border_size, block_sizes", [(6, (5, 7, 4)), (0, (12,)), (9, (1,))])
+def _arrow_storage(mats, part):
+    """The arrowhead storage of each dense matrix of ``mats``, one row per matrix."""
+    layout = _ArrowLayout(part)
+    owner = np.full(mats.shape[1], -1)
+    for c, q in enumerate(part.blocks):
+        owner[q] = c
+    i, j = np.indices(mats.shape[1:]).reshape(2, -1)
+    # the layout stores no entry between two different diagonal blocks
+    keep = (owner[i] == owner[j]) | (owner[i] < 0) | (owner[j] < 0)
+    i, j = i[keep], j[keep]
+    storage = np.zeros((len(mats), layout.size))
+    storage[:, layout.index(i, j)] = mats[:, i, j]
+    return storage, layout
+
+
+@pytest.mark.parametrize("border_size, block_sizes", [(6, (5, 7, 4)), (0, (12,)), (9, (1,)),
+                                                      (4, (3, 5, 3, 5))])
 def test_arrow_factor_solves_like_dense(border_size, block_sizes):
     rng = np.random.default_rng(11)
     mat, part = _random_arrowhead(rng, border_size, block_sizes)
-    rhs = rng.normal(size=mat.shape[0])
-    factor = _factor_arrow(mat, part)
-    assert factor.shift == 0.0
-    np.testing.assert_allclose(cho_solve(factor, rhs), np.linalg.solve(mat, rhs),
-                               rtol=1e-10, atol=1e-12)
+    # a batch of three matrices with the same pattern
+    mats = np.stack([mat, 2.0 * mat, mat + np.diag(rng.uniform(0.0, 1.0, size=len(mat)))])
+    storage, layout = _arrow_storage(mats, part)
+    rhs = rng.normal(size=(3, mat.shape[0]))
+    factor = _factor_arrow(storage, layout)
+    np.testing.assert_array_equal(factor.shift, 0.0)
+    want = np.linalg.solve(mats, rhs[..., None])[..., 0]
+    np.testing.assert_allclose(cho_solve(factor, rhs), want, rtol=1e-10, atol=1e-12)
 
 
 def test_arrow_factor_climbs_the_shift_ladder():
@@ -218,11 +242,12 @@ def test_arrow_factor_climbs_the_shift_ladder():
     scale = np.trace(mat) / mat.shape[0]
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(mat)
-    factor = _factor_arrow(mat, part)
-    assert factor.shift == pytest.approx(1e-12 * scale, rel=1e-12)
+    storage, layout = _arrow_storage(mat[None], part)
+    factor = _factor_arrow(storage, layout)
+    assert factor.shift[0] == pytest.approx(1e-12 * scale, rel=1e-12)
     rhs = rng.normal(size=mat.shape[0])
-    x = cho_solve(factor, rhs)
-    shifted = mat + factor.shift * np.eye(mat.shape[0])
+    x = cho_solve(factor, rhs[None])[0]
+    shifted = mat + factor.shift[0] * np.eye(mat.shape[0])
     backward = np.linalg.norm(shifted @ x - rhs) / (np.linalg.norm(shifted, 2) * np.linalg.norm(x))
     assert backward < 1e-12
 
@@ -231,8 +256,9 @@ def test_arrow_factor_rejects_indefinite_schur():
     rng = np.random.default_rng(6)
     mat, part = _random_arrowhead(rng, 3, (4, 4))
     mat[0, 0] = -1.0
+    storage, layout = _arrow_storage(mat[None], part)
     with pytest.raises(SdpNumericalError, match="indefinite Newton system"):
-        _factor_arrow(mat, part)
+        _factor_arrow(storage, layout)
 
 
 def test_partition_check_rejects_mismatched_partitions():
@@ -281,36 +307,47 @@ def test_stacked_scatter_matches_dense_reference(dtype):
 
     blocks = [SdpBlock(a0=herm(d, d), a=herm(len(v), d, d), var_idx=np.array(v))
               for d, v in _SCATTER_LAYOUT]
-    stack = StackedBlocks(blocks, m)
-    assert sorted(g.k for g in stack.groups) == [1, 2]
-    assert len(stack) == len(blocks)
-    for g in stack.groups:
-        for n, b in enumerate(g.block_ids):
-            np.testing.assert_array_equal(g.a[n], blocks[b].a)
-            np.testing.assert_array_equal(g.idx[n], blocks[b].var_idx)
-    # repeated targets: a single fancy-index += would drop contributions
-    assert np.unique(stack.schur_idx).size < stack.schur_idx.size
+    # every block's variables outside the border lie in one diagonal block
+    part = SchurPartition(np.array([0, 1, 2, 3, 5]),
+                          (np.array([4, 6]), np.array([7]), np.array([8])))
+    for stack in (StackedBlocks(blocks, m), StackedBlocks(blocks, m, part)):
+        assert sorted(g.k for g in stack.groups) == [1, 2]
+        assert len(stack) == len(blocks)
+        for g in stack.groups:
+            for n, b in enumerate(g.block_ids):
+                np.testing.assert_array_equal(g.a[n], blocks[b].a)
+                np.testing.assert_array_equal(g.idx[n], blocks[b].var_idx)
+        # repeated targets: a single fancy-index += would drop contributions
+        assert np.unique(stack.schur_idx).size < stack.schur_idx.size
 
-    # a congruence per block, as the NT scaling applies, and a Hermitian Y
-    # per block, as the dual iterate Z or the corrector's scaled residual
-    scaled, ys = [], []
-    for b in blocks:
-        j = herm(*b.a0.shape)
-        scaled.append(j @ b.a @ j.conj().T)
-        ys.append(herm(*b.a0.shape))
-    by_group = [(np.stack([scaled[b] for b in g.block_ids]), np.stack([ys[b] for b in g.block_ids]))
-                for g in stack.groups]
-    bases = [bk.reshape(bk.shape[0], bk.shape[1], -1).view(np.float64) for bk, _ in by_group]
+        # two points, each with a congruence per block, as the NT scaling
+        # applies, and a Hermitian Y per block, as the dual iterate Z or the
+        # corrector's scaled residual
+        points = []
+        for _ in range(2):
+            scaled, ys = [], []
+            for b in blocks:
+                j = herm(*b.a0.shape)
+                scaled.append(j @ b.a @ j.conj().T)
+                ys.append(herm(*b.a0.shape))
+            points.append((scaled, ys))
+        bases = [np.stack([np.stack([scaled[b] for b in g.block_ids]) for scaled, _ in points])
+                 for g in stack.groups]
+        bases = [bk.reshape(*bk.shape[:3], -1).view(np.float64) for bk in bases]
+        y_groups = [np.stack([np.stack([ys[b] for b in g.block_ids]) for _, ys in points])
+                    for g in stack.groups]
 
-    schur_ref, adj_ref = _dense_reference(blocks, scaled, ys, m)
-    np.testing.assert_allclose(stack.schur(bases), schur_ref, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(stack.adjoint(bases, [y for _, y in by_group]), adj_ref,
-                               rtol=1e-12, atol=1e-12)
-    # the dual residual c - A*(Z) uses the unscaled basis
-    _, adj_ref = _dense_reference(blocks, [b.a for b in blocks], ys, m)
-    np.testing.assert_allclose(stack.adjoint([g.a_real for g in stack.groups],
-                                             [y for _, y in by_group]), adj_ref,
-                               rtol=1e-12, atol=1e-12)
+        refs = [_dense_reference(blocks, scaled, ys, m) for scaled, ys in points]
+        schur_ref, _ = _arrow_storage(np.stack([ref for ref, _ in refs]), stack.partition)
+        # the last slot takes the transposed couplings and is never read
+        np.testing.assert_allclose(stack.schur(bases)[:, :-1], schur_ref[:, :-1],
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(stack.adjoint(bases, y_groups), [adj for _, adj in refs],
+                                   rtol=1e-12, atol=1e-12)
+        # the dual residual c - A*(Z) uses the unscaled basis, shared by the points
+        adj_ref = [_dense_reference(blocks, [b.a for b in blocks], ys, m)[1] for _, ys in points]
+        np.testing.assert_allclose(stack.adjoint([g.a_real for g in stack.groups], y_groups),
+                                   adj_ref, rtol=1e-12, atol=1e-12)
 
 
 def test_stacked_blocks_carry_their_partition():
@@ -324,9 +361,12 @@ def test_stacked_blocks_carry_their_partition():
 
 
 def test_solve_gme_keeps_the_per_layer_call_contract(monkeypatch):
-    # perfbench/trace_cli.py wraps these names and reads args[0].shape[0] of
-    # cho_factor, and len(args[0]) and args[1].size of solve_block_sdp: a
-    # batched factor or a keyword call would corrupt its figures
+    # perfbench/trace_cli.py wraps these names and reads len(args[0]) and
+    # args[1].size of solve_block_sdp and args[0].shape[0] of cho_factor.
+    # A single solve calls solve_block_sdp once, with positional arguments;
+    # a batch runs through solve_block_sdp_batch, which the bench does not
+    # wrap.  cho_factor takes a stack of square matrices whose leading axis
+    # is the batch, so for a single solve shape[0] is 1
     factored, solves, sdp_args = [], [], []
 
     def factor(*args):
@@ -344,8 +384,8 @@ def test_solve_gme_keeps_the_per_layer_call_contract(monkeypatch):
     monkeypatch.setattr("entdyn.gme.ipm.cho_factor", factor)
     monkeypatch.setattr("entdyn.gme.ipm.cho_solve", solve)
     monkeypatch.setattr("entdyn.gme.witness.solve_block_sdp", sdp)
-    s0 = pure_alpha_beta(math.sqrt(1 / 26), 5 * math.sqrt(1 / 26))
-    sol = solve_gme(GmeProblem(rho=evolve_four(s0, AmplitudeModel(1.0, 0.01), 8.0)))
+    problems = [_paper_problem(t) for t in (8.0, 9.05687, 13.5853)]
+    sol = solve_gme(problems[0])
     assert sol.reduced and sol.converged
 
     (args,) = sdp_args
@@ -354,8 +394,17 @@ def test_solve_gme_keeps_the_per_layer_call_contract(monkeypatch):
     # one diagonal block per kept cut plus the border, at least, every iteration
     assert len(factored) >= 6 * sol.iterations
     for args in factored:
-        assert len(args) == 1 and args[0].ndim == 2 and args[0].shape[0] == args[0].shape[1]
+        assert len(args) == 1 and args[0].shape[0] == 1
+        assert args[0].ndim >= 3 and args[0].shape[-1] == args[0].shape[-2]
     assert len(solves) == 2 * sol.iterations
+
+    factored.clear()
+    solves.clear()
+    batch = solve_gme_batch(problems)
+    assert not sdp_args[1:]
+    assert factored[0][0].shape[0] == len(problems)
+    assert len(solves) == 2 * max(b.iterations for b in batch)
+    assert [b.iterations for b in batch] == [solve_gme(p).iterations for p in problems]
 
 
 @pytest.mark.parametrize("gamma0_t", [9.05687, 13.5853, 31.699, 40.7559])
@@ -857,3 +906,63 @@ def test_gme_problem_validation():
     cut = Bipartition.of_left([0], 3)
     with pytest.raises(ValueError):
         GmeProblem(rho=ghz_state(3), cuts=(cut, cut))
+
+
+# --- batched solves -------------------------------------------------------------
+
+def test_mixed_batch_matches_single_solves():
+    # freeze-window points, the t = 0 point, whose symmetry labels differ
+    # from the others', a Werner point and the public alpha^2 = 1/10,
+    # x = 0.01, t = 33 point: two formulations, so two interior-point runs
+    s0 = pure_alpha_beta(math.sqrt(1 / 10), math.sqrt(9 / 10))
+    problems = [_paper_problem(t) for t in (0.0, 9.05687, 13.5853, 31.699, 40.7559)] + [
+        GmeProblem(rho=evolve_four(werner(0.45), AmplitudeModel(1.0, 0.1), 3.96)),
+        GmeProblem(rho=evolve_four(s0, AmplitudeModel(1.0, 0.01), 33.0)),
+    ]
+    assert len({_symmetry_labels(p, True) for p in problems}) == 2
+    for problem, got in zip(problems, solve_gme_batch(problems)):
+        want = solve_gme(problem)
+        assert (got.converged, got.iterations) == (want.converged, want.iterations)
+        assert got.genuine_negativity == pytest.approx(want.genuine_negativity,
+                                                       abs=10 * problem.tolerance)
+        assert verify_witness(got, problem).passed
+
+
+def test_failed_point_of_a_batch_gets_its_own_error():
+    problems = [_paper_problem(t) for t in (8.0, 13.5853, 40.7559)]
+    form = _formulation_for(4, problems[0].cuts, *_symmetry_labels(problems[0], True))
+    entries = [p.rho.entries for p in problems]
+    c = np.stack([_objective_vector(form, e) for e in entries])
+    x0 = np.tile(_initial_x(form), (len(problems), 1))
+    z0 = [_initial_z(form, e) for e in entries]
+    # blocks 0 and 1 are a lower bound and its upper partner, whose basis
+    # is the negated one: subtracting the same matrix from both keeps
+    # A*(Z0) = c, but leaves the upper block indefinite
+    bad = list(z0[1])
+    shift = (np.linalg.eigvalsh(bad[1])[-1] + 1.0) * np.eye(len(bad[1]))
+    bad[0], bad[1] = bad[0] - shift, bad[1] - shift
+
+    results = solve_block_sdp_batch(form.blocks, c, x0, [z0[0], bad, z0[2]])
+    err = results[1]
+    assert isinstance(err, SdpNumericalError)
+    assert str(err) == "cone factorization failed: dual iterate lost definiteness"
+    assert err.iterations == 0 and err.best_bound is not None
+    # the others run as a batch without the failed point
+    others = solve_block_sdp_batch(form.blocks, c[[0, 2]], x0[[0, 2]], [z0[0], z0[2]])
+    for got, want in zip(results[::2], others):
+        assert got.converged and got.iterations == want.iterations
+        np.testing.assert_array_equal(got.x, want.x)
+
+
+def test_freeze_batch_peak_memory():
+    # the 9 points of the freeze-sweep grid that share one formulation
+    problems = [_paper_problem(t) for t in np.linspace(0.0, 40.75, 406)[45::45]]
+    solve_gme(problems[0])   # the shared formulation is built once, outside
+    tracemalloc.start()
+    try:
+        batch = solve_gme_batch(problems)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(sol.converged for sol in batch)
+    assert peak < 5 * 2**20
