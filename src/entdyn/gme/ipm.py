@@ -26,30 +26,46 @@ step lengths, Schur shift, convergence test, stall count and best bound.
 A point that converges or fails leaves the active set and the others run
 on; a failed point gets its own ``SdpError``, and the batch raises nothing.
 
-Blocks of equal shape are stacked into groups (``StackedBlocks``), and
-every step of an iteration is batched over the groups, with no loop over
-the blocks.  With ``P_b`` selecting block ``b``'s variables, the Schur
-complement ``sum_b P_b^T G_b P_b``, the dual residual ``c - A*(Z)`` and the
-corrector right-hand side are each one ``np.bincount`` per point over index
-arrays built once per problem structure; ``bincount`` adds every
-contribution to a variable or Schur entry that several blocks share, where
-a fancy-index ``+=`` would keep only one.  Blocks with the same variable
-set, such as the two bounds of ``0 <= X <= I``, add their Gram matrices
-``G_b`` before the scatter, which halves its indices and work.  The stages
-that see only the iterates and not the basis matrices (the NT scaling, the
-step lengths and the dual update) run once per size class, a stack of
-every block of one size and dtype whatever its variable count; the primal
-and dual step lengths of a class share one ``eigvalsh`` call.  Only the
-stages that read the basis (slack, Gram, directions, adjoint) run per
-group.
+Blocks of one size and dtype are stacked into size classes
+(``StackedBlocks``), and every step of an iteration is batched over the
+classes, with no loop over the blocks.  The stages that see only the
+iterates (the NT scaling, the step lengths and the dual update) run once
+per class; the primal and dual step lengths of a class share one
+``eigvalsh`` call.
+
+The basis matrices are read only as sparse unit coordinates: each ``A_k``
+of a ``d x d`` block is a combination of the units ``E_aa``,
+``E_ab + E_ba`` and, in complex blocks, ``i (E_ab - E_ba)`` for ``a < b``,
+and the witness bases have one or two units per block.  ``StackedBlocks``
+derives the coordinates once from the dense ``SdpBlock.a`` and keeps no
+dense basis.  The four stages that read the basis use them as follows:
+
+- the slack ``S = sum_k x_k A_k - A0`` and the directions
+  ``J^-1 (sum_k dx_k A_k) J^-H`` scatter coefficients onto matrix entries;
+- the dual residual ``c - A*(Z)`` and the corrector right-hand side
+  ``<A_k, J^-H R J^-1>`` gather matrix entries onto the variables;
+- the Schur complement is ``M[i, j] = <A_i, G A_j G>`` summed over the
+  blocks, with ``G = J^-H J^-1`` (the sparse-constraint formula of
+  Fujisawa, Kojima & Nakata, Math. Program. 79, 1997).  Per class, ``K``
+  holds ``<U, G W G>`` for every two units ``U, W``, from outer products
+  of the real and imaginary parts of ``G``, and blocks with the same
+  variables and coordinates up to sign, such as the two bounds of
+  ``0 <= X <= I``, add theirs first.  ``M`` is then one gather from ``K``
+  times a coordinate product, over a term list built once per problem
+  structure.
+
+Each scatter onto variables or Schur entries is one ``np.bincount`` per
+point, which adds every contribution to an entry that several blocks
+share, where a fancy-index ``+=`` would keep only one.
 
 The Schur complement is factored as a block arrowhead matrix.  A
 ``SchurPartition`` splits the variables into diagonal blocks that never
 share an SDP block with each other and a border that may couple to all of
 them; with the border ordered last, ``M`` has diagonal blocks ``M_c``,
 border couplings ``B_c = M[border, block c]`` and border block ``A``.  Only
-these are stored (``_ArrowLayout``): the Gram entries are scattered
-straight into them, and no dense ``m x m`` matrix is formed.  Each
+these are stored (``_ArrowLayout``), the diagonal and border blocks as
+their lower triangles: the Schur terms are scattered straight into them,
+and no dense ``m x m`` matrix is formed.  Each
 ``M_c = L_c L_c^T`` is factored first, then the border system
 ``A - sum_c C_c^T C_c`` with ``C_c = L_c^-1 B_c^T``; in exact arithmetic this
 is the Cholesky factor of ``M`` with the border last (the block-angular
@@ -59,7 +75,11 @@ block is factored as one stack over the batch, at shift 0.  If that fails
 at round-off, each point of the batch climbs its own ladder of growing
 multiples of the identity added to its ``M``.  Each triangular factor is
 inverted once per factorization, so the two solves of an iteration are
-matrix-vector products.
+matrix-vector products.  Such a solve is not backward stable: late in a run
+its residual, which the dual residual inherits, can stay above the
+feasibility tolerance and keep a point from converging.  So for each point
+whose dual residual is above that tolerance, the corrector's solve takes
+one step of iterative refinement against ``M``.
 
 A batch of one computes exactly what a solver for one problem would: each
 inner product is one dot product per point, and the border update
@@ -74,14 +94,15 @@ to keep it from drifting.
 
 Every inner product of Hermitian matrices, ``<X, Y> = Re tr(XY) =
 sum Re X * Re Y + Im X * Im Y``, is a real dot product of the float64 views
-of the complex arrays, so the Schur complement, the residuals and the
-directions never compute an imaginary part only to drop it (as in SDPT3,
-Toh, Todd & Tutuncu, Optim. Methods Softw. 11, 1999).
+of the complex arrays, and ``K`` is computed from the real and imaginary
+parts of ``G``, so the Schur complement, the residuals and the directions
+never compute an imaginary part only to drop it (as in SDPT3, Toh, Todd &
+Tutuncu, Optim. Methods Softw. 11, 1999).
 
-Blocks may be complex Hermitian or real symmetric.  Each group runs in its
+Blocks may be complex Hermitian or real symmetric.  Each class runs in its
 blocks' own dtype, with no cast to complex: for real blocks every Cholesky
-factor, eigendecomposition, Gram product and step is real arithmetic, and
-the float64 view of a real array is the array itself.
+factor, eigendecomposition, ``K`` and step is real arithmetic, and the
+float64 view of a real array is the array itself.
 """
 
 from __future__ import annotations
@@ -181,38 +202,148 @@ class SdpResult:
     converged: bool
 
 
-class _Group:
-    """Blocks of identical shape stacked, in their common dtype, for batched linear algebra.
+class _SizeClass:
+    """The blocks of one size ``d`` and dtype, stacked, and their basis in unit coordinates.
 
-    Blocks that share their whole variable set, such as the two bounds of
-    ``0 <= X <= I``, share one Schur scatter: when each variable set of the
-    group belongs to the same number ``k`` of blocks, the blocks are stacked
-    in ``k`` layers, the ``j``-th block of every set in layer ``j``, and
-    ``sets`` holds the variables of layer 0.  Otherwise ``k`` is 1.
-    ``_group_blocks`` places the group's blocks at rows ``span`` of the
-    stack of size class ``cls``.
+    Every basis matrix is read through its coordinates in the units of a
+    ``d x d`` Hermitian matrix: ``E_aa``, ``E_ab + E_ba`` and, in complex
+    blocks only, ``i (E_ab - E_ba)`` for ``a < b``.  ``pa <= pb`` list the
+    index pairs; unit ``p`` is the real unit of pair ``p`` and, in a complex
+    block, unit ``n_p + q`` the imaginary unit of the ``q``-th pair with
+    ``a < b``.
+
+    Blocks with the same variables and, up to one sign, the same
+    coordinates form a set, such as the two bounds of ``0 <= X <= I``, and
+    share one ``K`` (``unit_gram``).  The stack is layer-major: the first
+    block of every set, then the second of every set that has one, and so
+    on, with the sets of most blocks first, so ``layers`` counts the sets
+    in each layer and the first ``layers[0]`` blocks stand for their sets.
+
+    ``entry_var``, ``entry_at`` and ``entry_coef`` list each matrix entry
+    that a variable sets, as a position in the stack's flat float64 view
+    (real and imaginary parts interleaved for complex blocks) and a
+    coefficient.  ``term_*`` list the unit coordinates of each set's first
+    block: the set, the variable, whether the unit is imaginary, its pair,
+    and the coordinate, halved for ``E_aa``.
     """
 
-    cls: int
-    span: slice
+    def __init__(self, ids: list[int], blocks: Sequence[SdpBlock], dtype: np.dtype,
+                 block_at: np.ndarray):
+        self.d = d = blocks[ids[0]].a0.shape[0]
+        self.dtype = dtype
+        self.pa, self.pb = np.triu_indices(d)
+        n_p = self.pa.size
+        off = np.flatnonzero(self.pa != self.pb)
+        imag = dtype.kind == "c"
 
-    def __init__(self, block_ids: list[int], blocks: Sequence[SdpBlock]):
-        idx = np.stack([blocks[b].var_idx for b in block_ids]).astype(np.intp)
-        _, inverse, counts = np.unique(idx, axis=0, return_inverse=True, return_counts=True)
-        self.k = int(counts[0]) if np.all(counts == counts[0]) else 1
-        order = np.argsort(inverse.ravel(), kind="stable").reshape(-1, self.k).T.ravel()
-        self.block_ids = [block_ids[i] for i in order]
-        self.idx = idx[order]
-        self.dtype = np.result_type(
-            np.float64, *(m for b in block_ids for m in (blocks[b].a0, blocks[b].a))
-        )
-        self.a0 = np.stack([blocks[b].a0 for b in self.block_ids], dtype=self.dtype)
-        self.a = np.stack([blocks[b].a for b in self.block_ids], dtype=self.dtype)
-        self.nb, self.m_b, self.d, _ = self.a.shape
-        self.sets = self.idx[: self.nb // self.k]
-        # (nb, m_b, d^2) float64 view, or (nb, m_b, 2 d^2) with Re and Im of
-        # A_k interleaved for complex blocks
-        self.a_real = self.a.reshape(self.nb, self.m_b, -1).view(np.float64)
+        upper = self.pa * d + self.pb
+        keys: dict[tuple, int] = {}
+        per_block, set_of = [], []
+        for bi in ids:
+            basis = blocks[bi].a
+            flat = np.take(basis.reshape(len(basis), -1), upper, axis=1)
+            row, unit = np.nonzero(flat.real)
+            val = flat.real[row, unit]
+            if imag:
+                row_i, unit_i = np.nonzero(flat.imag[:, off])
+                row, unit = np.r_[row, row_i], np.r_[unit, n_p + unit_i]
+                val = np.r_[val, flat.imag[:, off][row_i, unit_i]]
+            var = np.asarray(blocks[bi].var_idx, dtype=np.intp)
+            sign = 1.0 if val.size == 0 or val[0] > 0 else -1.0
+            key = (var.tobytes(), row.tobytes(), unit.tobytes(), (sign * val).tobytes())
+            set_of.append(keys.setdefault(key, len(keys)))
+            per_block.append((var[row], unit, val))
+        set_of = np.asarray(set_of)
+        by_set = np.argsort(set_of, kind="stable")
+        layer = np.empty_like(set_of)
+        layer[by_set] = np.arange(set_of.size) - np.searchsorted(set_of[by_set], set_of[by_set])
+        size = np.bincount(set_of)
+        rank = np.empty_like(size)
+        rank[np.argsort(-size, kind="stable")] = np.arange(size.size)
+        order = np.lexsort((rank[set_of], layer))
+        self.layers = np.bincount(layer).tolist()
+        self.block_ids = np.asarray(ids)[order]
+        self.n = len(ids)
+        self.a0 = np.stack([blocks[b].a0 for b in self.block_ids], dtype=dtype)
+        # where each stacked block starts in a row of flattened blocks in block order
+        self.z_index = (block_at[self.block_ids][:, None] + np.arange(d * d)).ravel()
+
+        var, unit, val = (np.concatenate(arrays) for arrays in zip(*(per_block[k] for k in order)))
+        blk = np.repeat(np.arange(self.n), [per_block[k][0].size for k in order])
+
+        # each unit's entries in the flat view of one block: (a, b) and (b, a)
+        width = 2 if imag else 1
+        pair = np.r_[np.arange(n_p), off] if imag else np.arange(n_p)
+        part = (np.arange(pair.size) >= n_p).astype(np.intp)
+        a, b = self.pa[pair], self.pb[pair]
+        unit_at = width * np.stack([a * d + b, b * d + a], axis=1) + part[:, None]
+        unit_sign = np.stack([np.ones(pair.size), np.where(a == b, 0.0, 1.0 - 2.0 * part)], axis=1)
+        entry_coef = (val[:, None] * unit_sign[unit]).ravel()
+        keep = entry_coef != 0.0
+        self.entry_var = np.repeat(var, 2)[keep]
+        self.entry_at = ((blk * d * d * width)[:, None] + unit_at[unit]).ravel()[keep]
+        self.entry_coef = entry_coef[keep]
+        self.flat_size = self.n * d * d * width
+        # K of each set: an n_p x n_p part RR, and II and RI in complex blocks
+        self.k_parts = 3 if imag else 1
+        self.k_size = self.layers[0] * self.k_parts * n_p * n_p
+
+        rep = blk < self.layers[0]
+        self.term_set = blk[rep]
+        self.term_var = var[rep]
+        self.term_imag = part[unit[rep]].astype(bool)
+        self.term_pair = pair[unit[rep]]
+        self.term_val = val[rep] * np.where(a == b, 0.5, 1.0)[unit[rep]]
+        # columns of (c, d) and (d, c) of each pair in the rows of ``F`` and ``F2``
+        span = 2 * d if imag else d
+        self._columns = np.stack(
+            [self.pa * span + self.pb, self.pb * span + self.pa]
+            + ([self.pa * span + d + self.pb, self.pb * span + d + self.pa] if imag else []))
+
+    def unit_gram(self, g: np.ndarray, out: np.ndarray, work: dict) -> None:
+        """``K[u, w] = <U_u, G U_w G> / 2`` of every set, summed over its blocks, into ``out``.
+
+        Here the real unit of a diagonal pair is ``E_aa + E_aa``, which the
+        halved coordinates of ``term_val`` make up for.  ``g`` holds each
+        point's ``G = J^-H J^-1`` of every block, ``(B, n, d, d)``, and ``out``
+        is ``(B, k_size)``: the parts RR, II and RI in turn, each an
+        ``(n_p, n_p)`` matrix per set; the large intermediates live in
+        ``work`` (see ``_buffer``).
+        With ``G = A + iB``, each unit ``u = (a, b)`` has the outer products
+        ``F[u, c, d] = A_bc A_ad + B_bc B_ad`` and
+        ``F2[u, c, d] = A_bc B_ad - B_bc A_ad``, one ``matmul`` for both.
+        Against a unit ``w = (c, d)``, ``K`` is ``F[u, c, d] + F[u, d, c]`` for
+        two real units, ``F[u, d, c] - F[u, c, d]`` for two imaginary ones and
+        ``F2[u, c, d] - F2[u, d, c]`` for real ``u`` and imaginary ``w``.
+        """
+        n, n_p, sets = len(g), self.pa.size, self.layers[0]
+        if self.dtype.kind == "c":
+            rows = np.stack([g.real, g.imag], axis=-1)            # (B, n, d, d, 2)
+            right = np.concatenate([rows, np.stack([g.imag, -g.real], axis=-1)], axis=-2)
+        else:
+            rows = right = g[..., None]
+        # (B, n, n_p, d, 2d): F and F2 side by side (F alone for real blocks)
+        left, right = rows[..., self.pb, :, :], np.swapaxes(right[..., self.pa, :, :], -1, -2)
+        shape = left.shape[:-1] + right.shape[-1:]
+        f = np.matmul(left, right, out=_buffer(work, "scratch", shape))
+        f = f.reshape(n, self.n, n_p, -1)
+        at = sets
+        for count in self.layers[1:]:
+            f[:, :count] += f[:, at:at + count]
+            at += count
+        f = f[:, :sets]
+        parts = out.reshape(n, self.k_parts, sets, n_p, n_p)
+        # x = F at (c, d) and y = F at (d, c): RR = x + y, II = y - x
+        x, y = parts[:, 0], _buffer(work, "k_part", parts[:, 0].shape)
+        np.take(f, self._columns[0], axis=-1, mode="clip", out=x)
+        np.take(f, self._columns[1], axis=-1, mode="clip", out=y)
+        if self.dtype.kind == "c":
+            np.subtract(y, x, out=parts[:, 1])
+        np.add(x, y, out=x)
+        if self.dtype.kind == "c":
+            np.take(f, self._columns[2], axis=-1, mode="clip", out=parts[:, 2])
+            np.take(f, self._columns[3], axis=-1, mode="clip", out=y)
+            parts[:, 2] -= y
 
 
 class _ArrowLayout:
@@ -225,9 +356,11 @@ class _ArrowLayout:
     - each diagonal block ``M_c``, ``(s_c, s_c)``;
     - the couplings ``M[block c, border]`` of all blocks, as one
       ``(m_q, m_border)`` matrix whose rows follow ``order``;
-    - the border block ``(m_border, m_border)``;
-    - one slot that takes every entry ``M[border, block c]``, the transpose
-      of a stored coupling, and is never read.
+    - the border block ``(m_border, m_border)``.
+
+    Only the lower triangles of the diagonal blocks and of the border block
+    are written, as ``np.linalg.cholesky`` reads no other entries, and the
+    transposed couplings ``M[border, block c]`` are not stored.
     """
 
     def __init__(self, part: SchurPartition):
@@ -241,33 +374,37 @@ class _ArrowLayout:
         diag_end = int(np.sum(sizes * sizes))
         self.coupling = slice(diag_end, diag_end + self.mq * self.mb)
         self.border = slice(self.coupling.stop, self.coupling.stop + self.mb * self.mb)
-        self.size = self.border.stop + 1
+        self.size = self.border.stop
         # per variable: its row in ``order``, and for a block variable its
         # block's first row in ``order``, place in the storage and size
         m = self.order.size
         self._rank = np.empty(m, dtype=np.intp)
         self._rank[self.order] = np.arange(m)
-        self._first = np.zeros(m, dtype=np.intp)
-        self._at = np.zeros(m, dtype=np.intp)
-        self._size = np.zeros(m, dtype=np.intp)
-        for q, first, at, size in zip(part.blocks, self._rows, self._diag_at, sizes):
-            self._first[q], self._at[q], self._size[q] = first, at, size
+        first = np.zeros(m, dtype=np.intp)
+        at = np.zeros(m, dtype=np.intp)
+        size = np.zeros(m, dtype=np.intp)
+        for q, q_first, q_at, q_size in zip(part.blocks, self._rows, self._diag_at, sizes):
+            first[q], at[q], size[q] = q_first, q_at, q_size
+        # entry (i, j) is stored at row_at[j in border][i] + col_at[j]
+        rank = self._rank
+        self.in_border = rank >= self.mq
+        self.row_at = (at + (rank - first) * size,
+                       np.where(self.in_border, self.border.start + (rank - self.mq) * self.mb,
+                                self.coupling.start + rank * self.mb))
+        self.col_at = np.where(self.in_border, rank - self.mq, rank - first)
+
+    def stored(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Whether the storage holds Schur entry ``(i, j)``, for arrays of
+        variable pairs that share an SDP block."""
+        ri, rj = self._rank[i], self._rank[j]
+        return np.where(self.in_border[i] == self.in_border[j], ri >= rj, self.in_border[j])
 
     def index(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Storage position of Schur entry ``(i, j)``, for arrays of variable pairs.
+        """Storage position of Schur entry ``(i, j)``, for arrays of stored pairs.
 
         No pair may join two different diagonal blocks.
         """
-        ri, rj = self._rank[i], self._rank[j]
-        in_i, in_j = ri < self.mq, rj < self.mq
-        mb = self.mb
-        return np.select(
-            [in_i & in_j, in_i, in_j],
-            [self._at[i] + (ri - self._first[i]) * self._size[i] + rj - self._first[j],
-             self.coupling.start + ri * mb + rj - self.mq,
-             self.size - 1],
-            self.border.start + (ri - self.mq) * mb + rj - self.mq,
-        )
+        return np.where(self.in_border[j], self.row_at[1][i], self.row_at[0][i]) + self.col_at[j]
 
     def blocks(self, schur: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Each diagonal block's ``(B, s, s)`` and coupling's ``(B, s, m_border)``
@@ -281,6 +418,23 @@ class _ArrowLayout:
     def border_block(self, schur: np.ndarray) -> np.ndarray:
         return schur[:, self.border].reshape(len(schur), self.mb, self.mb)
 
+    def matvec(self, schur: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``M x`` for each point's storage and row of ``x``, with the diagonal
+        and border blocks read from their lower triangles."""
+        def full(lower: np.ndarray) -> np.ndarray:
+            return np.tril(lower) + np.swapaxes(np.tril(lower, -1), -1, -2)
+
+        part = self.partition
+        x_border = x[:, part.border, None]
+        y = np.empty_like(x)
+        y_border = full(self.border_block(schur)) @ x_border
+        for (diag, coupling), q in zip(self.blocks(schur), part.blocks):
+            xq = x[:, q, None]
+            y[:, q] = (full(diag) @ xq + coupling @ x_border)[..., 0]
+            y_border += np.swapaxes(coupling, -1, -2) @ xq
+        y[:, part.border] = y_border[..., 0]
+        return y
+
     @cached_property
     def _diagonal(self) -> np.ndarray:
         """Storage positions of ``M[i, i]``, in variable order."""
@@ -293,15 +447,15 @@ class _ArrowLayout:
 
 
 class StackedBlocks:
-    """The blocks of one SDP stacked by shape, with its Schur partition and scatter indices.
+    """The blocks of one SDP stacked by size and dtype, with its Schur partition and index arrays.
 
     Build it once per problem structure and pass it to ``solve_block_sdp``
     in place of the block list, so that the stacks and the index arrays are
     made once.  The partition is checked here; the stacks and the index
     arrays are made on the first solve, so a caller that only reads a
-    problem's structure does not pay for them, and making the stacks drops
-    the block list, so the basis matrices are then held once.  ``len`` is
-    the number of blocks.
+    problem's structure does not pay for them.  The basis matrices are then
+    kept only as unit coordinates (``_SizeClass``), and the block list is
+    dropped.  ``len`` is the number of blocks.
 
     Raises ``ValueError`` if ``partition`` does not fit the blocks (see
     ``SchurPartition.check``); without one all variables form one block.
@@ -322,70 +476,164 @@ class StackedBlocks:
         return self._count
 
     @cached_property
-    def groups(self) -> list[_Group]:
-        groups = _group_blocks(self._blocks)
+    def classes(self) -> list[_SizeClass]:
+        """One ``_SizeClass`` per block size and dtype, in order of first appearance."""
+        blocks = self._blocks
+        by_kind: dict[tuple[int, np.dtype], list[int]] = {}
+        for bi, blk in enumerate(blocks):
+            key = (blk.a0.shape[0], np.result_type(np.float64, blk.a0, blk.a))
+            by_kind.setdefault(key, []).append(bi)
+        areas = np.array([blk.a0.size for blk in blocks])
+        block_at = np.cumsum(areas) - areas
+        classes = [_SizeClass(ids, blocks, dtype, block_at) for (_, dtype), ids in by_kind.items()]
         del self._blocks
-        return groups
+        return classes
 
     @cached_property
-    def classes(self) -> list[tuple[int, int, np.dtype]]:
-        """Block count, block size and dtype of each size class (see ``_group_blocks``)."""
-        shapes: dict[int, tuple[int, int, np.dtype]] = {}
-        for g in self.groups:
-            shapes[g.cls] = (g.span.stop, g.d, g.dtype)
-        return [shapes[k] for k in range(len(shapes))]
-
-    @cached_property
-    def var_idx(self) -> np.ndarray:
-        """The variable of every basis matrix of every block, group by group."""
-        return np.concatenate([g.idx.ravel() for g in self.groups])
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[slice], int]:
+        """The classes' entry lists joined: variable, position in one flat float64
+        array that holds every class (each starting at an even offset, so
+        that its complex view is aligned), coefficient; and each class's
+        slice of that array and the array's size."""
+        flats, at = [], 0
+        for cl in self.classes:
+            at += at % 2
+            flats.append(slice(at, at + cl.flat_size))
+            at += cl.flat_size
+        pos = np.concatenate([cl.entry_at + f.start for cl, f in zip(self.classes, flats)])
+        var = np.concatenate([cl.entry_var for cl in self.classes])
+        coef = np.concatenate([cl.entry_coef for cl in self.classes])
+        return var, pos, coef, flats, at + at % 2
 
     @cached_property
     def arrow(self) -> _ArrowLayout:
         return _ArrowLayout(self.partition)
 
     @cached_property
-    def schur_idx(self) -> np.ndarray:
-        """The storage position (see ``_ArrowLayout``) of every entry ``(i, j)``
-        of every variable set's Gram matrix, group by group."""
-        out = np.empty(sum(g.sets.size * g.m_b for g in self.groups), dtype=np.intp)
-        for g, view in zip(self.groups, self._per_group(out[None])):
-            view[0] = self.arrow.index(g.sets[:, :, None], g.sets[:, None, :])
+    def _k_at(self) -> np.ndarray:
+        """Where each class's ``K`` starts in the joined ``K`` of all classes, and its end."""
+        return np.cumsum([0] + [cl.k_size for cl in self.classes])
+
+    @cached_property
+    def _terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Storage position, index into the joined ``K`` of all sets and
+        coefficient of every term of ``M``.
+
+        Each set adds ``2 coef_i coef_j K[u_i, u_j]`` to entry ``(var_i, var_j)``
+        for every two of its unit coordinates ``i, j`` whose entry is stored.
+        The sets of one size are done together, as outer sums of
+        per-coordinate offsets.
+        """
+        classes, lay = self.classes, self.arrow
+        cls_of = np.repeat(np.arange(len(classes)), [cl.term_var.size for cl in classes])
+        n_sets = np.cumsum([0] + [cl.layers[0] for cl in classes])
+        e_set = np.concatenate([cl.term_set for cl in classes]) + n_sets[cls_of]
+        var = np.concatenate([cl.term_var for cl in classes])
+        imag = np.concatenate([cl.term_imag for cl in classes])
+        pair = np.concatenate([cl.term_pair for cl in classes])
+        val = np.concatenate([cl.term_val for cl in classes])
+        n = np.array([cl.pa.size for cl in classes])[cls_of]
+        k_set = self._k_at[cls_of] + (e_set - n_sets[cls_of]) * n * n
+        part = np.array([cl.layers[0] for cl in classes])[cls_of] * n * n
+        # K index = k_row[imag_j][i] + k_col[imag_i][j]: parts RR, II, RI at
+        # 0, part, 2 part, and an IR entry is the RI entry of (j, i)
+        k_row = (k_set + np.where(imag, 2 * part + pair, pair * n),
+                 k_set + np.where(imag, part, 2 * part) + pair * n)
+        k_col = (pair, np.where(imag, pair, pair * n))
+        border = lay.in_border[var]
+        row_at = (lay.row_at[0][var], lay.row_at[1][var])
+        col_at = lay.col_at[var]
+
+        counts = np.bincount(e_set)
+        starts = np.cumsum(counts) - counts
+        i, j = (..., slice(None), None), (..., None, slice(None))
+        groups = []
+        for size in np.unique(counts[counts > 0]):
+            e = starts[counts == size][:, None] + np.arange(size)
+            groups.append((e, lay.stored(var[e][i], var[e][j])))
+        total = sum(int(np.count_nonzero(keep)) for _, keep in groups)
+        pos, k_idx, coef = np.empty(total, np.intp), np.empty(total, np.intp), np.empty(total)
+        at = 0
+        for e, keep in groups:
+            span = slice(at, at + int(np.count_nonzero(keep)))
+            at = span.stop
+            full = np.where(border[e][j], row_at[1][e][i], row_at[0][e][i])
+            full += col_at[e][j]
+            pos[span] = full[keep]
+            full = np.where(imag[e][j], k_row[1][e][i], k_row[0][e][i])
+            full += np.where(imag[e][i], k_col[1][e][j], k_col[0][e][j])
+            k_idx[span] = full[keep]
+            del full
+            coef[span] = (2.0 * val[e][i] * val[e][j])[keep]
+        return pos, k_idx, coef
+
+    def start(self, z0: np.ndarray) -> list[np.ndarray]:
+        """Each class's ``(B, n, d, d)`` stack of the dual blocks in ``z0``, one
+        ``(B, sum d_b^2)`` row per point holding the flattened blocks in block order."""
+        rows = [np.take(z0, cl.z_index, axis=1) for cl in self.classes]
+        return [np.asarray(r.real if cl.dtype.kind == "f" else r, dtype=cl.dtype)
+                .reshape(len(z0), cl.n, cl.d, cl.d) for cl, r in zip(self.classes, rows)]
+
+    def combine(self, coef: np.ndarray) -> list[np.ndarray]:
+        """``sum_k coef[p, k] A_k`` of every block of each point ``p``, one
+        ``(B, n, d, d)`` stack per class."""
+        var, pos, entry_coef, flats, size = self._entries
+        flat = _scatter(pos, np.take(coef, var, axis=1) * entry_coef, size)
+        return [flat[:, f].view(cl.dtype).reshape(len(coef), cl.n, cl.d, cl.d)
+                for cl, f in zip(self.classes, flats)]
+
+    def adjoint(self, ys: list[np.ndarray]) -> np.ndarray:
+        """``sum_b <A_bk, Y_b>`` over the blocks that hold variable ``k``, for each point.
+
+        ``ys`` holds one ``(B, n, d, d)`` stack per class.  ``np.bincount``
+        adds every contribution, also those of blocks that share a variable.
+        """
+        var, _, entry_coef, _, _ = self._entries
+        flats = [y.reshape(len(y), -1).view(np.float64) for y in ys]
+        vals = np.concatenate([np.take(f, cl.entry_at, axis=1)
+                               for cl, f in zip(self.classes, flats)], axis=1)
+        return _scatter(var, vals * entry_coef, self.num_vars)
+
+    def schur(self, jinv: list[np.ndarray], work: dict) -> np.ndarray:
+        """Each point's arrowhead storage of ``M``, ``(B, arrow.size)``, from the
+        ``J^-1`` of every block, one ``(B, n, d, d)`` stack per class.
+
+        ``M[i, j] = sum_b <A_bi, G_b A_bj G_b>`` with ``G_b = J_b^-H J_b^-1``
+        is ``<J^-1 A_i J^-H, J^-1 A_j J^-H>`` summed over the blocks.  Each
+        term is a unit-coordinate product times an entry of ``K``
+        (``_SizeClass.unit_gram``); the terms are gathered and then added
+        into the storage by one ``np.bincount`` per point.  The storage and
+        the large intermediates live in ``work`` (see ``_buffer``), so the
+        storage is valid until the next call with the same ``work``, or the
+        next ``unit_gram`` with it.
+        """
+        pos, k_idx, coef = self._terms
+        n = len(jinv[0])
+        kflat = _buffer(work, "k", (n, self._k_at[-1]))
+        for cl, j, at in zip(self.classes, jinv, self._k_at):
+            cl.unit_gram(np.swapaxes(j.conj(), -1, -2) @ j, kflat[:, at:at + cl.k_size], work)
+        # the outer products of unit_gram are done with: the storage takes their buffer
+        out = _buffer(work, "scratch", (n, self.arrow.size))
+        vals = _buffer(work, "terms", coef.shape)
+        for k, target in zip(kflat, out):
+            np.take(k, k_idx, mode="clip", out=vals)
+            vals *= coef
+            target[...] = np.bincount(pos, vals, minlength=self.arrow.size)
         return out
 
-    def adjoint(self, bases: list[np.ndarray], ys: list[np.ndarray]) -> np.ndarray:
-        """``sum_b P_b^T <B_bk, Y_b>_k`` of each point: each block's inner
-        products, scattered onto the variables.
 
-        ``bases`` and ``ys`` hold one stack per group, the bases as float64
-        views like ``_Group.a_real`` (shared by the batch) or with a leading
-        batch axis, and ``ys`` as ``(B, nb, d, d)``.  ``np.bincount`` adds
-        every contribution, also those of blocks that share a variable.
-        """
-        vals = np.concatenate([_inner_each(b, y) for b, y in zip(bases, ys)], axis=1)
-        return _scatter(self.var_idx, vals, self.num_vars)
+def _buffer(work: dict, key, shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 array of ``shape`` from the buffer ``work[key]``, made on first use.
 
-    def schur(self, bases: list[np.ndarray]) -> np.ndarray:
-        """Each point's arrowhead storage of ``M = sum_b P_b^T G_b P_b``, ``(B, arrow.size)``.
-
-        ``bases`` holds one ``(B, nb, m_b, L)`` float64 view of a scaled
-        basis per group.  The Gram matrices ``G_b = B_b B_b^T`` of a group's
-        layers are added per variable set first, then ``np.bincount`` adds
-        the sets' into the storage.
-        """
-        gram = np.empty((len(bases[0]), self.schur_idx.size))
-        for g, b, out in zip(self.groups, bases, self._per_group(gram)):
-            layers = b.reshape(len(b), g.k, -1, *b.shape[2:])
-            np.matmul(layers[:, 0], np.swapaxes(layers[:, 0], -1, -2), out=out)
-            for j in range(1, g.k):
-                out += layers[:, j] @ np.swapaxes(layers[:, j], -1, -2)
-        return _scatter(self.schur_idx, gram, self.arrow.size)
-
-    def _per_group(self, flat: np.ndarray) -> list[np.ndarray]:
-        """``flat``, ``(B, Gram entries)``, as one ``(B, sets, m_b, m_b)`` view per group."""
-        sizes = [g.sets.size * g.m_b for g in self.groups]
-        return [flat[:, end - size:end].reshape(len(flat), -1, g.m_b, g.m_b)
-                for g, size, end in zip(self.groups, sizes, np.cumsum(sizes))]
+    A run keeps its large per-iteration arrays in one ``work`` dict, so they
+    are allocated once and not paged in afresh every iteration (a batch's
+    shrinking point count takes a prefix of the buffer).
+    """
+    size = int(np.prod(shape))
+    buf = work.get(key)
+    if buf is None or buf.size < size:
+        buf = work[key] = np.empty(size)
+    return buf[:size].reshape(shape)
 
 
 def _scatter(idx: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
@@ -398,20 +646,6 @@ def _scatter(idx: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
     for row, target in zip(vals, out):
         target[...] = np.bincount(idx, row, minlength=size)
     return out
-
-
-def _combine(coef: np.ndarray, basis_real: np.ndarray, d: int, dtype: np.dtype) -> np.ndarray:
-    """``sum_k coef[p, n, k] B[n, k]`` for each point ``p`` and block ``n``, from the float64
-    view of ``B``, shared by the points or one per point."""
-    out = (coef[..., None, :] @ basis_real).view(dtype)
-    return out.reshape(*coef.shape[:2], d, d)
-
-
-def _inner_each(basis_real: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``<B[n, k], Y[p, n]>`` for every point ``p``, block ``n`` and ``k``, flattened
-    per point; the adjoint of ``_combine``."""
-    yr = y.reshape(*y.shape[:2], -1).view(np.float64)
-    return (basis_real @ yr[..., None]).reshape(y.shape[0], -1)
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -430,28 +664,6 @@ def _congruence(jinv: np.ndarray, mat: np.ndarray, adjoint: bool = False) -> np.
     """``J^-1 X J^-H``, or with ``adjoint`` ``J^-H X J^-1``, for stacks of blocks."""
     jinvh = np.swapaxes(jinv.conj(), -1, -2)
     return jinvh @ mat @ jinv if adjoint else jinv @ mat @ jinvh
-
-
-def _group_blocks(blocks: Sequence[SdpBlock]) -> list[_Group]:
-    """Blocks grouped by shape, each group placed in the stack of its size class.
-
-    A size class holds every group of one block size and dtype, whatever
-    its variable count: group ``g`` fills rows ``g.span`` of class
-    ``g.cls``, so the stages that see only matrices run once per class.
-    """
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for bi, blk in enumerate(blocks):
-        by_shape.setdefault((blk.a0.shape[0], blk.a.shape[0]), []).append(bi)
-    groups = [_Group(ids, blocks) for ids in by_shape.values()]
-    classes: dict[tuple[int, np.dtype], int] = {}
-    filled: list[int] = []
-    for g in groups:
-        g.cls = classes.setdefault((g.d, g.dtype), len(classes))
-        if g.cls == len(filled):
-            filled.append(0)
-        g.span = slice(filled[g.cls], filled[g.cls] + g.nb)
-        filled[g.cls] += g.nb
-    return groups
 
 
 def _max_steps(v: np.ndarray, d_s: np.ndarray, d_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -495,7 +707,7 @@ def solve_block_sdp(
     blocks: StackedBlocks | Sequence[SdpBlock],
     c: np.ndarray,
     x0: np.ndarray,
-    z0: list[np.ndarray],
+    z0: Sequence[np.ndarray],
     tolerance: float = 1e-7,
     max_iterations: int = 200,
 ) -> SdpResult:
@@ -503,9 +715,11 @@ def solve_block_sdp(
 
     ``blocks`` is a ``StackedBlocks``, which carries the Schur partition;
     a plain list of ``SdpBlock`` is stacked for this solve, with all
-    variables in one dense Schur block.  ``z0`` holds one dual block per
-    SDP block, in the order the blocks were given; a real block needs a
-    real one.  This is ``solve_block_sdp_batch`` on a batch of one.
+    variables in one dense Schur block.  ``z0`` holds the dual blocks in the
+    order the blocks were given, in arrays whose flattened concatenation
+    lists each block row-major: one array per block, or a list of one flat
+    array of all blocks.  A real block takes the real part of its start.  This is
+    ``solve_block_sdp_batch`` on a batch of one.
 
     Raises
     ------
@@ -517,7 +731,8 @@ def solve_block_sdp(
 
     Both carry the best dual bound and the iteration count (``SdpError``).
     """
-    (out,) = solve_block_sdp_batch(blocks, np.asarray(c)[None], np.asarray(x0)[None], [z0],
+    z_row = np.concatenate([np.ravel(z) for z in z0])
+    (out,) = solve_block_sdp_batch(blocks, np.asarray(c)[None], np.asarray(x0)[None], z_row[None],
                                    tolerance, max_iterations)
     if isinstance(out, SdpError):
         raise out
@@ -528,44 +743,25 @@ def solve_block_sdp_batch(
     blocks: StackedBlocks | Sequence[SdpBlock],
     c: np.ndarray,
     x0: np.ndarray,
-    z0: Sequence[list[np.ndarray]],
+    z0: np.ndarray,
     tolerance: float = 1e-7,
     max_iterations: int = 200,
 ) -> list[SdpResult | SdpError]:
     """Run the interior-point iteration on a batch of problems that share their blocks.
 
-    ``c`` and ``x0`` are ``(B, m)``, one row per point, and ``z0`` holds each
-    point's dual blocks as ``solve_block_sdp`` takes them.  Returns, in
-    input order, each point's ``SdpResult``, or the ``SdpNumericalError`` or
-    ``SdpNonConvergenceError`` that ``solve_block_sdp`` would raise for it.
+    ``c`` and ``x0`` are ``(B, m)``, one row per point, and ``z0`` is
+    ``(B, sum d_b^2)``: each point's dual blocks flattened and concatenated
+    in block order.  Returns, in input order, each point's ``SdpResult``, or
+    the ``SdpNumericalError`` or ``SdpNonConvergenceError`` that
+    ``solve_block_sdp`` would raise for it.
     """
     c = np.asarray(c, dtype=float)
     m = c.shape[1]
     stack = blocks if isinstance(blocks, StackedBlocks) else StackedBlocks(blocks, m)
-    groups = stack.groups
-    classes = stack.classes
-    dim_total = sum(g.nb * g.d for g in groups)
-
-    def per_group(stacks: list[np.ndarray]) -> list[np.ndarray]:
-        """Each group's rows of its class stack, in group order."""
-        return [stacks[g.cls][:, g.span] for g in groups]
-
-    def by_class(arrays: list[np.ndarray]) -> list[np.ndarray]:
-        """One ``(B, nb, d, d)`` array per group, in group order, gathered into the class stacks."""
-        out = [np.empty((len(arrays[0]), n, d, d), dtype) for n, d, dtype in classes]
-        for a, o in zip(arrays, per_group(out)):
-            o[...] = a
-        return out
-
-    def combine(coef: np.ndarray, bases: list[np.ndarray]) -> list[np.ndarray]:
-        """``sum_k coef_k B_k`` of every block of each point, from each group's float64
-        view of ``B``."""
-        return by_class([_combine(coef[:, g.idx], b, g.d, g.dtype) for g, b in zip(groups, bases)])
-
-    a_real = [g.a_real for g in groups]
-    a0 = [a[0] for a in by_class([g.a0[None] for g in groups])]
-    z = by_class([np.array([[zp[b] for b in g.block_ids] for zp in z0]) for g in groups])
-    batch = _Batch(c, np.array(x0, dtype=float), z)
+    dim_total = sum(cl.n * cl.d for cl in stack.classes)
+    a0 = [cl.a0 for cl in stack.classes]
+    batch = _Batch(c, np.array(x0, dtype=float), stack.start(np.asarray(z0)))
+    work: dict = {}
     results: list[SdpResult | SdpError | None] = [None] * len(c)
 
     def fail(rows, error: type[SdpError], messages, it: int) -> None:
@@ -576,13 +772,12 @@ def solve_block_sdp_batch(
     it = 0
     while len(batch):
         x, z = batch.x, batch.z
-        s = [sc - a for sc, a in zip(combine(x, a_real), a0)]
+        s = [sc - a for sc, a in zip(stack.combine(x), a0)]
 
-        z_g = per_group(z)
-        gap = sum(_inner(sg, zg) for sg, zg in zip(per_group(s), z_g))
+        gap = sum(_inner(sc, zc) for sc, zc in zip(s, z))
         pobj = (batch.c[:, None, :] @ x[:, :, None])[:, 0, 0]
-        dobj = sum(_inner(zg, g.a0[None]) for g, zg in zip(groups, z_g))
-        r = batch.c - stack.adjoint(a_real, z_g)
+        dobj = sum(_inner(zc, a[None]) for zc, a in zip(z, a0))
+        r = batch.c - stack.adjoint(z)
         rd_inf = np.max(np.abs(r), axis=1) if m else np.zeros(len(batch))
 
         feasible = rd_inf <= feas_tol
@@ -625,11 +820,8 @@ def solve_block_sdp_batch(
             continue
         v_all, jinv_all = scaling
 
-        scaled_a = []
-        for g, jinv in zip(groups, per_group(jinv_all)):
-            at = _congruence(jinv[:, :, None], g.a)
-            scaled_a.append(at.reshape(*at.shape[:3], -1).view(np.float64))
-        factor, failed = _per_point(_factor_arrow, stack.schur(scaled_a), stack.arrow)
+        storage = stack.schur(jinv_all, work)
+        factor, failed = _per_point(_factor_arrow, storage, stack.arrow)
         if failed:
             fail(failed, SdpNumericalError, [str(exc) for exc in failed.values()], it)
             batch.keep(np.setdiff1d(np.arange(len(batch)), list(failed)))
@@ -639,7 +831,7 @@ def solve_block_sdp_batch(
         # Predictor (affine) direction; with feasibility maintained the
         # right-hand side reduces to -c exactly.
         dx_aff = cho_solve(factor, -batch.c)
-        ds_aff = combine(dx_aff, scaled_a)
+        ds_aff = [_congruence(j, d_s) for j, d_s in zip(jinv_all, stack.combine(dx_aff))]
         dz_aff = [-_add_diag(d_s, v) for d_s, v in zip(ds_aff, v_all)]
 
         alpha_aff, beta_aff = _step_lengths(v_all, ds_aff, dz_aff, 1.0)
@@ -647,7 +839,7 @@ def solve_block_sdp_batch(
                  for v, d_s in zip(v_all, ds_aff)]
         z_aff = [_add_diag(beta_aff[:, None, None, None] * d_z, v)
                  for v, d_z in zip(v_all, dz_aff)]
-        mu_aff = sum(_inner(a, b) for a, b in zip(per_group(s_aff), per_group(z_aff))) / dim_total
+        mu_aff = sum(_inner(a, b) for a, b in zip(s_aff, z_aff)) / dim_total
         # scalar powers: numpy's vector pow rounds some cubes differently
         ratio = (np.maximum(mu_aff, 0.0) / mu).tolist()
         sigma = np.clip([q ** 3 for q in ratio], 1e-10, 1.0)
@@ -659,8 +851,18 @@ def solve_block_sdp_batch(
             resid = _add_diag(resid, (sigma * mu)[:, None, None])
             rt_all.append(2.0 * resid / (v[..., :, None] + v[..., None, :]))
 
-        dx = cho_solve(factor, stack.adjoint(scaled_a, per_group(rt_all)) - r)
-        ds = combine(dx, scaled_a)
+        # <J^-1 A_k J^-H, R> = <A_k, J^-H R J^-1>
+        rhs = stack.adjoint([_congruence(j, rt, adjoint=True) for j, rt in zip(jinv_all, rt_all)])
+        rhs -= r
+        dx = cho_solve(factor, rhs)
+        # The step leaves the dual residual at (1 - beta) r plus this solve's
+        # residual, which the explicit triangular inverses leave at up to
+        # eps cond(M) |rhs| late in a run.  Where r is above the feasibility
+        # tolerance, one step of iterative refinement against M cuts it down.
+        off = np.any(np.abs(r) > feas_tol, axis=1)
+        if np.any(off):
+            dx[off] += cho_solve(factor, rhs - stack.arrow.matvec(storage, dx))[off]
+        ds = [_congruence(j, d_s) for j, d_s in zip(jinv_all, stack.combine(dx))]
         dz = [rt - d_s for rt, d_s in zip(rt_all, ds)]
 
         alpha, beta = _step_lengths(v_all, ds, dz, _STEP_FRACTION)
@@ -671,7 +873,7 @@ def solve_block_sdp_batch(
             znew = z[ci] + beta[:, None, None, None] * _congruence(jinv, d_z, adjoint=True)
             z[ci] = 0.5 * (znew + np.swapaxes(znew.conj(), -1, -2))
         # not held while the next iteration builds its own
-        del factor, scaled_a
+        del factor
         it += 1
 
     return results

@@ -343,14 +343,13 @@ class _StartIndex:
     Element ``e`` of the concatenated, flattened blocks is
     ``sources.flat[src[e]] + coefs[coef[e]]`` (see ``_initial_z``); a
     ``twinned`` block adds the same of its twin sector, permuted, at
-    ``twin_at`` from ``twin_src``.  ``sizes`` are the block sizes.
+    ``twin_at`` from ``twin_src``.
     """
 
     src: np.ndarray
     coef: np.ndarray
     twin_at: np.ndarray
     twin_src: np.ndarray
-    sizes: np.ndarray
 
 
 @dataclass
@@ -517,7 +516,6 @@ def _start_index(
         coef=np.where(i == j, k[blk], 0),
         twin_at=twin_at,
         twin_src=base[twin_at] + perm[i[twin_at]] * dim + perm[j[twin_at]],
-        sizes=sizes,
     )
 
 
@@ -547,8 +545,9 @@ def _pt_raw(entries: np.ndarray, left: tuple[int, ...], n: int) -> np.ndarray:
     return np.ascontiguousarray(t.transpose(axes).reshape(2**n, 2**n))
 
 
-def _initial_z(form: _Formulation, entries: np.ndarray) -> list[np.ndarray]:
-    """A strictly feasible dual start, ``<A_k, Z0> = c_k`` for every variable.
+def _initial_z(form: _Formulation, entries: np.ndarray) -> np.ndarray:
+    """A strictly feasible dual start, ``<A_k, Z0> = c_k`` for every variable, as one
+    row: the blocks flattened and concatenated in block order.
 
     Each kept cut's lower P blocks hold ``rho / mc`` plus a shift, and its
     lower Q blocks ``rho^{T_M} / mc`` plus a bump that makes them positive
@@ -569,8 +568,7 @@ def _initial_z(form: _Formulation, entries: np.ndarray) -> list[np.ndarray]:
     st = form.start
     z = sources[st.src] + coefs[st.coef]
     z[st.twin_at] += sources[st.twin_src] + coefs[st.coef[st.twin_at]]
-    blocks = np.split(z, np.cumsum(st.sizes**2)[:-1])
-    return [block.reshape(ds, ds) for block, ds in zip(blocks, st.sizes.tolist())]
+    return z
 
 
 def _matrices_from_x(form: _Formulation, x: np.ndarray):
@@ -628,7 +626,7 @@ def _solve(form: _Formulation, problem: GmeProblem, max_iterations: int = 200) -
     entries = problem.rho.entries
     result = solve_block_sdp(
         form.blocks, _objective_vector(form, entries), _initial_x(form),
-        _initial_z(form, entries), tolerance=problem.tolerance,
+        [_initial_z(form, entries)], tolerance=problem.tolerance,
         max_iterations=max_iterations,
     )
     return _solution_from_result(form, problem, result)
@@ -662,7 +660,8 @@ def solve_gme_batch(
         entries = [problem.rho.entries for problem in batch]
         results = solve_block_sdp_batch(
             form.blocks, np.stack([_objective_vector(form, e) for e in entries]),
-            np.tile(_initial_x(form), (len(batch), 1)), [_initial_z(form, e) for e in entries],
+            np.tile(_initial_x(form), (len(batch), 1)),
+            np.stack([_initial_z(form, e) for e in entries]),
             tolerance=key[-1], max_iterations=max_iterations,
         )
         for k, problem, result in zip(members, batch, results):

@@ -301,6 +301,24 @@ def test_gme_sweep_within_conserved_pair_cut_negativity(request, sweep):
     assert np.all(table.e_gme[finite] <= ceiling + 10 * SweepConfig.sdp_tolerance), sweep
 
 
+def test_freeze_windows_sit_at_the_conserved_pair_cut_negativity(pure26_x5, pure26_x01,
+                                                                  pure26_x001):
+    # in each freeze window of criterion 6, the first ones at x = 5, 0.1 and
+    # 0.01 and the recurrent one at 0.01, the genuine negativity reaches the
+    # ceiling N_cc(0) that the pair cut c1 r1 | c2 r2 conserves: the freeze
+    # level is that negativity, 5/26 here
+    ceiling = negativity_xstate(pure_alpha_beta(ALPHA_26, BETA_26)).value
+    assert ceiling == pytest.approx(5 / 26, abs=1e-15)
+    slack = 10 * SweepConfig.sdp_tolerance
+    for (table, report), k in ((pure26_x5, 0), (pure26_x01, 0), (pure26_x001, 0),
+                               (pure26_x001, 1)):
+        assert len(report.freeze_windows) > k
+        start, end = report.freeze_windows[k]
+        sel = np.isfinite(table.e_gme) & (table.gamma0_t >= start) & (table.gamma0_t <= end)
+        assert np.any(sel), (start, end)
+        assert abs(float(table.e_gme[sel].max()) - ceiling) <= slack, (start, end)
+
+
 def test_criterion_8_sdp_oracles():
     rng = np.random.default_rng(808)
     checks = []

@@ -24,7 +24,6 @@ from entdyn.gme.ipm import (
     StackedBlocks,
     _ArrowLayout,
     _factor_arrow,
-    _group_blocks,
     _max_steps,
     cho_factor,
     cho_solve,
@@ -160,8 +159,8 @@ def test_real_blocks_run_real_and_match_complex_blocks():
         c[b.var_idx] += np.einsum("kij,ji->k", b.a, z)
     as_complex = [SdpBlock(a0=b.a0.astype(complex), a=b.a.astype(complex), var_idx=b.var_idx)
                   for b in real]
-    assert {g.a.dtype for g in _group_blocks(real)} == {np.dtype(np.float64)}
-    assert {g.a.dtype for g in _group_blocks(as_complex)} == {np.dtype(complex)}
+    assert {cl.dtype for cl in StackedBlocks(real, c.size).classes} == {np.dtype(np.float64)}
+    assert {cl.dtype for cl in StackedBlocks(as_complex, c.size).classes} == {np.dtype(complex)}
     r = solve_block_sdp(real, c, x0, z_real)
     z = solve_block_sdp(as_complex, c, x0, [zz.astype(complex) for zz in z_real])
     assert r.converged and z.converged
@@ -208,8 +207,10 @@ def _arrow_storage(mats, part):
     for c, q in enumerate(part.blocks):
         owner[q] = c
     i, j = np.indices(mats.shape[1:]).reshape(2, -1)
-    # the layout stores no entry between two different diagonal blocks
+    # no entry between two different diagonal blocks is stored, and of the
+    # others only the lower triangles and the couplings to the border
     keep = (owner[i] == owner[j]) | (owner[i] < 0) | (owner[j] < 0)
+    keep[keep] = layout.stored(i[keep], j[keep])
     i, j = i[keep], j[keep]
     storage = np.zeros((len(mats), layout.size))
     storage[:, layout.index(i, j)] = mats[:, i, j]
@@ -277,77 +278,104 @@ def test_partition_check_rejects_mismatched_partitions():
 
 # --- Schur and residual scatter -------------------------------------------------
 
-# (size, variables) of each block.  The blocks of size 3 form one group in
-# which each variable set belongs to two blocks, like a lower/upper bound
-# pair, and the two sets overlap in part; the blocks of size 2 form a group
-# in which one set belongs to two blocks and the others to one.
-_SCATTER_LAYOUT = [(3, [0, 1, 2, 3]), (2, [0, 5, 8]), (3, [2, 4, 5, 6]), (3, [0, 1, 2, 3]),
-                   (2, [0, 5, 8]), (3, [2, 4, 5, 6]), (2, [1, 2, 7]), (2, [3, 5, 8])]
+# (size, variables, basis) of each block: a fresh random basis, or the
+# negated basis of an earlier block, like the upper partner of a lower
+# bound, which shares its variables and unit coordinates up to sign.  The
+# blocks of size 3 form two such pairs, and their sets overlap in part;
+# among those of size 2, one pair sits beside single blocks, two of which
+# share a variable set but not their basis.
+_SCATTER_LAYOUT = [(3, [0, 1, 2, 3], None), (2, [0, 5, 8], None), (3, [2, 4, 5, 6], None),
+                   (3, [0, 1, 2, 3], 0), (2, [0, 5, 8], None), (3, [2, 4, 5, 6], 2),
+                   (2, [1, 2, 7], None), (2, [3, 5, 8], None), (2, [1, 2, 7], 6)]
 
 
-def _dense_reference(blocks, scaled, ys, m):
-    """``sum_b P_b^T G_b P_b`` and ``sum_b P_b^T <B_bk, Y_b>``, one block at a time."""
-    schur, adj = np.zeros((m, m)), np.zeros(m)
-    for blk, bk, y in zip(blocks, scaled, ys):
-        p = np.zeros((blk.var_idx.size, m))
-        p[np.arange(blk.var_idx.size), blk.var_idx] = 1.0
-        schur += p.T @ np.einsum("kij,lji->kl", bk, bk).real @ p
-        adj += p.T @ np.einsum("kij,ji->k", bk, y).real
-    return schur, adj
+def _scatter_blocks(rng, dtype):
+    blocks = []
+    for d, var_idx, partner in _SCATTER_LAYOUT:
+        a = _random_hermitian(rng, len(var_idx), d, d)
+        a = -blocks[partner].a if partner is not None else a if dtype is complex else a.real
+        a0 = _random_hermitian(rng, d, d)
+        blocks.append(SdpBlock(a0=a0 if dtype is complex else a0.real, a=a,
+                               var_idx=np.array(var_idx)))
+    return blocks
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_stacked_scatter_matches_dense_reference(dtype):
+def _dense_reference(blocks, jinvs, ys, x, m):
+    """``<J^-1 A_i J^-H, J^-1 A_j J^-H>`` and ``<A_k, Y>`` summed over the blocks,
+    and ``sum_k x_k A_k`` of each block, one block at a time."""
+    schur, adj, mats = np.zeros((m, m)), np.zeros(m), []
+    for blk, j, y in zip(blocks, jinvs, ys):
+        scaled = (j @ blk.a @ j.conj().T).reshape(len(blk.a), -1)
+        flat = np.concatenate([scaled.real, scaled.imag], axis=1)
+        schur[np.ix_(blk.var_idx, blk.var_idx)] += flat @ flat.T
+        adj[blk.var_idx] += np.einsum("kij,ji->k", blk.a, y).real
+        mats.append(np.einsum("k,kij->ij", x[blk.var_idx], blk.a))
+    return schur, adj, mats
+
+
+def _by_class(stack, per_block):
+    """Each size class's ``(B, n, d, d)`` stack of ``per_block[b]``, each ``(B, d, d)``."""
+    return [np.stack([per_block[b] for b in cl.block_ids], axis=1) for cl in stack.classes]
+
+
+@pytest.mark.parametrize("case", ["float", "complex", "generic", "swap_reduced"])
+def test_stacked_scatter_matches_dense_reference(case):
+    # the Schur storage built from unit coordinates, the adjoint and the
+    # combination against dense references from the basis matrices
     rng = np.random.default_rng(23)
-    m = 9
-
-    def herm(*shape):
-        h = _random_hermitian(rng, *shape)
-        return h if dtype is complex else h.real
-
-    blocks = [SdpBlock(a0=herm(d, d), a=herm(len(v), d, d), var_idx=np.array(v))
-              for d, v in _SCATTER_LAYOUT]
-    # every block's variables outside the border lie in one diagonal block
-    part = SchurPartition(np.array([0, 1, 2, 3, 5]),
-                          (np.array([4, 6]), np.array([7]), np.array([8])))
-    for stack in (StackedBlocks(blocks, m), StackedBlocks(blocks, m, part)):
-        assert sorted(g.k for g in stack.groups) == [1, 2]
+    if case in ("float", "complex"):
+        m, points = 9, 2
+        blocks = _scatter_blocks(rng, complex if case == "complex" else float)
+        # every block's variables outside the border lie in one diagonal block
+        part = SchurPartition(np.array([0, 1, 2, 3, 5]),
+                              (np.array([4, 6]), np.array([7]), np.array([8])))
+        stacks = [StackedBlocks(blocks, m), StackedBlocks(blocks, m, part)]
+    else:
+        # the witness forms of 2048 and 194 variables, fresh so that their
+        # block lists are still held
+        m, points = (194, 2) if case == "swap_reduced" else (2048, 1)
+        problem = _paper_problem(8.0)
+        form = _formulation_for.__wrapped__(
+            4, problem.cuts, *_symmetry_labels(problem, case == "swap_reduced"))
+        blocks = list(form.blocks._blocks)
+        stacks = [form.blocks]
+        assert form.num_vars == m
+    for stack in stacks:
         assert len(stack) == len(blocks)
-        for g in stack.groups:
-            for n, b in enumerate(g.block_ids):
-                np.testing.assert_array_equal(g.a[n], blocks[b].a)
-                np.testing.assert_array_equal(g.idx[n], blocks[b].var_idx)
+        for cl in stack.classes:
+            np.testing.assert_array_equal(cl.a0, [blocks[b].a0 for b in cl.block_ids])
+        # the dense basis is dropped once the coordinates are made
+        assert not hasattr(stack, "_blocks")
+        if case in ("float", "complex"):
+            assert [cl.layers for cl in stack.classes] == [[2, 2], [4, 1]]
+        else:
+            # the two bounds of every P and Q block share their coordinates
+            assert all(cl.layers == [cl.n // 2] * 2 for cl in stack.classes)
         # repeated targets: a single fancy-index += would drop contributions
-        assert np.unique(stack.schur_idx).size < stack.schur_idx.size
+        assert np.unique(stack._terms[0]).size < stack._terms[0].size
 
-        # two points, each with a congruence per block, as the NT scaling
-        # applies, and a Hermitian Y per block, as the dual iterate Z or the
-        # corrector's scaled residual
-        points = []
-        for _ in range(2):
-            scaled, ys = [], []
-            for b in blocks:
-                j = herm(*b.a0.shape)
-                scaled.append(j @ b.a @ j.conj().T)
-                ys.append(herm(*b.a0.shape))
-            points.append((scaled, ys))
-        bases = [np.stack([np.stack([scaled[b] for b in g.block_ids]) for scaled, _ in points])
-                 for g in stack.groups]
-        bases = [bk.reshape(*bk.shape[:3], -1).view(np.float64) for bk in bases]
-        y_groups = [np.stack([np.stack([ys[b] for b in g.block_ids]) for _, ys in points])
-                    for g in stack.groups]
-
-        refs = [_dense_reference(blocks, scaled, ys, m) for scaled, ys in points]
-        schur_ref, _ = _arrow_storage(np.stack([ref for ref, _ in refs]), stack.partition)
-        # the last slot takes the transposed couplings and is never read
-        np.testing.assert_allclose(stack.schur(bases)[:, :-1], schur_ref[:, :-1],
-                                   rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(stack.adjoint(bases, y_groups), [adj for _, adj in refs],
-                                   rtol=1e-12, atol=1e-12)
-        # the dual residual c - A*(Z) uses the unscaled basis, shared by the points
-        adj_ref = [_dense_reference(blocks, [b.a for b in blocks], ys, m)[1] for _, ys in points]
-        np.testing.assert_allclose(stack.adjoint([g.a_real for g in stack.groups], y_groups),
-                                   adj_ref, rtol=1e-12, atol=1e-12)
+        # each point has a congruence J^-1 per block, as the NT scaling
+        # gives, a Hermitian Y per block, as the dual iterate Z or the
+        # corrector's scaled residual, and coefficients x
+        jinvs, ys = [], []
+        for b in blocks:
+            d, real = b.a0.shape[0], b.a.dtype.kind == "f"
+            j = np.eye(d) + _random_hermitian(rng, points, d, d) / (2 * d) \
+                + rng.normal(size=(points, d, d)) / (2 * d)
+            y = _random_hermitian(rng, points, d, d)
+            jinvs.append(j.real if real else j)
+            ys.append(y.real if real else y)
+        x = rng.normal(size=(points, m))
+        refs = [_dense_reference(blocks, [j[p] for j in jinvs], [y[p] for y in ys], x[p], m)
+                for p in range(points)]
+        schur_ref, _ = _arrow_storage(np.stack([schur for schur, _, _ in refs]), stack.partition)
+        got = stack.schur(_by_class(stack, jinvs), {})
+        assert np.max(np.abs(got - schur_ref)) <= 1e-12 * np.max(np.abs(schur_ref))
+        np.testing.assert_allclose(stack.adjoint(_by_class(stack, ys)),
+                                   [adj for _, adj, _ in refs], rtol=1e-12, atol=1e-12)
+        mats = [np.stack([mats[b] for _, _, mats in refs]) for b in range(len(blocks))]
+        for got, want in zip(stack.combine(x), _by_class(stack, mats)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_stacked_blocks_carry_their_partition():
@@ -419,6 +447,22 @@ def test_freeze_window_points_converge_with_certificate(gamma0_t):
     assert sol.dual_objective <= sol.objective
     if gamma0_t != 31.699:      # the freeze window ends just before 31.699
         assert sol.genuine_negativity == pytest.approx(5 / 26, abs=1e-6)
+
+
+# points of the alpha = sqrt(1/26), x = 0.01 sweep where the dual residual
+# jumps late in the run and, unless the corrector's Schur solve is refined,
+# can stay above the feasibility tolerance until the Schur complement turns
+# singular; which of them fail that way depends on the solver's round-off
+@pytest.mark.parametrize("gamma0_t", [3.657539073022387, 3.8453446969579095,
+                                      3.6116111210710145, 3.6416730223857527])
+def test_points_with_a_stuck_dual_residual_converge(gamma0_t):
+    problem = _paper_problem(gamma0_t)
+    sol = solve_gme(problem)
+    assert sol.converged and sol.reduced
+    assert sol.residuals["dual_residual"] <= problem.tolerance
+    assert verify_witness(sol, problem).passed
+    min_cut = min(negativity(problem.rho, cut).value for cut in problem.cuts)
+    assert 0.0 < sol.genuine_negativity <= min_cut + 1e-6
 
 
 @pytest.mark.parametrize("symmetry_reduction", [True, False])
@@ -658,10 +702,10 @@ def test_reduction_counts_real_and_complex_states():
         assert problem_json_dict(problem, symmetry_reduction=False)["num_variables"] == 2048
         form = _formulation_for(4, problem.cuts, *_symmetry_labels(problem, True))
         assert form.real == real
-        assert {g.a.dtype for g in form.blocks.groups} == {np.dtype(float if real else complex)}
+        assert {cl.dtype for cl in form.blocks.classes} == {np.dtype(float if real else complex)}
         generic = _formulation_for(4, problem.cuts, *_symmetry_labels(problem, False))
         assert not generic.real and not generic.reduced
-        assert {g.a.dtype for g in generic.blocks.groups} == {np.dtype(complex)}
+        assert {cl.dtype for cl in generic.blocks.classes} == {np.dtype(complex)}
 
 
 # pure alpha = sqrt(1/10), x = 0.01 next to its recurrent plateau at |alpha beta| = 0.3:
@@ -774,15 +818,19 @@ def test_initial_dual_is_feasible(swap):
     # the solver assumes a strictly feasible start: c - A*(Z0) at round-off
     # and every Z0 block positive definite, also with the twin blocks folded
     problem = _paper_problem(8.0)
-    form = _formulation_for(4, problem.cuts, *_symmetry_labels(problem, True)) if swap \
-        else _unswapped(problem)
+    real, _, w_labels, q_labels = _symmetry_labels(problem, True)
+    # a fresh formulation, whose block list is still held
+    form = _formulation_for.__wrapped__(4, problem.cuts, real, swap, w_labels, q_labels)
+    blocks = form.blocks._blocks
+    # one row: the blocks flattened in block order
     z0 = _initial_z(form, problem.rho.entries)
-    assert len(z0) == len(form.blocks)
+    areas = [blk.a0.size for blk in blocks]
+    assert z0.shape == (sum(areas),)
     adjoint = np.zeros(form.num_vars)
-    for g in form.blocks.groups:
-        for n, b in enumerate(g.block_ids):
-            adjoint[g.idx[n]] += np.einsum("kij,ji->k", g.a[n], z0[b])
-            assert np.linalg.eigvalsh(z0[b])[0] > 0.1
+    for blk, z in zip(blocks, np.split(z0, np.cumsum(areas)[:-1])):
+        z = z.reshape(blk.a0.shape)
+        adjoint[blk.var_idx] += np.einsum("kij,ji->k", blk.a, z)
+        assert np.linalg.eigvalsh(z)[0] > 0.1
     c = _objective_vector(form, problem.rho.entries)
     assert np.max(np.abs(c - adjoint)) <= 1e-14
 
@@ -934,24 +982,44 @@ def test_failed_point_of_a_batch_gets_its_own_error():
     entries = [p.rho.entries for p in problems]
     c = np.stack([_objective_vector(form, e) for e in entries])
     x0 = np.tile(_initial_x(form), (len(problems), 1))
-    z0 = [_initial_z(form, e) for e in entries]
+    z0 = np.stack([_initial_z(form, e) for e in entries])
     # blocks 0 and 1 are a lower bound and its upper partner, whose basis
     # is the negated one: subtracting the same matrix from both keeps
     # A*(Z0) = c, but leaves the upper block indefinite
-    bad = list(z0[1])
-    shift = (np.linalg.eigvalsh(bad[1])[-1] + 1.0) * np.eye(len(bad[1]))
-    bad[0], bad[1] = bad[0] - shift, bad[1] - shift
+    d = problem_json_dict(problems[0])["blocks"][0]["size"]
+    assert problem_json_dict(problems[0])["blocks"][1]["size"] == d
+    upper = z0[1, d * d:2 * d * d].reshape(d, d)
+    shift = (np.linalg.eigvalsh(upper)[-1] + 1.0) * np.eye(d)
+    z0[1, :2 * d * d] -= np.tile(shift.ravel(), 2)
 
-    results = solve_block_sdp_batch(form.blocks, c, x0, [z0[0], bad, z0[2]])
+    results = solve_block_sdp_batch(form.blocks, c, x0, z0)
     err = results[1]
     assert isinstance(err, SdpNumericalError)
     assert str(err) == "cone factorization failed: dual iterate lost definiteness"
     assert err.iterations == 0 and err.best_bound is not None
     # the others run as a batch without the failed point
-    others = solve_block_sdp_batch(form.blocks, c[[0, 2]], x0[[0, 2]], [z0[0], z0[2]])
+    others = solve_block_sdp_batch(form.blocks, c[[0, 2]], x0[[0, 2]], z0[[0, 2]])
     for got, want in zip(results[::2], others):
         assert got.converged and got.iterations == want.iterations
         np.testing.assert_array_equal(got.x, want.x)
+
+
+def test_generic_solve_peak_memory():
+    # one unreduced solve of 2048 variables, its formulation built inside:
+    # the solver keeps the basis only as unit coordinates, so no dense
+    # basis stack (44 MB here), scaled copy of it or Gram array is held
+    # while it iterates
+    problem = _paper_problem(8.0)
+    labels = _symmetry_labels(problem, False)
+    tracemalloc.start()
+    try:
+        form = _formulation_for.__wrapped__(4, problem.cuts, *labels)
+        sol = _solve(form, problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert form.num_vars == 2048 and sol.converged
+    assert peak < 100 * 2**20
 
 
 def test_freeze_batch_peak_memory():
