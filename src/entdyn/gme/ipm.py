@@ -33,12 +33,9 @@ iterates (the NT scaling, the step lengths and the dual update) run once
 per class; the primal and dual step lengths of a class share one
 ``eigvalsh`` call.
 
-The basis matrices are read only as sparse unit coordinates: each ``A_k``
-of a ``d x d`` block is a combination of the units ``E_aa``,
-``E_ab + E_ba`` and, in complex blocks, ``i (E_ab - E_ba)`` for ``a < b``,
-and the witness bases have one or two units per block.  ``StackedBlocks``
-derives the coordinates once from the dense ``SdpBlock.a`` and keeps no
-dense basis.  The four stages that read the basis use them as follows:
+Each block is given in sparse unit coordinates (``SdpBlock``), and the
+witness bases have one or two units per block; no dense basis is formed.
+The four stages that read the basis use them as follows:
 
 - the slack ``S = sum_k x_k A_k - A0`` and the directions
   ``J^-1 (sum_k dx_k A_k) J^-H`` scatter coefficients onto matrix entries;
@@ -157,11 +154,31 @@ class SdpNonConvergenceError(SdpError):
 
 @dataclass(frozen=True)
 class SdpBlock:
-    """One semidefinite block: S_b(x) = sum_k x[var_idx[k]] * a[k] - a0."""
+    """One semidefinite block, ``S_b(x) = sum_e coef[e] x[var[e]] U_e - a0``, in unit coordinates.
 
-    a0: np.ndarray        # (d, d)
-    a: np.ndarray         # (m_b, d, d), Hermitian or real symmetric basis matrices
-    var_idx: np.ndarray   # (m_b,) indices into the global variable vector
+    With ``(i, j) = (row[e], col[e])``, ``U_e`` is ``E_ii`` if ``i == j``, else
+    ``E_ij + E_ji``, or ``i (E_ij - E_ji)`` if ``imag[e]`` (zero if ``i == j``);
+    repeated units add.  The block is complex if ``a0`` is or a unit is imaginary.
+    """
+
+    a0: np.ndarray     # (d, d)
+    var: np.ndarray    # (n_e,) indices into the global variable vector
+    row: np.ndarray    # (n_e,)
+    col: np.ndarray    # (n_e,)
+    imag: np.ndarray   # (n_e,) bool
+    coef: np.ndarray   # (n_e,) float
+
+    def check(self, num_vars: int) -> None:
+        """Raise ValueError unless this is a well-formed block on ``num_vars`` variables."""
+        shape = np.shape(self.a0)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"block matrix a0 of shape {shape} is not square")
+        if len({np.shape(c) for c in (self.var, self.row, self.col, self.imag, self.coef)}) != 1:
+            raise ValueError("the coordinate arrays of a block differ in shape")
+        if np.any((self.var < 0) | (self.var >= num_vars)):
+            raise ValueError(f"a block variable lies outside [0, {num_vars})")
+        if np.any((np.r_[self.row, self.col] < 0) | (np.r_[self.row, self.col] >= shape[0])):
+            raise ValueError(f"a block coordinate lies outside its {shape[0]} x {shape[0]} matrix")
 
 
 @dataclass(frozen=True)
@@ -186,7 +203,7 @@ class SchurPartition:
         if np.any(owner == -2):
             raise ValueError("partition misses a variable")
         for blk in blocks:
-            if np.unique(owner[blk.var_idx][owner[blk.var_idx] >= 0]).size > 1:
+            if np.unique(owner[blk.var][owner[blk.var] >= 0]).size > 1:
                 raise ValueError("an SDP block couples two diagonal blocks of the partition")
 
 
@@ -203,14 +220,9 @@ class SdpResult:
 
 
 class _SizeClass:
-    """The blocks of one size ``d`` and dtype, stacked, and their basis in unit coordinates.
+    """The blocks of one size ``d`` and dtype, stacked, and their unit coordinates.
 
-    Every basis matrix is read through its coordinates in the units of a
-    ``d x d`` Hermitian matrix: ``E_aa``, ``E_ab + E_ba`` and, in complex
-    blocks only, ``i (E_ab - E_ba)`` for ``a < b``.  ``pa <= pb`` list the
-    index pairs; unit ``p`` is the real unit of pair ``p`` and, in a complex
-    block, unit ``n_p + q`` the imaginary unit of the ``q``-th pair with
-    ``a < b``.
+    ``pa <= pb`` list the index pairs ``(a, b)`` of a ``d x d`` block.
 
     Blocks with the same variables and, up to one sign, the same
     coordinates form a set, such as the two bounds of ``0 <= X <= I``, and
@@ -233,26 +245,27 @@ class _SizeClass:
         self.dtype = dtype
         self.pa, self.pb = np.triu_indices(d)
         n_p = self.pa.size
-        off = np.flatnonzero(self.pa != self.pb)
         imag = dtype.kind == "c"
 
-        upper = self.pa * d + self.pb
+        # coordinates oriented to a <= b and summed per block, kind (real
+        # first), variable and pair, in that order; zero sums dropped
+        var, row, col, is_imag, coef = (np.concatenate([getattr(blocks[bi], f) for bi in ids])
+                                        for f in ("var", "row", "col", "imag", "coef"))
+        blk = np.repeat(np.arange(len(ids)), [blocks[bi].var.size for bi in ids])
+        shape = (len(ids), 2, int(var.max(initial=0)) + 1, d, d)
+        lo, hi = np.minimum(row, col), np.maximum(row, col)
+        key, where = np.unique(np.ravel_multi_index((blk, is_imag, var, lo, hi), shape),
+                               return_inverse=True)
+        val = np.bincount(where, coef * np.where(is_imag, np.sign(col - row), 1))
+        blk, unit = np.divmod(key[val != 0.0], np.prod(shape[1:]))
+        val = val[val != 0.0]
+
         keys: dict[tuple, int] = {}
-        per_block, set_of = [], []
-        for bi in ids:
-            basis = blocks[bi].a
-            flat = np.take(basis.reshape(len(basis), -1), upper, axis=1)
-            row, unit = np.nonzero(flat.real)
-            val = flat.real[row, unit]
-            if imag:
-                row_i, unit_i = np.nonzero(flat.imag[:, off])
-                row, unit = np.r_[row, row_i], np.r_[unit, n_p + unit_i]
-                val = np.r_[val, flat.imag[:, off][row_i, unit_i]]
-            var = np.asarray(blocks[bi].var_idx, dtype=np.intp)
-            sign = 1.0 if val.size == 0 or val[0] > 0 else -1.0
-            key = (var.tobytes(), row.tobytes(), unit.tobytes(), (sign * val).tobytes())
-            set_of.append(keys.setdefault(key, len(keys)))
-            per_block.append((var[row], unit, val))
+        set_of = []
+        splits = np.cumsum(np.bincount(blk, minlength=len(ids)))[:-1]
+        for b_unit, b_val in zip(np.split(unit, splits), np.split(val, splits)):
+            sign = 1.0 if b_val.size == 0 or b_val[0] > 0 else -1.0
+            set_of.append(keys.setdefault((b_unit.tobytes(), (sign * b_val).tobytes()), len(keys)))
         set_of = np.asarray(set_of)
         by_set = np.argsort(set_of, kind="stable")
         layer = np.empty_like(set_of)
@@ -268,20 +281,20 @@ class _SizeClass:
         # where each stacked block starts in a row of flattened blocks in block order
         self.z_index = (block_at[self.block_ids][:, None] + np.arange(d * d)).ravel()
 
-        var, unit, val = (np.concatenate(arrays) for arrays in zip(*(per_block[k] for k in order)))
-        blk = np.repeat(np.arange(self.n), [per_block[k][0].size for k in order])
+        # the coordinates in stack order, each block numbered by its place
+        place = np.argsort(order)[blk]
+        by_place = np.argsort(place, kind="stable")
+        blk, val = place[by_place], val[by_place]
+        is_imag, var, a, b = np.unravel_index(unit[by_place], shape[1:])
 
-        # each unit's entries in the flat view of one block: (a, b) and (b, a)
+        # each coordinate's entries (a, b) and (b, a) in the stack's flat view
         width = 2 if imag else 1
-        pair = np.r_[np.arange(n_p), off] if imag else np.arange(n_p)
-        part = (np.arange(pair.size) >= n_p).astype(np.intp)
-        a, b = self.pa[pair], self.pb[pair]
-        unit_at = width * np.stack([a * d + b, b * d + a], axis=1) + part[:, None]
-        unit_sign = np.stack([np.ones(pair.size), np.where(a == b, 0.0, 1.0 - 2.0 * part)], axis=1)
-        entry_coef = (val[:, None] * unit_sign[unit]).ravel()
+        entry_at = width * ((blk * d * d)[:, None] + np.stack([a * d + b, b * d + a], axis=1))
+        entry_coef = (val[:, None] * np.stack(
+            [np.ones(val.size), np.where(a == b, 0.0, 1.0 - 2.0 * is_imag)], axis=1)).ravel()
         keep = entry_coef != 0.0
         self.entry_var = np.repeat(var, 2)[keep]
-        self.entry_at = ((blk * d * d * width)[:, None] + unit_at[unit]).ravel()[keep]
+        self.entry_at = (entry_at + is_imag[:, None]).ravel()[keep]
         self.entry_coef = entry_coef[keep]
         self.flat_size = self.n * d * d * width
         # K of each set: an n_p x n_p part RR, and II and RI in complex blocks
@@ -291,9 +304,9 @@ class _SizeClass:
         rep = blk < self.layers[0]
         self.term_set = blk[rep]
         self.term_var = var[rep]
-        self.term_imag = part[unit[rep]].astype(bool)
-        self.term_pair = pair[unit[rep]]
-        self.term_val = val[rep] * np.where(a == b, 0.5, 1.0)[unit[rep]]
+        self.term_imag = is_imag[rep].astype(bool)
+        self.term_pair = (a * d - a * (a - 1) // 2 + b - a)[rep]   # row-major index of a <= b
+        self.term_val = val[rep] * np.where(a == b, 0.5, 1.0)[rep]
         # columns of (c, d) and (d, c) of each pair in the rows of ``F`` and ``F2``
         span = 2 * d if imag else d
         self._columns = np.stack(
@@ -451,14 +464,13 @@ class StackedBlocks:
 
     Build it once per problem structure and pass it to ``solve_block_sdp``
     in place of the block list, so that the stacks and the index arrays are
-    made once.  The partition is checked here; the stacks and the index
-    arrays are made on the first solve, so a caller that only reads a
-    problem's structure does not pay for them.  The basis matrices are then
-    kept only as unit coordinates (``_SizeClass``), and the block list is
-    dropped.  ``len`` is the number of blocks.
+    made once.  The blocks are checked and stacked here; the index arrays
+    are made on the first solve, so a caller that only reads a problem's
+    structure does not pay for them.  ``len`` counts the ``blocks``.
 
-    Raises ``ValueError`` if ``partition`` does not fit the blocks (see
-    ``SchurPartition.check``); without one all variables form one block.
+    Raises ``ValueError`` if a block is malformed (``SdpBlock.check``) or
+    ``partition`` does not fit the blocks (``SchurPartition.check``);
+    without one all variables form one block.
     """
 
     def __init__(
@@ -466,28 +478,23 @@ class StackedBlocks:
     ):
         if partition is None:
             partition = SchurPartition(border=np.zeros(0, dtype=int), blocks=(np.arange(num_vars),))
+        # one _SizeClass per block size and dtype, in order of first appearance
+        by_kind: dict[tuple[int, np.dtype], list[int]] = {}
+        for bi, blk in enumerate(blocks):
+            blk.check(num_vars)
+            kind = complex if np.iscomplexobj(blk.a0) or blk.imag.any() else float
+            by_kind.setdefault((blk.a0.shape[0], np.dtype(kind)), []).append(bi)
         partition.check(num_vars, blocks)
         self.num_vars = num_vars
         self.partition = partition
-        self._blocks = list(blocks)
-        self._count = len(self._blocks)
-
-    def __len__(self) -> int:
-        return self._count
-
-    @cached_property
-    def classes(self) -> list[_SizeClass]:
-        """One ``_SizeClass`` per block size and dtype, in order of first appearance."""
-        blocks = self._blocks
-        by_kind: dict[tuple[int, np.dtype], list[int]] = {}
-        for bi, blk in enumerate(blocks):
-            key = (blk.a0.shape[0], np.result_type(np.float64, blk.a0, blk.a))
-            by_kind.setdefault(key, []).append(bi)
+        self.blocks = list(blocks)
         areas = np.array([blk.a0.size for blk in blocks])
         block_at = np.cumsum(areas) - areas
-        classes = [_SizeClass(ids, blocks, dtype, block_at) for (_, dtype), ids in by_kind.items()]
-        del self._blocks
-        return classes
+        self.classes = [_SizeClass(ids, blocks, dtype, block_at)
+                        for (_, dtype), ids in by_kind.items()]
+
+    def __len__(self) -> int:
+        return len(self.blocks)
 
     @cached_property
     def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[slice], int]:

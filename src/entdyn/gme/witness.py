@@ -279,6 +279,9 @@ def _kept_sectors(labels: tuple[int, ...], perm: np.ndarray) -> list[tuple[int, 
 # real and imaginary parts of the off-diagonal pair (i, j), (j, i).
 _DIAG, _REAL, _IMAG = 0, 1, 2
 
+# Block roles, by code: each P and Q sector block has a lower (>= 0) and an upper (<= I) bound.
+_ROLES = ("p_lower", "p_upper", "q_lower", "q_upper")
+
 
 def _param_specs(
     labels: tuple[int, ...], real: bool, perm: np.ndarray
@@ -306,27 +309,6 @@ def _param_specs(
     key, image = row * lab.size + col, np.minimum(pi, pj) * lab.size + np.maximum(pi, pj)
     first = key <= image
     return kind[first], row[first], col[first], key[first] < image[first]
-
-
-def _basis(
-    param: np.ndarray, count: int, kind: np.ndarray, row: np.ndarray, col: np.ndarray,
-    sign: np.ndarray, sector: list[int], dtype: type,
-) -> np.ndarray:
-    """Basis matrices on one sector block of ``count`` parameters, from their entries.
-
-    Entry ``e`` adds ``sign[e] * E`` to the matrix of parameter ``param[e]``,
-    where ``E`` is ``|i><i|`` for a diagonal entry, ``|i><j| + |j><i|`` for a
-    real part and ``i|i><j| - i|j><i|`` for an imaginary part, which only a
-    complex ``dtype`` holds; ``(i, j) = (row[e], col[e])`` lies in ``sector``.
-    """
-    pos = np.zeros(max(sector) + 1, dtype=int)
-    pos[sector] = np.arange(len(sector))
-    a = np.zeros((count, len(sector), len(sector)), dtype=dtype)
-    coef = sign if dtype is float else np.where(kind == _IMAG, 1j, 1.0) * sign
-    a[param, pos[row], pos[col]] += coef
-    off = kind != _DIAG
-    a[param[off], pos[col[off]], pos[row[off]]] += coef[off].conj()
-    return a
 
 
 def _cut_mask(cut: Bipartition, n: int) -> int:
@@ -364,7 +346,9 @@ class _Formulation:
     parameters and real symmetric blocks.  ``q_source[c]`` is the matrix
     that holds the Q of cut ``c``, to be conjugated by the swap ``perm``
     where ``swapped[c]``.  ``blocks`` are stacked once, with the Schur
-    partition under which W is the border.
+    partition under which W is the border.  Block ``b`` bounds, as
+    ``_ROLES[block_role[b]]``, the P or Q of cut ``block_cut[b]`` on its
+    sector: the next ``block_size[b]`` state indices of ``block_sectors``.
     """
 
     n: int
@@ -379,7 +363,10 @@ class _Formulation:
     q_source: np.ndarray
     swapped: np.ndarray
     blocks: StackedBlocks
-    block_meta: list[tuple[int, str, tuple[int, ...]]]
+    block_cut: np.ndarray
+    block_role: np.ndarray
+    block_size: np.ndarray
+    block_sectors: np.ndarray
     start: _StartIndex
     reduced: bool
 
@@ -424,18 +411,19 @@ def _formulation_for(
     w_ent = np.flatnonzero(e_owner == 0)
 
     blocks: list[SdpBlock] = []
-    block_meta: list[tuple[int, str, tuple[int, ...]]] = []
-    twinned: list[bool] = []
+    roles: list[tuple[int, int, int, bool]] = []   # per block: cut, role code, size, twinned
+    sectors: list[list[int]] = []
 
-    def add_pair(ci: int, roles: tuple[str, str], sec: list[int], twin_sec: bool, ent: np.ndarray,
+    def add_pair(ci: int, role: int, sec: list[int], twin_sec: bool, ent: np.ndarray,
                  e_r: np.ndarray, e_c: np.ndarray, sign: np.ndarray):
         ds = len(sec)
-        var_idx, param = np.unique(e_var[ent], return_inverse=True)
-        a = _basis(param, var_idx.size, e_kind[ent], e_r, e_c, sign, sec, dtype)
-        blocks.append(SdpBlock(a0=np.zeros((ds, ds), dtype=dtype), a=a, var_idx=var_idx))
-        blocks.append(SdpBlock(a0=-np.eye(ds, dtype=dtype), a=-a, var_idx=var_idx.copy()))
-        block_meta.extend([(ci, roles[0], tuple(sec)), (ci, roles[1], tuple(sec))])
-        twinned.extend([twin_sec, twin_sec])
+        # positions in the sector, which is in ascending order
+        coords = dict(var=e_var[ent], row=np.searchsorted(sec, e_r), col=np.searchsorted(sec, e_c),
+                      imag=e_kind[ent] == _IMAG)
+        blocks.append(SdpBlock(a0=np.zeros((ds, ds), dtype=dtype), coef=sign, **coords))
+        blocks.append(SdpBlock(a0=-np.eye(ds, dtype=dtype), coef=-sign, **coords))
+        roles.extend([(ci, role, ds, twin_sec), (ci, role + 1, ds, twin_sec)])
+        sectors.extend([sec, sec])
 
     for k, (ci, t) in enumerate(zip(kept, tie)):
         mask = _cut_mask(cuts[ci], n)
@@ -453,13 +441,12 @@ def _formulation_for(
         p_sign = np.r_[np.ones(w_ent.size), -np.ones(q_ent.size)]
         for lab, sec, twin_sec in _kept_sectors(w_labels, t):
             sel = w_sector_of[p_row] == lab
-            add_pair(ci, ("p_lower", "p_upper"), sec, twin_sec, p_ent[sel], p_row[sel], p_col[sel],
-                     p_sign[sel])
+            add_pair(ci, 0, sec, twin_sec, p_ent[sel], p_row[sel], p_col[sel], p_sign[sel])
 
         q_sector_of = np.array(q_labels[ci])
         for lab, sec, twin_sec in _kept_sectors(q_labels[ci], t):
             sel = q_sector_of[qi] == lab
-            add_pair(ci, ("q_lower", "q_upper"), sec, twin_sec, q_ent[sel], qi[sel], qj[sel],
+            add_pair(ci, 2, sec, twin_sec, q_ent[sel], qi[sel], qj[sel],
                      np.ones(np.count_nonzero(sel)))
 
     # W couples to every cut; the Q variables of different cuts never share
@@ -468,6 +455,8 @@ def _formulation_for(
         border=np.flatnonzero(owner == 0),
         blocks=tuple(np.flatnonzero(owner == k + 1) for k in range(len(kept))),
     )
+    cut, role, sizes, twinned = (np.array(a) for a in zip(*roles))
+    sectors = np.concatenate(sectors)
     return _Formulation(
         n=n,
         cuts=cuts,
@@ -481,28 +470,30 @@ def _formulation_for(
         q_source=q_source,
         swapped=swapped,
         blocks=StackedBlocks(blocks, kind.size, partition),
-        block_meta=block_meta,
-        start=_start_index(block_meta, twinned, slot, perm),
+        block_cut=cut,
+        block_role=role,
+        block_size=sizes,
+        block_sectors=sectors,
+        start=_start_index(cut, role, sizes, sectors, twinned, kept, perm),
         reduced=real or len(set(w_labels)) > 1,
     )
 
 
 def _start_index(
-    block_meta: list[tuple[int, str, tuple[int, ...]]], twinned: list[bool], slot: dict[int, int],
-    perm: np.ndarray,
+    cut: np.ndarray, role: np.ndarray, sizes: np.ndarray, secs: np.ndarray, twinned: np.ndarray,
+    kept: list[int], perm: np.ndarray,
 ) -> _StartIndex:
     """Gather indices of the starting dual blocks (see ``_initial_z``).
 
     Source 0 is zero, 1 the state and ``2 + k`` its partial transpose over
     the ``k``-th kept cut; coefficient 1 is the P blocks' shift and
     ``2 + k`` the Q blocks' bump of that cut.  Upper-bound blocks read
-    source 0, so they hold only their coefficient times the identity.
+    source 0, so they hold only their coefficient times the identity.  The
+    blocks are given as in ``_Formulation``; ``kept`` is in ascending order.
     """
     dim = perm.size
-    sizes = np.array([len(sec) for _, _, sec in block_meta])
-    secs = np.concatenate([sec for _, _, sec in block_meta])
-    k = np.array([1 if role[0] == "p" else 2 + slot[ci] for ci, role, _ in block_meta])
-    src_k = np.where([role.endswith("lower") for _, role, _ in block_meta], k, 0)
+    k = np.where(role < 2, 1, 2 + np.searchsorted(kept, cut))
+    src_k = np.where(role % 2 == 0, k, 0)
     # element e of block b is entry (i, j) of the state's indices
     areas = sizes**2
     blk = np.repeat(np.arange(sizes.size), areas)
@@ -510,7 +501,7 @@ def _start_index(
     first = (np.cumsum(sizes) - sizes)[blk]
     i, j = secs[first + local // sizes[blk]], secs[first + local % sizes[blk]]
     base = src_k[blk] * dim * dim
-    twin_at = np.flatnonzero(np.array(twinned)[blk])
+    twin_at = np.flatnonzero(twinned[blk])
     return _StartIndex(
         src=base + i * dim + j,
         coef=np.where(i == j, k[blk], 0),
@@ -766,7 +757,8 @@ def problem_json_dict(problem: GmeProblem, symmetry_reduction: bool = True) -> d
         "cuts": [{"left": list(c.left), "right": list(c.right)} for c in problem.cuts],
         "objective_matrix": problem.rho.to_json_dict(),
         "blocks": [
-            {"cut_index": ci, "role": role, "basis_indices": list(sec), "size": len(sec)}
-            for ci, role, sec in form.block_meta
+            {"cut_index": ci, "role": _ROLES[role], "basis_indices": sec.tolist(), "size": sec.size}
+            for ci, role, sec in zip(form.block_cut.tolist(), form.block_role.tolist(),
+                                     np.split(form.block_sectors, np.cumsum(form.block_size)[:-1]))
         ],
     }

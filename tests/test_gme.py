@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -34,8 +35,10 @@ from entdyn.gme.witness import (
     _formulation_for,
     _initial_x,
     _initial_z,
+    _ROLES,
     _matrices_from_x,
     _objective_vector,
+    _pt_raw,
     _solve,
     _swap_perm,
     _symmetry_labels,
@@ -74,10 +77,45 @@ def test_enumerate_bipartitions_canonical():
 
 # --- the raw solver on tiny hand problems --------------------------------------
 
+def _block(a0, a, var):
+    """The block ``sum_k x[var[k]] a[k] - a0`` of a dense Hermitian basis ``a``,
+    ``(m_b, d, d)``, in unit coordinates."""
+    upper = np.triu(np.ones(a.shape[1:], dtype=bool))
+    k, i, j = np.nonzero(upper & (a.real != 0))
+    ki, ii, ji = np.nonzero(np.triu(upper, 1) & (a.imag != 0))
+    return SdpBlock(a0=a0, var=np.asarray(var)[np.r_[k, ki]], row=np.r_[i, ii], col=np.r_[j, ji],
+                    imag=np.r_[np.zeros(k.size, bool), np.ones(ki.size, bool)],
+                    coef=np.r_[a.real[k, i, j], a.imag[ki, ii, ji]])
+
+
+def _units(blk):
+    """``coef[e] U_e`` of each coordinate ``e`` of a block, ``(n_e, d, d)``, dense."""
+    e, off = np.arange(blk.var.size), blk.row != blk.col
+    u = np.zeros((e.size, *blk.a0.shape), dtype=complex)
+    u[e, blk.row, blk.col] = np.where(blk.imag, 1j, 1.0) * blk.coef
+    u[e[off], blk.col[off], blk.row[off]] = (np.where(blk.imag, -1j, 1.0) * blk.coef)[off]
+    return u
+
+
+def _dense_basis(blk):
+    """The variables of a block and its dense basis, one matrix per variable."""
+    var, at = np.unique(blk.var, return_inverse=True)
+    a = np.zeros((var.size, *blk.a0.shape), dtype=complex)
+    np.add.at(a, at, _units(blk))
+    return var, a
+
+
+def _adjoint(blocks, zs, m):
+    """``sum_b <A_bk, Z_b>`` of every variable ``k``."""
+    out = np.zeros(m)
+    for blk, z in zip(blocks, zs):
+        np.add.at(out, blk.var, np.einsum("eij,ji->e", _units(blk), z).real)
+    return out
+
+
 def test_solver_scalar_bound():
     # minimize x subject to x >= 1
-    blocks = [SdpBlock(a0=np.eye(1, dtype=complex), a=np.ones((1, 1, 1), dtype=complex),
-                       var_idx=np.array([0]))]
+    blocks = [_block(np.eye(1, dtype=complex), np.ones((1, 1, 1), dtype=complex), [0])]
     res = solve_block_sdp(blocks, np.array([1.0]), np.array([2.0]),
                           [np.array([[1.0 + 0j]])])
     assert res.primal_objective == pytest.approx(1.0, abs=1e-6)
@@ -87,10 +125,8 @@ def test_solver_scalar_bound():
 def test_solver_interval():
     # minimize -x subject to 0 <= x <= 3, via two 1x1 blocks
     blocks = [
-        SdpBlock(a0=np.zeros((1, 1), dtype=complex), a=np.ones((1, 1, 1), dtype=complex),
-                 var_idx=np.array([0])),
-        SdpBlock(a0=-3.0 * np.eye(1, dtype=complex), a=-np.ones((1, 1, 1), dtype=complex),
-                 var_idx=np.array([0])),
+        _block(np.zeros((1, 1), dtype=complex), np.ones((1, 1, 1), dtype=complex), [0]),
+        _block(-3.0 * np.eye(1, dtype=complex), -np.ones((1, 1, 1), dtype=complex), [0]),
     ]
     res = solve_block_sdp(blocks, np.array([-1.0]), np.array([1.5]),
                           [np.array([[0.5 + 0j]]), np.array([[0.5 + 0j]])])
@@ -110,9 +146,9 @@ def _embed(h):
 def test_solver_real_embedding_matches_complex_blocks():
     # two blocks share a shape, so they run as one batched group
     blocks, c, x0, z0 = _random_block_sdp(13)
-    embedded = [SdpBlock(a0=_embed(b.a0), a=np.stack([_embed(ak) for ak in b.a]),
-                         var_idx=b.var_idx) for b in blocks]
-    assert all(b.a.dtype == np.float64 for b in embedded)
+    embedded = [_block(_embed(b.a0), np.stack([_embed(ak) for ak in a]), var)
+                for b in blocks for var, a in [_dense_basis(b)]]
+    assert not any(b.imag.any() for b in embedded)
 
     # <embed(X), embed(Y)> = 2 <X, Y>, so the halved embedded Z0 keeps the
     # dual equalities; both runs take the same iterates up to round-off
@@ -139,8 +175,7 @@ def _random_block_sdp(seed):
         a = _random_hermitian(rng, len(var_idx), d, d)
         g = _random_hermitian(rng, d, d)
         p = g @ g / d + np.eye(d)
-        blocks.append(SdpBlock(a0=np.einsum("k,kij->ij", x0[var_idx], a) - p, a=a,
-                               var_idx=np.array(var_idx)))
+        blocks.append(_block(np.einsum("k,kij->ij", x0[var_idx], a) - p, a, var_idx))
         h = _random_hermitian(rng, d, d)
         z0.append(h @ h / d + np.eye(d))
         c[var_idx] += np.einsum("kij,ji->k", a, z0[-1]).real
@@ -151,14 +186,12 @@ def test_real_blocks_run_real_and_match_complex_blocks():
     # one real symmetric SDP, solved with float64 blocks and with the same
     # blocks cast to complex: the real run stays real and takes the same steps
     blocks, c, x0, z0 = _random_block_sdp(17)
-    real = [SdpBlock(a0=b.a0.real, a=b.a.real, var_idx=b.var_idx) for b in blocks]
+    real = [_block(b.a0.real, a.real, var) for b in blocks for var, a in [_dense_basis(b)]]
     # the real parts keep S(x0) > 0, and c is re-priced against real Z0
     z_real = [z.real for z in z0]
-    c = np.zeros_like(c)
-    for b, z in zip(real, z_real):
-        c[b.var_idx] += np.einsum("kij,ji->k", b.a, z)
-    as_complex = [SdpBlock(a0=b.a0.astype(complex), a=b.a.astype(complex), var_idx=b.var_idx)
-                  for b in real]
+    c = _adjoint(real, z_real, c.size)
+    # the same coordinates: a complex a0 alone makes a block complex
+    as_complex = [dataclasses.replace(b, a0=b.a0.astype(complex)) for b in real]
     assert {cl.dtype for cl in StackedBlocks(real, c.size).classes} == {np.dtype(np.float64)}
     assert {cl.dtype for cl in StackedBlocks(as_complex, c.size).classes} == {np.dtype(complex)}
     r = solve_block_sdp(real, c, x0, z_real)
@@ -263,8 +296,7 @@ def test_arrow_factor_rejects_indefinite_schur():
 
 
 def test_partition_check_rejects_mismatched_partitions():
-    blocks = [SdpBlock(a0=np.zeros((1, 1), dtype=complex), a=np.ones((2, 1, 1), dtype=complex),
-                       var_idx=np.array([1, 2]))]
+    blocks = [_block(np.zeros((1, 1), dtype=complex), np.ones((2, 1, 1), dtype=complex), [1, 2])]
     cases = {
         "couples two diagonal blocks": SchurPartition(np.array([0]), (np.array([1]), np.array([2]))),
         "twice": SchurPartition(np.array([0, 1]), (np.array([1, 2]),)),
@@ -274,6 +306,48 @@ def test_partition_check_rejects_mismatched_partitions():
         with pytest.raises(ValueError, match=message):
             part.check(3, blocks)
     SchurPartition(np.array([0]), (np.array([1, 2]),)).check(3, blocks)
+
+
+def _coords(a0, var, row, col, imag, coef):
+    return SdpBlock(a0=np.asarray(a0), var=np.array(var), row=np.array(row),
+                    col=np.array(col), imag=np.array(imag, dtype=bool), coef=np.array(coef, float))
+
+
+@pytest.mark.parametrize("block, message", [
+    (_coords(np.eye(2), [-1], [0], [0], [False], [1.0]), "variable lies outside"),
+    (_coords(np.eye(2), [3], [0], [1], [False], [1.0]), "variable lies outside"),
+    (_coords(np.eye(2), [0], [2], [0], [False], [1.0]), "coordinate lies outside"),
+    (_coords(np.eye(2), [0], [0], [-1], [False], [1.0]), "coordinate lies outside"),
+    (_coords(np.eye(2), [0, 1], [0], [0], [False], [1.0]), "differ in shape"),
+    (_coords(np.eye(2), [0], [0], [0], [False], [1.0, 2.0]), "differ in shape"),
+    (_coords(np.ones((2, 3)), [0], [0], [0], [False], [1.0]), "not square"),
+], ids=["negative_var", "var_past_end", "row_past_end", "negative_col", "var_longer",
+        "coef_longer", "a0_not_square"])
+def test_stacked_blocks_reject_malformed_blocks(block, message):
+    # on 2 variables, with and without a partition whose check reads the variables
+    with pytest.raises(ValueError, match=message):
+        StackedBlocks([block], 2)
+    with pytest.raises(ValueError, match=message):
+        StackedBlocks([block], 2, SchurPartition(np.array([0]), (np.array([1]),)))
+
+
+def test_block_coordinates_add_per_variable_and_unit():
+    # i(E_10 - E_01) is -i(E_01 - E_10) and i(E_00 - E_00) is zero;
+    # coordinates of one variable and unit add, and a zero sum is dropped,
+    # so these two blocks are the same
+    a0 = np.zeros((2, 2), dtype=complex)
+    split = _coords(a0, [0, 0, 1, 1, 0, 1], [0, 1, 0, 1, 1, 0], [1, 0, 1, 0, 1, 0],
+                    [True, True, False, False, False, True], [0.5, -1.5, 1.0, -1.0, 3.0, 4.0])
+    summed = _coords(a0, [0, 0], [1, 0], [1, 1], [False, True], [3.0, 2.0])
+    x = np.random.default_rng(2).normal(size=(2, 2))
+    stacks = StackedBlocks([split], 2), StackedBlocks([summed], 2)
+    (got,), (want,) = (stack.combine(x) for stack in stacks)
+    np.testing.assert_array_equal(got, want)
+    assert (got[0, 0, 0, 1], got[0, 0, 1, 1]) == (2.0j * x[0, 0], 3.0 * x[0, 0])
+    (cl_split,), (cl_summed,) = (stack.classes for stack in stacks)
+    for name in ("entry_var", "entry_at", "entry_coef", "term_var", "term_imag", "term_pair",
+                 "term_val"):
+        np.testing.assert_array_equal(getattr(cl_split, name), getattr(cl_summed, name))
 
 
 # --- Schur and residual scatter -------------------------------------------------
@@ -293,24 +367,26 @@ def _scatter_blocks(rng, dtype):
     blocks = []
     for d, var_idx, partner in _SCATTER_LAYOUT:
         a = _random_hermitian(rng, len(var_idx), d, d)
-        a = -blocks[partner].a if partner is not None else a if dtype is complex else a.real
         a0 = _random_hermitian(rng, d, d)
-        blocks.append(SdpBlock(a0=a0 if dtype is complex else a0.real, a=a,
-                               var_idx=np.array(var_idx)))
+        a0 = a0 if dtype is complex else a0.real
+        if partner is None:
+            blocks.append(_block(a0, a if dtype is complex else a.real, var_idx))
+        else:
+            blocks.append(dataclasses.replace(blocks[partner], a0=a0, coef=-blocks[partner].coef))
     return blocks
 
 
 def _dense_reference(blocks, jinvs, ys, x, m):
     """``<J^-1 A_i J^-H, J^-1 A_j J^-H>`` and ``<A_k, Y>`` summed over the blocks,
-    and ``sum_k x_k A_k`` of each block, one block at a time."""
-    schur, adj, mats = np.zeros((m, m)), np.zeros(m), []
-    for blk, j, y in zip(blocks, jinvs, ys):
-        scaled = (j @ blk.a @ j.conj().T).reshape(len(blk.a), -1)
+    and ``sum_k x_k A_k`` of each block, one block at a time, from dense bases."""
+    schur, mats = np.zeros((m, m)), []
+    for blk, j in zip(blocks, jinvs):
+        var, a = _dense_basis(blk)
+        scaled = (j @ a @ j.conj().T).reshape(len(a), -1)
         flat = np.concatenate([scaled.real, scaled.imag], axis=1)
-        schur[np.ix_(blk.var_idx, blk.var_idx)] += flat @ flat.T
-        adj[blk.var_idx] += np.einsum("kij,ji->k", blk.a, y).real
-        mats.append(np.einsum("k,kij->ij", x[blk.var_idx], blk.a))
-    return schur, adj, mats
+        schur[np.ix_(var, var)] += flat @ flat.T
+        mats.append(np.einsum("k,kij->ij", x[var], a))
+    return schur, _adjoint(blocks, ys, m), mats
 
 
 def _by_class(stack, per_block):
@@ -331,21 +407,17 @@ def test_stacked_scatter_matches_dense_reference(case):
                               (np.array([4, 6]), np.array([7]), np.array([8])))
         stacks = [StackedBlocks(blocks, m), StackedBlocks(blocks, m, part)]
     else:
-        # the witness forms of 2048 and 194 variables, fresh so that their
-        # block lists are still held
+        # the witness forms of 2048 and 194 variables
         m, points = (194, 2) if case == "swap_reduced" else (2048, 1)
         problem = _paper_problem(8.0)
-        form = _formulation_for.__wrapped__(
-            4, problem.cuts, *_symmetry_labels(problem, case == "swap_reduced"))
-        blocks = list(form.blocks._blocks)
+        form = _formulation_for(4, problem.cuts, *_symmetry_labels(problem, case == "swap_reduced"))
+        blocks = form.blocks.blocks
         stacks = [form.blocks]
         assert form.num_vars == m
     for stack in stacks:
         assert len(stack) == len(blocks)
         for cl in stack.classes:
             np.testing.assert_array_equal(cl.a0, [blocks[b].a0 for b in cl.block_ids])
-        # the dense basis is dropped once the coordinates are made
-        assert not hasattr(stack, "_blocks")
         if case in ("float", "complex"):
             assert [cl.layers for cl in stack.classes] == [[2, 2], [4, 1]]
         else:
@@ -359,7 +431,7 @@ def test_stacked_scatter_matches_dense_reference(case):
         # corrector's scaled residual, and coefficients x
         jinvs, ys = [], []
         for b in blocks:
-            d, real = b.a0.shape[0], b.a.dtype.kind == "f"
+            d, real = b.a0.shape[0], b.a0.dtype.kind == "f"
             j = np.eye(d) + _random_hermitian(rng, points, d, d) / (2 * d) \
                 + rng.normal(size=(points, d, d)) / (2 * d)
             y = _random_hermitian(rng, points, d, d)
@@ -376,6 +448,37 @@ def test_stacked_scatter_matches_dense_reference(case):
         mats = [np.stack([mats[b] for _, _, mats in refs]) for b in range(len(blocks))]
         for got, want in zip(stack.combine(x), _by_class(stack, mats)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["generic", "real_reduced", "swap_reduced"])
+def test_blocks_encode_the_witness_constraints(case):
+    # at random x, each block's S_b(x), from the stack and densified from its
+    # coordinates, is its sector of P_M = W - Q_M^{T_M}, I - P_M, Q_M or
+    # I - Q_M, with W and Q_M from the variables alone
+    problem = _paper_problem(8.0)
+    real, swap, w_labels, q_labels = _symmetry_labels(problem, case != "generic")
+    form = _formulation_for(4, problem.cuts, real, swap and case == "swap_reduced",
+                            w_labels, q_labels)
+    assert form.num_vars == {"generic": 2048, "real_reduced": 344, "swap_reduced": 194}[case]
+    blocks = form.blocks.blocks
+    x = np.random.default_rng(43).normal(size=form.num_vars)
+    stacked = {}
+    for cl, s in zip(form.blocks.classes, form.blocks.combine(x[None])):
+        stacked.update(zip(cl.block_ids.tolist(), s[0] - cl.a0))
+    w, qs = _matrices_from_x(form, x)
+    roles = {(int(c), int(r)) for c, r in zip(form.block_cut, form.block_role)}
+    assert roles == {(ci, r) for ci in form.kept for r in range(len(_ROLES))}
+    starts = np.cumsum(form.block_size) - form.block_size
+    for b, blk in enumerate(blocks):
+        ci, role = form.block_cut[b], _ROLES[form.block_role[b]]
+        sec = form.block_sectors[starts[b]:starts[b] + form.block_size[b]]
+        mat = w - _pt_raw(qs[ci], problem.cuts[ci].left, 4) if role[0] == "p" else qs[ci]
+        want = mat[np.ix_(sec, sec)]
+        if role.endswith("upper"):
+            want = np.eye(sec.size) - want
+        dense = np.einsum("e,eij->ij", x[blk.var], _units(blk)) - blk.a0
+        np.testing.assert_allclose(dense, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stacked[b], want, rtol=0, atol=1e-12)
 
 
 def test_stacked_blocks_carry_their_partition():
@@ -819,18 +922,16 @@ def test_initial_dual_is_feasible(swap):
     # and every Z0 block positive definite, also with the twin blocks folded
     problem = _paper_problem(8.0)
     real, _, w_labels, q_labels = _symmetry_labels(problem, True)
-    # a fresh formulation, whose block list is still held
-    form = _formulation_for.__wrapped__(4, problem.cuts, real, swap, w_labels, q_labels)
-    blocks = form.blocks._blocks
+    form = _formulation_for(4, problem.cuts, real, swap, w_labels, q_labels)
+    blocks = form.blocks.blocks
     # one row: the blocks flattened in block order
     z0 = _initial_z(form, problem.rho.entries)
     areas = [blk.a0.size for blk in blocks]
     assert z0.shape == (sum(areas),)
-    adjoint = np.zeros(form.num_vars)
-    for blk, z in zip(blocks, np.split(z0, np.cumsum(areas)[:-1])):
-        z = z.reshape(blk.a0.shape)
-        adjoint[blk.var_idx] += np.einsum("kij,ji->k", blk.a, z)
+    zs = [z.reshape(blk.a0.shape) for blk, z in zip(blocks, np.split(z0, np.cumsum(areas)[:-1]))]
+    for z in zs:
         assert np.linalg.eigvalsh(z)[0] > 0.1
+    adjoint = _adjoint(blocks, zs, form.num_vars)
     c = _objective_vector(form, problem.rho.entries)
     assert np.max(np.abs(c - adjoint)) <= 1e-14
 
@@ -1004,11 +1105,26 @@ def test_failed_point_of_a_batch_gets_its_own_error():
         np.testing.assert_array_equal(got.x, want.x)
 
 
+def test_generic_formulation_peak_memory():
+    # the generic formulation of 2048 variables, its blocks stacked into size
+    # classes, holds the basis as unit coordinates only: as dense
+    # (m_b, 16, 16) matrices it would take 42 MiB
+    problem = _paper_problem(8.0)
+    labels = _symmetry_labels(problem, False)
+    tracemalloc.start()
+    try:
+        form = _formulation_for.__wrapped__(4, problem.cuts, *labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert form.num_vars == 2048
+    assert peak < 8 * 2**20
+
+
 def test_generic_solve_peak_memory():
     # one unreduced solve of 2048 variables, its formulation built inside:
-    # the solver keeps the basis only as unit coordinates, so no dense
-    # basis stack (44 MB here), scaled copy of it or Gram array is held
-    # while it iterates
+    # the blocks are unit coordinates, and no scaled basis or Gram array is
+    # held while it iterates
     problem = _paper_problem(8.0)
     labels = _symmetry_labels(problem, False)
     tracemalloc.start()
