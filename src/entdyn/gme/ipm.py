@@ -72,11 +72,17 @@ block is factored as one stack over the batch, at shift 0.  If that fails
 at round-off, each point of the batch climbs its own ladder of growing
 multiples of the identity added to its ``M``.  Each triangular factor is
 inverted once per factorization, so the two solves of an iteration are
-matrix-vector products.  Such a solve is not backward stable: late in a run
-its residual, which the dual residual inherits, can stay above the
-feasibility tolerance and keep a point from converging.  So for each point
-whose dual residual is above that tolerance, the corrector's solve takes
-one step of iterative refinement against ``M``.
+matrix-vector products.  numpy has no triangular inverse, and its general
+one is a pivoted LU solve against the identity, so ``_tri_inv`` halves each
+factor recursively and inverts it with matrix products, down to small
+leaves that ``np.linalg.inv`` inverts; every triangular inverse of the
+solver, those of the NT scaling included, goes through it.  Such a solve
+is not backward stable: late in a run its residual, which the dual
+residual inherits, can rise above the feasibility tolerance or stay there
+and keep a point from converging.  So for each point whose dual residual
+is above that tolerance, or whose corrector step would leave it above it,
+the corrector's solve takes one step of iterative refinement against
+``M``.
 
 A batch of one computes exactly what a solver for one problem would: each
 inner product is one dot product per point, and the border update
@@ -128,6 +134,8 @@ _MIN_STEP = 1e-10
 # Cumulative identity shifts, in units of max(trace(M)/m, 1), tried in turn
 # when the Schur complement is not numerically positive definite.
 _SHIFT_LADDER = np.cumsum([0.0, 1e-12, 1e-11, 1e-10])
+# Order at or below which _tri_inv inverts directly instead of halving.
+_TRI_LEAF = 16
 
 
 class SdpError(RuntimeError):
@@ -862,28 +870,38 @@ def solve_block_sdp_batch(
         rhs = stack.adjoint([_congruence(j, rt, adjoint=True) for j, rt in zip(jinv_all, rt_all)])
         rhs -= r
         dx = cho_solve(factor, rhs)
-        # The step leaves the dual residual at (1 - beta) r plus this solve's
-        # residual, which the explicit triangular inverses leave at up to
-        # eps cond(M) |rhs| late in a run.  Where r is above the feasibility
-        # tolerance, one step of iterative refinement against M cuts it down.
+        ds, dz, dz_full = _directions(stack, jinv_all, rt_all, dx)
+        # The step leaves the dual residual at (1 - beta) r - beta e, with
+        # e = A*(dZ) - r this solve's residual, which the explicit triangular
+        # inverses leave at up to eps cond(M) |rhs| late in a run.  Where r
+        # or e is above the feasibility tolerance, one step of iterative
+        # refinement against M cuts it down.
         off = np.any(np.abs(r) > feas_tol, axis=1)
+        off |= np.any(np.abs(stack.adjoint(dz_full) - r) > feas_tol, axis=1)
         if np.any(off):
             dx[off] += cho_solve(factor, rhs - stack.arrow.matvec(storage, dx))[off]
-        ds = [_congruence(j, d_s) for j, d_s in zip(jinv_all, stack.combine(dx))]
-        dz = [rt - d_s for rt, d_s in zip(rt_all, ds)]
+            ds, dz, dz_full = _directions(stack, jinv_all, rt_all, dx)
 
         alpha, beta = _step_lengths(v_all, ds, dz, _STEP_FRACTION)
         batch.stalls = np.where((alpha < _MIN_STEP) & (beta < _MIN_STEP), batch.stalls + 1, 0)
 
         batch.x = x + alpha[:, None] * dx
-        for ci, (jinv, d_z) in enumerate(zip(jinv_all, dz)):
-            znew = z[ci] + beta[:, None, None, None] * _congruence(jinv, d_z, adjoint=True)
+        for ci, d_z in enumerate(dz_full):
+            znew = z[ci] + beta[:, None, None, None] * d_z
             z[ci] = 0.5 * (znew + np.swapaxes(znew.conj(), -1, -2))
         # not held while the next iteration builds its own
         del factor
         it += 1
 
     return results
+
+
+def _directions(stack: StackedBlocks, jinv_all, rt_all, dx):
+    """The scaled directions ``dS = J^-1 (sum_k dx_k A_k) J^-H`` and
+    ``dZ = R - dS`` of each class, and ``dZ`` unscaled, ``J^-H dZ J^-1``."""
+    ds = [_congruence(j, d_s) for j, d_s in zip(jinv_all, stack.combine(dx))]
+    dz = [rt - d_s for rt, d_s in zip(rt_all, ds)]
+    return ds, dz, [_congruence(j, d_z, adjoint=True) for j, d_z in zip(jinv_all, dz)]
 
 
 def _step_lengths(v_all, ds_all, dz_all, fraction: float) -> tuple[np.ndarray, np.ndarray]:
@@ -947,7 +965,7 @@ def _nt_scaling(s: list[np.ndarray], z: list[np.ndarray]):
         lam, uk = np.linalg.eigh(np.swapaxes(ls.conj(), -1, -2) @ zc @ ls)
         if np.min(lam) <= 0.0:
             raise np.linalg.LinAlgError("dual iterate lost definiteness")
-        lsinv = np.linalg.solve(ls, np.broadcast_to(np.eye(sc.shape[-1]), sc.shape))
+        lsinv = _tri_inv(ls)
         jinv_all.append((np.swapaxes(uk.conj(), -1, -2) @ lsinv) * (lam ** 0.25)[..., None])
         v_all.append(np.sqrt(lam))
     return v_all, jinv_all
@@ -970,6 +988,37 @@ def cho_factor(a: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(a)
 
 
+def _tri_inv(low: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The inverses of a stack ``(..., n, n)`` of nonsingular lower-triangular
+    matrices, written into ``out`` when given.
+
+    Recursive halving (Elmroth, Gustavson, Jonsson & Kagstrom, SIAM Rev. 46,
+    2004): with ``L = [[A, 0], [C, D]]``, ``L^-1 = [[A^-1, 0], [-(D^-1 C)
+    A^-1, D^-1]]``, so above ``_TRI_LEAF`` the work is two matrix products
+    per level.  Multiplied in that order, the inverse is a closer left
+    inverse, and a solve through it has a smaller backward error than with
+    ``D^-1 (C A^-1)``.  A leaf inverts ``L^T``, which is upper triangular:
+    the LU inside ``np.linalg.inv`` then never pivots, and each inverse is
+    exactly lower triangular.
+    """
+    n = low.shape[-1]
+    if n <= _TRI_LEAF:
+        inv = np.swapaxes(np.linalg.inv(np.swapaxes(low, -1, -2)), -1, -2)
+        if out is None:
+            return inv
+        out[...] = inv
+        return out
+    if out is None:
+        out = np.zeros_like(low)
+    h = n // 2
+    a_inv = _tri_inv(low[..., :h, :h], out[..., :h, :h])
+    d_inv = _tri_inv(low[..., h:, h:], out[..., h:, h:])
+    lower = out[..., h:, :h]
+    np.matmul(d_inv @ low[..., h:, :h], a_inv, out=lower)
+    np.negative(lower, out=lower)
+    return out
+
+
 @dataclass
 class _ArrowFactor:
     """Cholesky factors of each point's block-arrowhead matrix, diagonal blocks
@@ -978,8 +1027,8 @@ class _ArrowFactor:
     ``L = [[L_1, ..., 0], ..., [C_1^T, ..., L_B]]`` with ``L_c`` the factor of
     diagonal block ``c``, ``C_c = L_c^-1 M[block c, border]`` and ``L_B`` the
     factor of the border system ``M[border, border] - sum_c C_c^T C_c``.
-    Each triangular factor is inverted once, so that every solve with
-    ``L`` is a few matrix-vector products.
+    Each triangular factor is inverted once, by ``_tri_inv``, so that every
+    solve with ``L`` is a few matrix-vector products.
     """
 
     partition: SchurPartition
@@ -996,9 +1045,9 @@ def _factor_arrow(schur: np.ndarray, lay: _ArrowLayout) -> _ArrowFactor:
     a batch that raises its own call.  A single point that fails at shift 0
     climbs the shift ladder, and raises ``SdpNumericalError`` if it fails on
     every rung.  Every rung shifts the diagonal blocks and the border
-    together, so each attempt factors ``M + shift * I`` exactly.  The
-    triangular inverses come from ``np.linalg.inv``; numpy has no triangular
-    solver, and one inverse per factor replaces a general solve per use.
+    together, so each attempt factors ``M + shift * I`` exactly.  Each
+    factor is inverted by ``_tri_inv``, only once its Cholesky succeeded,
+    and one inverse per factor replaces a triangular solve per use.
     """
     try:
         return _factor_shifted(schur, lay, np.zeros(len(schur)))
@@ -1019,13 +1068,12 @@ def _factor_shifted(schur: np.ndarray, lay: _ArrowLayout, shift: np.ndarray) -> 
     block_inv, couplings = [], []
     border = _add_diag(lay.border_block(schur), shift[:, None])
     for diag, coupling in lay.blocks(schur):
-        inv = np.linalg.inv(cho_factor(_add_diag(diag, shift[:, None])))
+        inv = _tri_inv(cho_factor(_add_diag(diag, shift[:, None])))
         cq = inv @ coupling
         border -= np.swapaxes(cq, -1, -2) @ cq
         block_inv.append(inv)
         couplings.append(cq)
-    return _ArrowFactor(lay.partition, block_inv, couplings, np.linalg.inv(cho_factor(border)),
-                        shift)
+    return _ArrowFactor(lay.partition, block_inv, couplings, _tri_inv(cho_factor(border)), shift)
 
 
 def cho_solve(factor: _ArrowFactor, b: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,14 +20,17 @@ from entdyn.gme import (
     solve_gme_batch,
     verify_witness,
 )
+from entdyn.gme import ipm
 from entdyn.gme.ipm import (
     SchurPartition,
     SdpBlock,
     SdpNumericalError,
     StackedBlocks,
+    _TRI_LEAF,
     _ArrowLayout,
     _factor_arrow,
     _max_steps,
+    _tri_inv,
     cho_factor,
     cho_solve,
     solve_block_sdp,
@@ -250,8 +255,11 @@ def _arrow_storage(mats, part):
     return storage, layout
 
 
+# the last two have diagonal blocks and borders above _TRI_LEAF, so their
+# triangular inverses recurse
 @pytest.mark.parametrize("border_size, block_sizes", [(6, (5, 7, 4)), (0, (12,)), (9, (1,)),
-                                                      (4, (3, 5, 3, 5))])
+                                                      (4, (3, 5, 3, 5)), (37, (43, 27, 70)),
+                                                      (0, (257,))])
 def test_arrow_factor_solves_like_dense(border_size, block_sizes):
     rng = np.random.default_rng(11)
     mat, part = _random_arrowhead(rng, border_size, block_sizes)
@@ -265,9 +273,8 @@ def test_arrow_factor_solves_like_dense(border_size, block_sizes):
     np.testing.assert_allclose(cho_solve(factor, rhs), want, rtol=1e-10, atol=1e-12)
 
 
-def test_arrow_factor_climbs_the_shift_ladder():
-    rng = np.random.default_rng(5)
-    mat, part = _random_arrowhead(rng, 5, (6, 6))
+def _climb_the_shift_ladder(rng, border_size, block_sizes):
+    mat, part = _random_arrowhead(rng, border_size, block_sizes)
     scale = np.trace(mat) / mat.shape[0]
     # smallest eigenvalue -5e-13 * scale: indefinite at round-off only, so
     # the first rung (+1e-12 * scale) makes it positive definite
@@ -284,6 +291,87 @@ def test_arrow_factor_climbs_the_shift_ladder():
     shifted = mat + factor.shift[0] * np.eye(mat.shape[0])
     backward = np.linalg.norm(shifted @ x - rhs) / (np.linalg.norm(shifted, 2) * np.linalg.norm(x))
     assert backward < 1e-12
+
+
+def test_arrow_factor_climbs_the_shift_ladder():
+    _climb_the_shift_ladder(np.random.default_rng(5), 5, (6, 6))
+
+
+def test_arrow_factor_climbs_the_shift_ladder_above_the_leaf(monkeypatch):
+    # every inverse is taken of a factor that cho_factor returned, so a
+    # failed Cholesky raises before any inverse of it (the halves that
+    # _tri_inv recurses on, with their out, come from such a factor too)
+    factors, failures, inverted = [], [], []
+
+    def spy_factor(a):
+        try:
+            factors.append(cho_factor(a))
+        except np.linalg.LinAlgError:
+            failures.append(a.shape)
+            raise
+        return factors[-1]
+
+    def spy_inv(low, out=None):
+        if out is None:
+            inverted.append(low)
+        return _tri_inv(low, out)
+
+    monkeypatch.setattr(ipm, "cho_factor", spy_factor)
+    monkeypatch.setattr(ipm, "_tri_inv", spy_inv)
+    _climb_the_shift_ladder(np.random.default_rng(7), 37, (43, 27, 70))
+    assert failures and inverted
+    assert all(any(low is f for f in factors) for low in inverted)
+
+
+@pytest.mark.parametrize("n", sorted({1, 2, _TRI_LEAF - 1, _TRI_LEAF, _TRI_LEAF + 1, 27, 43, 255,
+                                      256, 257}))
+@pytest.mark.parametrize("batch", [(3,), (2, 3)], ids=["B", "B_k"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_tri_inv_inverts_lower_triangular_stacks(n, batch, dtype):
+    rng = np.random.default_rng(n)
+    g = rng.normal(size=(*batch, n, n))
+    if dtype is complex:
+        g = g + 1j * rng.normal(size=g.shape)
+    # well conditioned: the factor of I + G G^H / n
+    low = np.linalg.cholesky(np.eye(n) + g @ np.swapaxes(g.conj(), -1, -2) / n)
+    inv = _tri_inv(low)
+    assert inv.shape == low.shape and inv.dtype == low.dtype
+    assert not np.any(np.triu(inv, 1))
+    np.testing.assert_allclose(low @ inv, np.broadcast_to(np.eye(n), low.shape), rtol=0, atol=1e-12)
+    ref = np.linalg.inv(low)
+    err = np.linalg.norm(inv - ref, axis=(-2, -1)) / np.linalg.norm(ref, axis=(-2, -1))
+    assert np.all(err <= 1e-12)
+
+
+def test_tri_inv_is_exactly_triangular_where_lu_pivots():
+    # diagonals below the entries beneath them: the pivoted LU inside
+    # np.linalg.inv leaves round-off above the diagonal, _tri_inv none
+    rng = np.random.default_rng(3)
+    for n in (6, _TRI_LEAF + 5, 40):
+        low = np.tril(rng.normal(size=(2, n, n)), -1) + 0.5 * np.eye(n)
+        assert np.any(np.triu(np.linalg.inv(low), 1))
+        assert not np.any(np.triu(_tri_inv(low), 1))
+
+
+def test_ipm_inverts_only_through_tri_inv():
+    # one code path for every triangular inverse: no general inverse or
+    # solve anywhere else in the solver
+    tree = ast.parse(Path(ipm.__file__).read_text())
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_tri_inv":
+            allowed = {id(sub) for sub in ast.walk(node)}
+    assert allowed
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("numpy.linalg", "scipy.linalg"):
+            found += [(node.lineno, a.name) for a in node.names if a.name in ("inv", "solve")]
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("inv", "solve")
+                and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "linalg"
+                and id(node) not in allowed):
+            found.append((node.lineno, ast.unparse(node.func)))
+    assert not found
 
 
 def test_arrow_factor_rejects_indefinite_schur():
@@ -552,6 +640,33 @@ def test_freeze_window_points_converge_with_certificate(gamma0_t):
         assert sol.genuine_negativity == pytest.approx(5 / 26, abs=1e-6)
 
 
+def test_a_step_that_would_break_dual_feasibility_is_refined(monkeypatch):
+    # the corrector solve of the first iteration, from a dual-feasible start,
+    # comes back with a relative error of 1e-4, as a Schur solve late in a
+    # run can; the full step would leave the dual residual far above the
+    # tolerance, so the same iteration refines the solve
+    sdp = _random_block_sdp(13)
+    c = sdp[1]
+    ref = solve_block_sdp(*sdp)
+    calls = []
+
+    def spy(factor, b):
+        calls.append(b)
+        x = cho_solve(factor, b)
+        return x * (1.0 + 1e-4 * np.cos(np.arange(x.shape[-1]))) if len(calls) == 2 else x
+
+    monkeypatch.setattr(ipm, "cho_solve", spy)
+    sol = solve_block_sdp(*sdp)
+    # predictor and corrector take -c and the corrector right-hand side, a
+    # refinement the corrector's residual; the next iteration starts at -c
+    np.testing.assert_array_equal(calls[0], -c[None])
+    assert not np.array_equal(calls[2], -c[None])
+    np.testing.assert_array_equal(calls[3], -c[None])
+    assert sol.iterations == ref.iterations
+    assert sol.primal_objective == pytest.approx(ref.primal_objective, abs=1e-8)
+    assert sol.dual_residual <= 1e-7
+
+
 # points of the alpha = sqrt(1/26), x = 0.01 sweep where the dual residual
 # jumps late in the run and, unless the corrector's Schur solve is refined,
 # can stay above the feasibility tolerance until the Schur complement turns
@@ -812,16 +927,18 @@ def test_reduction_counts_real_and_complex_states():
 
 
 # pure alpha = sqrt(1/10), x = 0.01 next to its recurrent plateau at |alpha beta| = 0.3:
-# on the reduced formulation without the pair swap the dual iterate loses
-# definiteness late in the run, with best bound about -0.29377; the public
+# on the reduced formulation without the pair swap the cone factorization
+# fails late in the run, with best bound about -0.29377; the public
 # reduced path (with the swap) and the generic path converge to that value
 @pytest.mark.parametrize("symmetry_reduction", [
     pytest.param("unswapped", marks=pytest.mark.xfail(
         strict=True, raises=SdpNumericalError,
         reason="known solver failure near the alpha^2 = 1/10 plateau")),
-    # both paths converge here only through their round-off (the swap's
-    # smaller formulation, the generic path's changed arithmetic), the
-    # generic one with its dual 2.5e-7 above its primal; if round-off makes
+    # the public path converges here through its round-off (the swap's
+    # smaller formulation).  The generic path's Schur complement turns
+    # singular to working precision late in the run; it converges because a
+    # corrector step that would take its dual residual above the tolerance
+    # is refined, with its dual 3.1e-7 above its primal.  If round-off makes
     # one fail again, put it back under the strict xfail, never loosen the
     # tolerance
     True,
