@@ -5,28 +5,24 @@ its maximum for a finite window (exactly while neither the cavity pair nor
 the reservoir pair is entangled), then decays.  In the strongly
 non-Markovian regime the lock recurs.
 
-This demo solves one SDP per grid point; it takes a minute or two.
+This demo runs a GME-only sweep, which solves the witness SDP at every grid
+point in batches; it takes a few seconds.
 """
 
 import math
 
-import numpy as np
-
-from entdyn import AmplitudeModel, GmeProblem, pure_alpha_beta, solve_gme
-from entdyn.evolution import evolve_four
-from entdyn.sweep import SweepTable, Tolerances, detect_events
+from entdyn import pure_alpha_beta
+from entdyn.sweep import SweepConfig, detect_events, run_sweep
 
 
 def main():
-    s0 = pure_alpha_beta(math.sqrt(1 / 26), 5 * math.sqrt(1 / 26))
-    model = AmplitudeModel(1.0, 5.0)
-    ts = np.linspace(0.0, 5.0, 81)
+    cfg = SweepConfig(
+        initial_state=pure_alpha_beta(math.sqrt(1 / 26), 5 * math.sqrt(1 / 26)),
+        x=5.0, gamma0_t_max=5.0, steps=80, measures=("gme",),
+    )
     print("solving the witness SDP on an 81-point grid (x = 5)...")
-    vals = []
-    for t in ts:
-        sol = solve_gme(GmeProblem(rho=evolve_four(s0, model, t)))
-        vals.append(sol.genuine_negativity)
-    vals = np.array(vals)
+    table = run_sweep(cfg)
+    ts, vals = table.gamma0_t, table.e_gme
 
     peak = vals.max()
     print(f"peak genuine negativity: {peak:.9f} (initial pair negativity {5 / 26:.9f})")
@@ -35,8 +31,7 @@ def main():
         bar = "#" * int(round(vals[k] / peak * 48))
         print(f"  gamma0*t = {ts[k]:5.2f}  {vals[k]:.6f} |{bar}")
 
-    nan = np.full_like(ts, np.nan)
-    rep = detect_events(SweepTable(ts, nan, nan, nan, vals), Tolerances())
+    rep = detect_events(table, cfg.tolerances)
     print()
     print("detected freeze windows:", [(round(a, 3), round(b, 3)) for a, b in rep.freeze_windows])
 

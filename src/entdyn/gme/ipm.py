@@ -81,8 +81,9 @@ is not backward stable: late in a run its residual, which the dual
 residual inherits, can rise above the feasibility tolerance or stay there
 and keep a point from converging.  So for each point whose dual residual
 is above that tolerance, or whose corrector step would leave it above it,
-the corrector's solve takes one step of iterative refinement against
-``M``.
+the corrector's solve takes one step of iterative refinement against the
+operator: its residual is ``A*(dZ) - r``, which the iteration forms anyway
+to test the step, and not a product with the stored, rounded ``M``.
 
 A batch of one computes exactly what a solver for one problem would: each
 inner product is one dot product per point, and the border update
@@ -438,23 +439,6 @@ class _ArrowLayout:
 
     def border_block(self, schur: np.ndarray) -> np.ndarray:
         return schur[:, self.border].reshape(len(schur), self.mb, self.mb)
-
-    def matvec(self, schur: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``M x`` for each point's storage and row of ``x``, with the diagonal
-        and border blocks read from their lower triangles."""
-        def full(lower: np.ndarray) -> np.ndarray:
-            return np.tril(lower) + np.swapaxes(np.tril(lower, -1), -1, -2)
-
-        part = self.partition
-        x_border = x[:, part.border, None]
-        y = np.empty_like(x)
-        y_border = full(self.border_block(schur)) @ x_border
-        for (diag, coupling), q in zip(self.blocks(schur), part.blocks):
-            xq = x[:, q, None]
-            y[:, q] = (full(diag) @ xq + coupling @ x_border)[..., 0]
-            y_border += np.swapaxes(coupling, -1, -2) @ xq
-        y[:, part.border] = y_border[..., 0]
-        return y
 
     @cached_property
     def _diagonal(self) -> np.ndarray:
@@ -872,14 +856,14 @@ def solve_block_sdp_batch(
         dx = cho_solve(factor, rhs)
         ds, dz, dz_full = _directions(stack, jinv_all, rt_all, dx)
         # The step leaves the dual residual at (1 - beta) r - beta e, with
-        # e = A*(dZ) - r this solve's residual, which the explicit triangular
-        # inverses leave at up to eps cond(M) |rhs| late in a run.  Where r
-        # or e is above the feasibility tolerance, one step of iterative
-        # refinement against M cuts it down.
-        off = np.any(np.abs(r) > feas_tol, axis=1)
-        off |= np.any(np.abs(stack.adjoint(dz_full) - r) > feas_tol, axis=1)
+        # e = A*(dZ) - r = rhs - M dx this solve's residual, formed through
+        # the operator, which the explicit triangular inverses leave at up
+        # to eps cond(M) |rhs| late in a run.  Where r or e is above the
+        # feasibility tolerance, one step of iterative refinement cuts it down.
+        e = stack.adjoint(dz_full) - r
+        off = np.any(np.abs(r) > feas_tol, axis=1) | np.any(np.abs(e) > feas_tol, axis=1)
         if np.any(off):
-            dx[off] += cho_solve(factor, rhs - stack.arrow.matvec(storage, dx))[off]
+            dx[off] += cho_solve(factor, e)[off]
             ds, dz, dz_full = _directions(stack, jinv_all, rt_all, dx)
 
         alpha, beta = _step_lengths(v_all, ds, dz, _STEP_FRACTION)

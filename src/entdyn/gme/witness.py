@@ -60,7 +60,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..states import Bipartition, DensityMatrix
+from ..states import Bipartition, DensityMatrix, _partial_transpose_matrix
 from .ipm import (SchurPartition, SdpBlock, SdpError, SdpResult, StackedBlocks, solve_block_sdp,
                   solve_block_sdp_batch)
 
@@ -275,10 +275,6 @@ def _kept_sectors(labels: tuple[int, ...], perm: np.ndarray) -> list[tuple[int, 
     return kept
 
 
-# Parameter kinds of a Hermitian matrix: real diagonal entry (i, i), and the
-# real and imaginary parts of the off-diagonal pair (i, j), (j, i).
-_DIAG, _REAL, _IMAG = 0, 1, 2
-
 # Block roles, by code: each P and Q sector block has a lower (>= 0) and an upper (<= I) bound.
 _ROLES = ("p_lower", "p_upper", "q_lower", "q_upper")
 
@@ -286,29 +282,31 @@ _ROLES = ("p_lower", "p_upper", "q_lower", "q_upper")
 def _param_specs(
     labels: tuple[int, ...], real: bool, perm: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Kind code, row and column of every parameter of a sector-block matrix,
-    and whether the parameter also sets the ``perm`` image of its entry.
+    """The unit of every parameter of a sector-block matrix, as whether it is
+    imaginary, its row and its column in ``SdpBlock``'s convention, and
+    whether the parameter also sets the ``perm`` image of its entry.
 
-    Sector by sector: its diagonal entries, then a real and (unless the
-    matrix is ``real``) an imaginary part for each pair ``i < j`` in the
-    sector.  For a matrix invariant under ``perm`` (the identity, or the
-    pair swap of a real matrix), the entries ``(i, j)`` and ``(perm[i],
-    perm[j])`` are one parameter, listed at the first of the two.
+    Sector by sector: its diagonal units ``E_ii``, then for each pair
+    ``i < j`` in the sector the real unit ``E_ij + E_ji`` and (unless the
+    matrix is ``real``) the imaginary one ``i (E_ij - E_ji)``.  For a matrix
+    invariant under ``perm`` (the identity, or the pair swap of a real
+    matrix), the entries ``(i, j)`` and ``(perm[i], perm[j])`` are one
+    parameter, listed at the first of the two.
     """
     lab = np.array(labels)
     ii, jj = np.triu_indices(lab.size, 1)
     same = lab[ii] == lab[jj]
     diag = np.arange(lab.size)
-    kinds = [_REAL] if real else [_REAL, _IMAG]
-    row = np.r_[diag, np.repeat(ii[same], len(kinds))]
-    col = np.r_[diag, np.repeat(jj[same], len(kinds))]
-    kind = np.r_[np.full(lab.size, _DIAG), np.tile(kinds, np.count_nonzero(same))]
-    order = np.lexsort((kind != _DIAG, lab[row]))
-    kind, row, col = kind[order], row[order], col[order]
+    parts = [False] if real else [False, True]
+    row = np.r_[diag, np.repeat(ii[same], len(parts))]
+    col = np.r_[diag, np.repeat(jj[same], len(parts))]
+    imag = np.r_[np.zeros(lab.size, bool), np.tile(parts, np.count_nonzero(same))]
+    order = np.lexsort((row != col, lab[row]))
+    imag, row, col = imag[order], row[order], col[order]
     pi, pj = perm[row], perm[col]
     key, image = row * lab.size + col, np.minimum(pi, pj) * lab.size + np.maximum(pi, pj)
     first = key <= image
-    return kind[first], row[first], col[first], key[first] < image[first]
+    return imag[first], row[first], col[first], key[first] < image[first]
 
 
 def _cut_mask(cut: Bipartition, n: int) -> int:
@@ -339,16 +337,17 @@ class _Formulation:
     """Variables and SDP blocks of one witness problem.
 
     Variable ``k`` parametrises matrix ``owner[k]`` (0 for W, ``1 + c`` for
-    the Q of the ``c``-th kept cut) and has kind ``kind[k]``; the W
-    variables come first.  ``entries`` lists, as ``(variable, row, col)``,
-    every matrix entry a variable sets: one per variable, then the swap
-    image of each tied one.  A ``real`` formulation has no imaginary
-    parameters and real symmetric blocks.  ``q_source[c]`` is the matrix
-    that holds the Q of cut ``c``, to be conjugated by the swap ``perm``
-    where ``swapped[c]``.  ``blocks`` are stacked once, with the Schur
-    partition under which W is the border.  Block ``b`` bounds, as
-    ``_ROLES[block_role[b]]``, the P or Q of cut ``block_cut[b]`` on its
-    sector: the next ``block_size[b]`` state indices of ``block_sectors``.
+    the Q of the ``c``-th kept cut); the W variables come first.
+    ``entries`` lists, as ``(variable, row, col, imag)``, the unit of every
+    matrix entry a variable sets, in ``SdpBlock``'s convention: one per
+    variable, in variable order, then the swap image of each tied one.  A
+    ``real`` formulation has no imaginary units and real symmetric blocks.
+    ``q_source[c]`` is the matrix that holds the Q of cut ``c``, to be
+    conjugated by the swap ``perm`` where ``swapped[c]``.  ``blocks`` are
+    stacked once, with the Schur partition under which W is the border.
+    Block ``b`` bounds, as ``_ROLES[block_role[b]]``, the P or Q of cut
+    ``block_cut[b]`` on its sector: the next ``block_size[b]`` state
+    indices of ``block_sectors``.
     """
 
     n: int
@@ -356,9 +355,8 @@ class _Formulation:
     kept: list[int]
     real: bool
     num_vars: int
-    kind: np.ndarray
     owner: np.ndarray
-    entries: tuple[np.ndarray, np.ndarray, np.ndarray]
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     perm: np.ndarray
     q_source: np.ndarray
     swapped: np.ndarray
@@ -401,12 +399,13 @@ def _formulation_for(
 
     specs = [_param_specs(w_labels, real, perm)]
     specs += [_param_specs(q_labels[ci], real, t) for ci, t in zip(kept, tie)]
-    kind, row, col, mirrored = (np.concatenate(arrays) for arrays in zip(*specs))
+    imag, row, col, mirrored = (np.concatenate(arrays) for arrays in zip(*specs))
+    num_vars = imag.size
     owner = np.repeat(np.arange(len(specs)), [sp[0].size for sp in specs])
     paired = np.flatnonzero(mirrored)
-    e_var = np.r_[np.arange(kind.size), paired]
+    e_var = np.r_[np.arange(num_vars), paired]
     e_row, e_col = np.r_[row, perm[row[paired]]], np.r_[col, perm[col[paired]]]
-    e_kind, e_owner = kind[e_var], owner[e_var]
+    e_imag, e_owner = imag[e_var], owner[e_var]
     w_sector_of = np.array(w_labels)
     w_ent = np.flatnonzero(e_owner == 0)
 
@@ -419,7 +418,7 @@ def _formulation_for(
         ds = len(sec)
         # positions in the sector, which is in ascending order
         coords = dict(var=e_var[ent], row=np.searchsorted(sec, e_r), col=np.searchsorted(sec, e_c),
-                      imag=e_kind[ent] == _IMAG)
+                      imag=e_imag[ent])
         blocks.append(SdpBlock(a0=np.zeros((ds, ds), dtype=dtype), coef=sign, **coords))
         blocks.append(SdpBlock(a0=-np.eye(ds, dtype=dtype), coef=-sign, **coords))
         roles.extend([(ci, role, ds, twin_sec), (ci, role + 1, ds, twin_sec)])
@@ -462,14 +461,13 @@ def _formulation_for(
         cuts=cuts,
         kept=kept,
         real=real,
-        num_vars=kind.size,
-        kind=kind,
+        num_vars=num_vars,
         owner=owner,
-        entries=(e_var, e_row, e_col),
+        entries=(e_var, e_row, e_col, e_imag),
         perm=perm,
         q_source=q_source,
         swapped=swapped,
-        blocks=StackedBlocks(blocks, kind.size, partition),
+        blocks=StackedBlocks(blocks, num_vars, partition),
         block_cut=cut,
         block_role=role,
         block_size=sizes,
@@ -514,26 +512,24 @@ def _start_index(
 # per-solve data: objective vector and strictly feasible starting points
 
 def _objective_vector(form: _Formulation, entries: np.ndarray) -> np.ndarray:
-    """``c`` with ``c . x = Re tr(W(x) rho)``; the Q variables cost nothing."""
-    var, i, j = form.entries
+    """``c`` with ``c . x = Re tr(W(x) rho)``; the Q variables cost nothing.
+
+    A unit prices ``rho``'s entry at its coordinates: ``tr(E_ii rho)`` is its
+    real part, and ``E_ij + E_ji`` and ``i (E_ij - E_ji)`` price twice its
+    real and imaginary part.
+    """
+    var, i, j, imag = form.entries
     w = form.owner[var] == 0
-    kind, e = form.kind[var[w]], entries[i[w], j[w]]
-    price = np.select([kind == _DIAG, kind == _REAL], [e.real, 2.0 * e.real], 2.0 * e.imag)
+    e, i, j, imag = entries[i[w], j[w]], i[w], j[w], imag[w]
+    price = np.where(imag, e.imag, e.real) * np.where(i == j, 1.0, 2.0)
     return np.bincount(var[w], price, minlength=form.num_vars)
 
 
 def _initial_x(form: _Formulation) -> np.ndarray:
     """W = I and every Q = I/2: strictly inside all four bounds of each cut."""
-    diag = form.kind == _DIAG
+    _, i, j, _ = form.entries
+    diag = (i == j)[:form.num_vars]
     return np.where(diag & (form.owner == 0), 1.0, np.where(diag, 0.5, 0.0))
-
-
-def _pt_raw(entries: np.ndarray, left: tuple[int, ...], n: int) -> np.ndarray:
-    t = entries.reshape((2,) * (2 * n))
-    axes = list(range(2 * n))
-    for k in left:
-        axes[k], axes[k + n] = axes[k + n], axes[k]
-    return np.ascontiguousarray(t.transpose(axes).reshape(2**n, 2**n))
 
 
 def _initial_z(form: _Formulation, entries: np.ndarray) -> np.ndarray:
@@ -552,7 +548,8 @@ def _initial_z(form: _Formulation, entries: np.ndarray) -> np.ndarray:
     d = 2**form.n
     mc = len(form.kept)
     shift = 0.2
-    pts = np.stack([_pt_raw(entries, form.cuts[ci].left, form.n) for ci in form.kept])
+    pts = np.stack([_partial_transpose_matrix(entries, form.cuts[ci].left, (2,) * form.n)
+                    for ci in form.kept])
     bumps = shift + np.maximum(0.0, -np.linalg.eigvalsh(pts)[:, 0]) / mc
     sources = np.concatenate([np.zeros((1, d, d)), entries[None], pts]).ravel() / mc
     coefs = np.r_[0.0, shift, bumps]
@@ -570,16 +567,13 @@ def _matrices_from_x(form: _Formulation, x: np.ndarray):
     take is the identity.
     """
     d = 2**form.n
-    var, i, j = form.entries
-    o, kind, val = form.owner[var], form.kind[var], x[var]
+    var, i, j, imag = form.entries
+    o, val = form.owner[var], np.where(imag, 1j * x[var], x[var])
     mats = np.zeros((1 + len(form.kept), d, d), dtype=complex)
-    sel = kind != _IMAG
-    mats[o[sel], i[sel], j[sel]] += val[sel]
-    sel = kind == _REAL
-    mats[o[sel], j[sel], i[sel]] += val[sel]
-    sel = kind == _IMAG
-    mats[o[sel], i[sel], j[sel]] += 1j * val[sel]
-    mats[o[sel], j[sel], i[sel]] -= 1j * val[sel]
+    # np.add.at, as a real and an imaginary unit can share an entry
+    np.add.at(mats, (o, i, j), val)
+    off = i != j
+    np.add.at(mats, (o[off], j[off], i[off]), val[off].conj())
     qs = mats[form.q_source]
     p = form.perm
     qs[form.swapped] = qs[form.swapped][:, p][:, :, p]
@@ -672,7 +666,7 @@ def _solution_from_result(
         "dual_residual": result.dual_residual,
     }
     for cut, q in zip(problem.cuts, qs):
-        p = w - _pt_raw(q, cut.left, form.n)
+        p = w - _partial_transpose_matrix(q, cut.left, problem.rho.dims)
         decomps[cut] = (p, q)
         eig_p = np.linalg.eigvalsh(p)
         eig_q = np.linalg.eigvalsh(q)
@@ -708,7 +702,7 @@ def verify_witness(solution: GmeSolution, problem: GmeProblem) -> WitnessReport:
     within ``10 * problem.tolerance``.
     """
     tol = 10.0 * problem.tolerance
-    n = problem.rho.num_subsystems
+    dims = problem.rho.dims
     w = solution.witness
     per_cut: dict[Bipartition, dict[str, float]] = {}
     violations: list[str] = []
@@ -717,7 +711,7 @@ def verify_witness(solution: GmeSolution, problem: GmeProblem) -> WitnessReport:
             violations.append(f"missing decomposition for cut {cut}")
             continue
         p, q = solution.decompositions[cut]
-        resid = float(np.linalg.norm(w - (p + _pt_raw(q, cut.left, n))))
+        resid = float(np.linalg.norm(w - (p + _partial_transpose_matrix(q, cut.left, dims))))
         eig_p = np.linalg.eigvalsh(0.5 * (p + p.conj().T))
         eig_q = np.linalg.eigvalsh(0.5 * (q + q.conj().T))
         entry = {

@@ -363,11 +363,16 @@ def partial_transpose(rho: DensityMatrix, cut: Bipartition) -> np.ndarray:
     n = rho.num_subsystems
     if cut.num_subsystems != n:
         raise ValueError(f"cut covers {cut.num_subsystems} subsystems, state has {n}")
-    t = rho.entries.reshape(rho.dims + rho.dims)
+    return _partial_transpose_matrix(rho.entries, cut.left, rho.dims)
+
+
+def _partial_transpose_matrix(m: np.ndarray, left, dims) -> np.ndarray:
+    """Transpose the subsystems in ``left`` of a matrix over subsystems of ``dims``."""
+    n = len(dims)
     axes = list(range(2 * n))
-    for k in cut.left:
+    for k in left:
         axes[k], axes[k + n] = axes[k + n], axes[k]
-    return np.ascontiguousarray(t.transpose(axes).reshape(rho.dim, rho.dim))
+    return np.ascontiguousarray(m.reshape(tuple(dims) * 2).transpose(axes).reshape(m.shape))
 
 
 def _permute_matrix(m: np.ndarray, perm, dims) -> np.ndarray:

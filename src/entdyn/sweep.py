@@ -122,6 +122,14 @@ class Tolerances:
     plateau_slope: float = 1e-5        # per unit gamma0*t
     plateau_dwell: float = 0.5         # minimum plateau length in gamma0*t
 
+    def __post_init__(self):
+        if not self.zero >= 0:
+            raise ConfigError(f"tolerances.zero must be >= 0, got {self.zero}")
+        if not self.plateau_slope > 0:
+            raise ConfigError(f"tolerances.plateau_slope must be > 0, got {self.plateau_slope}")
+        if not self.plateau_dwell >= 0:
+            raise ConfigError(f"tolerances.plateau_dwell must be >= 0, got {self.plateau_dwell}")
+
     @classmethod
     def from_dict(cls, data: dict | None) -> "Tolerances":
         return _from_dict(cls, {} if data is None else data, "tolerance")
@@ -185,6 +193,9 @@ class SweepConfig:
             raise ConfigError("gme_stride must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        # GmeProblem's range, checked before any evolution work is done
+        if not (0 < self.sdp_tolerance < 1e-2):
+            raise ConfigError(f"sdp_tolerance must lie in (0, 1e-2), got {self.sdp_tolerance}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":

@@ -369,6 +369,26 @@ def test_config_value_of_wrong_json_type_exits_1(tmp_path, capsys, command, doc)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, doc, key", [
+    ("sweep", {**SWEEP_DOC, "sdp_tolerance": 0.5}, "sdp_tolerance"),
+    ("sweep", {**SWEEP_DOC, "sdp_tolerance": -1}, "sdp_tolerance"),
+    ("sweep", {**SWEEP_DOC, "tolerances": {"zero": -1}}, "zero"),
+    ("sweep", {**SWEEP_DOC, "tolerances": {"plateau_slope": 0}}, "plateau_slope"),
+    ("sweep", {**SWEEP_DOC, "tolerances": {"plateau_slope": -1}}, "plateau_slope"),
+    ("sweep", {**SWEEP_DOC, "tolerances": {"plateau_dwell": -3}}, "plateau_dwell"),
+    ("events", {**SWEEP_DOC, "tolerances": {"zero": -1}}, "zero"),
+])
+def test_config_value_out_of_range_exits_1(tmp_path, capsys, command, doc, key):
+    # rejected when the config is read, before any evolution or SDP work;
+    # a sweep of cc and rr only checks its sdp_tolerance all the same
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not out.exists()
+
+
 def test_sweep_worker_pool_writes_the_same_bytes(tmp_path):
     doc = {
         "initial_state": {"kind": "pure", "alpha": math.sqrt(1 / 26),

@@ -28,6 +28,7 @@ from entdyn.gme.ipm import (
     StackedBlocks,
     _TRI_LEAF,
     _ArrowLayout,
+    _directions,
     _factor_arrow,
     _max_steps,
     _tri_inv,
@@ -43,7 +44,6 @@ from entdyn.gme.witness import (
     _ROLES,
     _matrices_from_x,
     _objective_vector,
-    _pt_raw,
     _solve,
     _swap_perm,
     _symmetry_labels,
@@ -60,6 +60,7 @@ from entdyn.states import (
     random_pure_state,
     tensor,
     werner,
+    _partial_transpose_matrix,
 )
 
 
@@ -207,13 +208,26 @@ def test_real_blocks_run_real_and_match_complex_blocks():
     assert r.dual_objective == pytest.approx(z.dual_objective, abs=1e-8)
 
 
-def test_numerical_failure_keeps_best_bound():
-    # at tolerance 1e-10 the cone factorization fails late in the run; the
-    # bound it had reached lies in the default-tolerance solve's interval
+def test_numerical_failure_keeps_best_bound(monkeypatch):
+    # the cone factorization fails on every call from two iterations past
+    # where the default-tolerance run converged, in a run at a tolerance it
+    # cannot meet first; the bound it had reached lies in the
+    # default-tolerance solve's interval
     sdp = _random_block_sdp(13)
     ref = solve_block_sdp(*sdp)
+    calls = 0
+    nt_scaling = ipm._nt_scaling
+
+    def failing(*args):
+        nonlocal calls
+        calls += 1
+        if calls > ref.iterations + 2:
+            raise np.linalg.LinAlgError("provoked failure")
+        return nt_scaling(*args)
+
+    monkeypatch.setattr(ipm, "_nt_scaling", failing)
     with pytest.raises(SdpNumericalError) as err:
-        solve_block_sdp(*sdp, tolerance=1e-10)
+        solve_block_sdp(*sdp, tolerance=1e-12)
     assert err.value.iterations > ref.iterations
     assert ref.dual_objective <= err.value.best_bound <= ref.primal_objective
 
@@ -485,7 +499,9 @@ def _by_class(stack, per_block):
 @pytest.mark.parametrize("case", ["float", "complex", "generic", "swap_reduced"])
 def test_stacked_scatter_matches_dense_reference(case):
     # the Schur storage built from unit coordinates, the adjoint and the
-    # combination against dense references from the basis matrices
+    # combination against dense references from the basis matrices, and
+    # the unscaled direction dZ = -J^-H (J^-1 A(dx) J^-H) J^-1 of a zero
+    # corrector residual, whose adjoint -M dx the corrector's refinement reads
     rng = np.random.default_rng(23)
     if case in ("float", "complex"):
         m, points = 9, 2
@@ -531,6 +547,11 @@ def test_stacked_scatter_matches_dense_reference(case):
         schur_ref, _ = _arrow_storage(np.stack([schur for schur, _, _ in refs]), stack.partition)
         got = stack.schur(_by_class(stack, jinvs), {})
         assert np.max(np.abs(got - schur_ref)) <= 1e-12 * np.max(np.abs(schur_ref))
+        dx = rng.normal(size=(points, m))
+        m_dx = np.stack([schur @ step for (schur, _, _), step in zip(refs, dx)])
+        jinv = _by_class(stack, jinvs)
+        *_, dz_full = _directions(stack, jinv, [np.zeros_like(j) for j in jinv], dx)
+        assert np.max(np.abs(stack.adjoint(dz_full) + m_dx)) <= 1e-12 * np.max(np.abs(m_dx))
         np.testing.assert_allclose(stack.adjoint(_by_class(stack, ys)),
                                    [adj for _, adj, _ in refs], rtol=1e-12, atol=1e-12)
         mats = [np.stack([mats[b] for _, _, mats in refs]) for b in range(len(blocks))]
@@ -560,7 +581,9 @@ def test_blocks_encode_the_witness_constraints(case):
     for b, blk in enumerate(blocks):
         ci, role = form.block_cut[b], _ROLES[form.block_role[b]]
         sec = form.block_sectors[starts[b]:starts[b] + form.block_size[b]]
-        mat = w - _pt_raw(qs[ci], problem.cuts[ci].left, 4) if role[0] == "p" else qs[ci]
+        mat = qs[ci]
+        if role[0] == "p":
+            mat = w - _partial_transpose_matrix(mat, problem.cuts[ci].left, (2,) * 4)
         want = mat[np.ix_(sec, sec)]
         if role.endswith("upper"):
             want = np.eye(sec.size) - want

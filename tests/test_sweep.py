@@ -9,7 +9,7 @@ import entdyn.evolution
 import entdyn.sweep
 from entdyn.amplitude import AmplitudeModel, c0
 from entdyn.gme import GmeProblem
-from entdyn.states import StateValidationError
+from entdyn.states import DensityMatrix, StateValidationError
 from entdyn.sweep import (
     CSV_HEADER,
     SDP_TOLERANCE,
@@ -236,6 +236,17 @@ def test_one_default_sdp_tolerance():
     # default: sweep.py cannot read GmeProblem without importing the solver
     assert SDP_TOLERANCE == GmeProblem.tolerance
     assert SweepConfig.sdp_tolerance == GmeSingleConfig.tolerance == SDP_TOLERANCE
+
+
+def test_sweep_and_solver_reject_the_same_sdp_tolerances():
+    # a sweep checks its sdp_tolerance against GmeProblem's range, written
+    # out in sweep.py, when it is read
+    state = DensityMatrix(np.eye(16) / 16, (2, 2, 2, 2))
+    for tolerance in (0.0, 1e-2):
+        with pytest.raises(ConfigError, match="sdp_tolerance"):
+            bipartite_config(sdp_tolerance=tolerance)
+        with pytest.raises(ValueError, match="out of range"):
+            GmeProblem(rho=state, tolerance=tolerance)
 
 
 def test_gme_sweep_with_stride_and_workers():
