@@ -10,21 +10,35 @@ sweep worker that died); 3 I/O error (a missing file, an unwritable directory).
 The witness-SDP solver is imported only by the commands that solve: gme-single
 and a sweep whose measures include gme.  The process pool is imported only by
 a sweep with ``workers > 1``.
+
+Threads: the solves are many small dense problems (blocks of at most 16,
+Schur blocks of at most 256), which a second BLAS thread does not speed up
+but which it slows down when the other cores are busy.  So before numpy
+loads, this module sets ``OPENBLAS_NUM_THREADS=1`` unless the user set one
+of the variables OpenBLAS reads (``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS``, ``OMP_NUM_THREADS``); pool workers inherit it, so
+``workers`` is the one source of parallelism.  Importing the library
+(``import entdyn``) sets nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
-from . import sweep
+if not any(k in os.environ for k in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                       "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from . import sweep  # noqa: E402  (loads numpy, after the thread default)
 
 # perfbench/trace_cli.py times the commands by wrapping these names here;
 # _c0 and evolve_four are reached through entdyn.sweep, where it wraps them too
-from .amplitude import c0 as _c0  # noqa: F401
-from .evolution import evolve_four  # noqa: F401
-from .sweep import detect_events, emit, run_sweep, solve_gme
+from .amplitude import c0 as _c0  # noqa: E402, F401
+from .evolution import evolve_four  # noqa: E402, F401
+from .sweep import detect_events, emit, run_sweep, solve_gme  # noqa: E402
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
