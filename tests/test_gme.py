@@ -26,11 +26,12 @@ from entdyn.gme.ipm import (
     SdpBlock,
     SdpNumericalError,
     StackedBlocks,
+    _STEP_FRACTION,
     _TRI_LEAF,
     _ArrowLayout,
     _directions,
     _factor_arrow,
-    _max_steps,
+    _step_lengths,
     _tri_inv,
     cho_factor,
     cho_solve,
@@ -559,6 +560,53 @@ def test_stacked_scatter_matches_dense_reference(case):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def _witness_stack(swap_reduced, points, seed):
+    """A fresh stack of the 194- or 2048-variable witness form, whose term list
+    is not built yet, and random ``J^-1`` of each of its classes."""
+    problem = _paper_problem(8.0)
+    form = _formulation_for(4, problem.cuts, *_symmetry_labels(problem, swap_reduced))
+    stack = StackedBlocks(form.blocks.blocks, form.num_vars, form.blocks.partition)
+    rng = np.random.default_rng(seed)
+    jinv = []
+    for cl in stack.classes:
+        j = np.eye(cl.d) + rng.normal(size=(points, cl.n, cl.d, cl.d)) / (2 * cl.d)
+        if cl.dtype.kind == "c":
+            j = j + 1j * rng.normal(size=j.shape) / (2 * cl.d)
+        jinv.append(j)
+    return form, stack, jinv
+
+
+@pytest.mark.parametrize("chunk", [None, 1000])
+@pytest.mark.parametrize("swap_reduced", [False, True])
+def test_chunked_schur_storage_is_the_one_shot_sum(monkeypatch, swap_reduced, chunk):
+    # the Schur storage, gathered and added chunk by chunk, and K, whose F is
+    # formed layer by layer, equal bit for bit one np.bincount over the whole
+    # term list of a K from one matmul over all blocks; with a small chunk the
+    # list is built and applied in many chunks and F takes many passes
+    form, stack, jinv = _witness_stack(swap_reduced, 2 if swap_reduced else 1, 3)
+    want_terms = form.blocks._terms
+    if chunk:
+        monkeypatch.setattr(ipm, "_CHUNK", chunk)
+    pos, k_idx, coef = stack._terms
+    assert pos.dtype == k_idx.dtype == np.int32
+    for got, want in zip((pos, k_idx, coef), want_terms):
+        assert got.tobytes() == want.tobytes()
+    work = {}
+    storage = stack.schur(jinv, work)
+    points = len(storage)
+    # layered F and a chunked list where they outgrow the storage or a chunk
+    assert ("f_chunk" in work) == (not swap_reduced or chunk is not None)
+    assert (coef.size > ipm._CHUNK) == (not swap_reduced or chunk is not None)
+
+    k_want = np.empty((points, stack._k_at[-1]))
+    for cl, j, at in zip(stack.classes, jinv, stack._k_at):
+        cl.unit_gram(np.swapaxes(j.conj(), -1, -2) @ j, k_want[:, at:at + cl.k_size], {}, 2**62)
+    want = np.stack([np.bincount(pos, np.take(k, k_idx) * coef, minlength=stack.arrow.size)
+                     for k in k_want])
+    assert work["k"][:k_want.size].tobytes() == k_want.tobytes()
+    assert storage.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("case", ["generic", "real_reduced", "swap_reduced"])
 def test_blocks_encode_the_witness_constraints(case):
     # at random x, each block's S_b(x), from the stack and densified from its
@@ -1081,22 +1129,107 @@ def test_initial_dual_is_feasible(swap):
 
 def test_fused_step_lengths_equal_separate_calls():
     # one eigvalsh on both directions of a size class gives bit for bit the
-    # steps of one call per direction
+    # steps of one call per direction over all its blocks
     rng = np.random.default_rng(37)
 
-    def separate(v, dmat):
+    def separate(v, dmat, fraction):
         w = 1.0 / np.sqrt(v)
         scaled = dmat * w[:, :, None] * w[:, None, :]
         lo = float(np.min(np.linalg.eigvalsh(scaled)))
-        return np.inf if lo >= -1e-14 else 1.0 / (-lo)
+        return min(1.0, fraction * (np.inf if lo >= -1e-14 else 1.0 / (-lo)))
 
     for d in (1, 4, 6):
         v = rng.uniform(0.1, 2.0, size=(5, d))
         d_s = rng.normal(size=(5, d, d))
         d_s = d_s + np.swapaxes(d_s, 1, 2)
         psd = np.eye(d)[None] * rng.uniform(0.0, 1.0, size=(5, 1, 1))
-        for pair in ((d_s, -d_s), (d_s, psd), (psd, d_s)):
-            assert _max_steps(v, *pair) == (separate(v, pair[0]), separate(v, pair[1]))
+        for pair in ((d_s, -d_s), (d_s, psd), (psd, d_s), (0.05 * d_s, -d_s)):
+            for fraction in (1.0, _STEP_FRACTION):
+                alpha, beta = _step_lengths([v[None]], [pair[0][None]], [pair[1][None]], fraction)
+                assert (alpha[0], beta[0]) == (separate(v, pair[0], fraction),
+                                               separate(v, pair[1], fraction))
+
+
+def _unscreened_step_lengths(v_all, ds_all, dz_all, fraction):
+    """The step lengths from the smallest eigenvalue of every scaled block."""
+    steps = []
+    for v, d_s, d_z in zip(v_all, ds_all, dz_all):
+        w = 1.0 / np.sqrt(np.concatenate([v, v], axis=-2))
+        scaled = np.concatenate([d_s, d_z], axis=-3) * w[..., :, None] * w[..., None, :]
+        lows = np.linalg.eigvalsh(scaled).reshape(len(v), 2, -1).min(axis=-1)
+        step = np.full(lows.shape, np.inf)
+        step[lows < -1e-14] = 1.0 / -lows[lows < -1e-14]
+        steps.append(step)
+    steps = np.minimum(1.0, fraction * np.minimum.reduce(steps))
+    return steps[:, 0], steps[:, 1]
+
+
+def _near_fraction_stacks(rng, fraction, points):
+    """Real and complex classes whose smallest scaled eigenvalues sit a few
+    ulps from ``-fraction``, with ties within and across the classes: ``v``
+    is 1, and each direction block is ``Q diag(lam) Q^H`` or ``diag(lam)``."""
+    ulps = fraction * np.finfo(float).eps * np.arange(-4, 5)
+    v_all, ds_all, dz_all = [], [], []
+    for d, n, dtype in ((6, 5, float), (4, 6, float), (1, 4, float), (4, 3, complex)):
+        sides = []
+        for _ in range(2):
+            lam = rng.uniform(-0.5, 2.0, size=(points, n, d))
+            lam[..., 0] = -fraction + rng.choice(ulps, size=(points, n))
+            lam[::2, :, 0] = np.abs(lam[::2, :, 0] + fraction) - fraction   # none below -fraction
+            lam[:, 0, 0] = lam[:, 1, 0]                      # a tie within the class
+            lam[:, -1, 0] = -fraction                        # and across the classes
+            q = np.linalg.qr(rng.normal(size=(points, n, d, d))
+                             + (1j * rng.normal(size=(points, n, d, d)) if dtype is complex
+                                else 0.0))[0]
+            mats = (q * lam[..., None, :]) @ np.swapaxes(q.conj(), -1, -2)
+            mats[:, 1::2] = lam[:, 1::2, :, None] * np.eye(d)   # exactly diagonal blocks
+            sides.append(0.5 * (mats + np.swapaxes(mats.conj(), -1, -2)))
+        v_all.append(np.ones((points, n, d)))
+        ds_all.append(sides[0])
+        dz_all.append(sides[1])
+    return v_all, ds_all, dz_all
+
+
+def test_screened_step_lengths_equal_unscreened(monkeypatch):
+    # the Gershgorin screen leaves out blocks that cannot set the step, and
+    # the steps are those of eigvalsh on every block, bit for bit: on random
+    # real and complex classes at several scales, and on blocks whose
+    # smallest eigenvalue is a few ulps from -fraction, with exact ties
+    rng = np.random.default_rng(41)
+    points = 6
+    scale = np.array([1e-3, 0.05, 0.3, 1.0, 3.0, 30.0])[:, None, None, None]
+    v_all, ds_all, dz_all = [], [], []
+    for d, n, dtype in ((6, 20, float), (4, 32, float), (1, 32, float), (5, 7, complex)):
+        v_all.append(rng.uniform(0.05, 2.0, size=(points, n, d)))
+        for out in (ds_all, dz_all):
+            mats = _random_hermitian(rng, points, n, d, d) / (2 * d)
+            mats = mats if dtype is complex else mats.real
+            out.append(scale * (mats + np.eye(d) * rng.uniform(0.0, 1.0, size=(points, n, 1, 1))))
+    cases = [((v_all, ds_all, dz_all), fraction, False) for fraction in (1.0, _STEP_FRACTION)]
+    cases += [(_near_fraction_stacks(rng, fraction, points), fraction, True)
+              for fraction in (1.0, _STEP_FRACTION)]
+
+    eigvalsh, solved = np.linalg.eigvalsh, []
+
+    def counted(a, *args, **kw):
+        solved.append(a.shape[0])
+        return eigvalsh(a, *args, **kw)
+
+    for case, fraction, near in cases:
+        want = _unscreened_step_lengths(*case, fraction)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        got = _step_lengths(*case, fraction)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+            # random steps both below 1 and cut to 1; near -fraction, within ulps of 1
+            if near:
+                assert np.all(np.abs(w - 1.0) < 1e-14)
+            else:
+                assert np.any(w < 1.0) and np.any(w == 1.0)
+    # the screen did leave blocks out
+    total = sum(2 * v.shape[0] * v.shape[1] for case, _, _ in cases for v in case[0])
+    assert 0 < sum(solved) < total / 2
 
 
 def test_witness_certificate_sound_on_biseparable_states():
@@ -1279,6 +1412,27 @@ def test_generic_solve_peak_memory():
         tracemalloc.stop()
     assert form.num_vars == 2048 and sol.converged
     assert peak < 100 * 2**20
+
+
+def test_generic_schur_assembly_memory_budget():
+    # on the 2048-variable form: the int32 term list, its build set by set
+    # and one Schur assembly through chunk-sized buffers (each was 27.7 MB,
+    # 60.2 MB and 40.9 MB with an intp list applied in one piece)
+    _, stack, jinv = _witness_stack(False, 1, 5)
+    stack.arrow   # the layout is the formulation's, not the term list's
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        terms = stack._terms
+        held, build = (b - start for b in tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        stack.schur(jinv, {})
+        assembly = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert terms[0].size == 1149568
+    assert held <= 20e6 and build <= 30e6 and assembly <= 30e6
 
 
 def test_freeze_batch_peak_memory():
