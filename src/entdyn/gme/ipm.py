@@ -50,13 +50,13 @@ The four stages that read the basis use them as follows:
   variables and coordinates up to sign, such as the two bounds of
   ``0 <= X <= I``, add theirs first.  ``M`` is then one gather from ``K``
   times a coordinate product, over a term list of int32 indices built once
-  per problem structure; a long list is built and applied in chunks, so
-  that its temporaries stay bounded.
+  per problem structure; the list is built and applied in chunks, so that
+  its temporaries stay bounded.
 
-Each scatter onto variables or Schur entries is one ``np.bincount`` per
-point (or, for a long Schur term list, one ``np.add.at`` per chunk), which
-adds every contribution to an entry that several blocks share, in list
-order, where a fancy-index ``+=`` would keep only one.
+Each scatter onto variables is one ``np.bincount`` per point, and onto
+Schur entries one ``np.add.at`` per chunk of the term list; both add every
+contribution to an entry that several blocks share, in list order, where a
+fancy-index ``+=`` would keep only one.
 
 The Schur complement is factored as a block arrowhead matrix.  A
 ``SchurPartition`` splits the variables into diagonal blocks that never
@@ -346,12 +346,10 @@ class _SizeClass:
         two real units, ``F[u, d, c] - F[u, c, d]`` for two imaginary ones and
         ``F2[u, c, d] - F2[u, d, c]`` for real ``u`` and imaginary ``w``.
 
-        ``F`` lives in the ``"scratch"`` buffer, which the Schur storage of
-        ``room`` entries takes next.  An ``F`` of all blocks that fits in
-        ``room`` or in one chunk is one ``matmul``.  A larger one is formed
-        for the first layer's blocks only, in a buffer of ``room`` entries,
-        and each later layer's ``F`` is added to it a chunk of blocks at a
-        time, in layer order, as the whole ``F`` adds them.
+        ``F`` is formed for the first layer's blocks only, in the
+        ``"scratch"`` buffer that the Schur storage of ``room`` entries takes
+        next, and each later layer's ``F`` is added to it a chunk of blocks
+        at a time, in layer order.
         """
         n, n_p, sets = len(g), self.pa.size, self.layers[0]
         if self.dtype.kind == "c":
@@ -363,24 +361,17 @@ class _SizeClass:
         left, right = rows[..., self.pb, :, :], np.swapaxes(right[..., self.pa, :, :], -1, -2)
         shape = left.shape[:-1] + right.shape[-1:]
         per_block = n * int(np.prod(shape[2:]))
-        if self.n * per_block <= max(room, _CHUNK):
-            f = np.matmul(left, right, out=_buffer(work, "scratch", shape))
-            at = sets
-            for count in self.layers[1:]:
-                f[:, :count] += f[:, at:at + count]
-                at += count
-        else:
-            _buffer(work, "scratch", (room,))   # sized for the storage, so it need not grow
-            f = np.matmul(left[:, :sets], right[:, :sets],
-                          out=_buffer(work, "scratch", (n, sets) + shape[2:]))
-            step = max(1, _CHUNK // per_block)
-            at = sets
-            for count in self.layers[1:]:
-                for lo in range(0, count, step):
-                    hi = min(lo + step, count)
-                    f[:, lo:hi] += np.matmul(left[:, at + lo:at + hi], right[:, at + lo:at + hi],
-                                             out=_buffer(work, "f_chunk", (n, hi - lo) + shape[2:]))
-                at += count
+        _buffer(work, "scratch", (room,))   # sized for the storage, so it need not grow
+        f = np.matmul(left[:, :sets], right[:, :sets],
+                      out=_buffer(work, "scratch", (n, sets) + shape[2:]))
+        step = max(1, _CHUNK // per_block)
+        at = sets
+        for count in self.layers[1:]:
+            for lo in range(0, count, step):
+                hi = min(lo + step, count)
+                f[:, lo:hi] += np.matmul(left[:, at + lo:at + hi], right[:, at + lo:at + hi],
+                                         out=_buffer(work, "f_chunk", (n, hi - lo) + shape[2:]))
+            at += count
         f = f[:, :sets].reshape(n, sets, n_p, -1)
         parts = out.reshape(n, self.k_parts, sets, n_p, n_p)
         # x = F at (c, d) and y = F at (d, c): RR = x + y, II = y - x
@@ -635,15 +626,12 @@ class StackedBlocks:
         ``M[i, j] = sum_b <A_bi, G_b A_bj G_b>`` with ``G_b = J_b^-H J_b^-1``
         is ``<J^-1 A_i J^-H, J^-1 A_j J^-H>`` summed over the blocks.  Each
         term is a unit-coordinate product times an entry of ``K``
-        (``_SizeClass.unit_gram``); the terms are gathered and then added
-        into the storage, by one ``np.bincount`` per point for a list of at
-        most ``_CHUNK`` terms.  A longer list is gathered one chunk at a
-        time into a chunk-sized buffer and added by ``np.add.at``, which,
-        like ``np.bincount``, adds each entry's terms in list order, so the
-        storage is the same to the bit.  The storage and the large
-        intermediates live in ``work`` (see ``_buffer``), so the storage is
-        valid until the next call with the same ``work``, or the next
-        ``unit_gram`` with it.
+        (``_SizeClass.unit_gram``); the terms are gathered one chunk at a
+        time into a chunk-sized buffer and added into the zeroed storage by
+        ``np.add.at``, which adds each entry's terms in list order.  The
+        storage and the large intermediates live in ``work`` (see
+        ``_buffer``), so the storage is valid until the next call with the
+        same ``work``, or the next ``unit_gram`` with it.
         """
         pos, k_idx, coef = self._terms
         n = len(jinv[0])
@@ -655,11 +643,6 @@ class StackedBlocks:
         out = _buffer(work, "scratch", (n, self.arrow.size))
         vals = _buffer(work, "terms", (min(coef.size, _CHUNK),))
         for k, target in zip(kflat, out):
-            if coef.size <= _CHUNK:
-                np.take(k, k_idx, mode="clip", out=vals)
-                vals *= coef
-                target[...] = np.bincount(pos, vals, minlength=self.arrow.size)
-                continue
             target[...] = 0.0
             for lo in range(0, coef.size, _CHUNK):
                 part = slice(lo, lo + _CHUNK)

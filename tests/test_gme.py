@@ -576,13 +576,33 @@ def _witness_stack(swap_reduced, points, seed):
     return form, stack, jinv
 
 
+def _whole_f_unit_gram(cl, g):
+    """``K`` of every set of a class, from one ``matmul`` of ``F`` over all its
+    blocks whose later layers are then added to the first in turn."""
+    n, n_p, sets = len(g), cl.pa.size, cl.layers[0]
+    if cl.dtype.kind == "c":
+        rows = np.stack([g.real, g.imag], axis=-1)
+        right = np.concatenate([rows, np.stack([g.imag, -g.real], axis=-1)], axis=-2)
+    else:
+        rows = right = g[..., None]
+    f = rows[..., cl.pb, :, :] @ np.swapaxes(right[..., cl.pa, :, :], -1, -2)
+    at = sets
+    for count in cl.layers[1:]:
+        f[:, :count] += f[:, at:at + count]
+        at += count
+    f = f[:, :sets].reshape(n, sets, n_p, -1)
+    x, y, *ri = (np.take(f, cols, axis=-1) for cols in cl._columns)
+    parts = [x + y] + ([y - x, ri[0] - ri[1]] if ri else [])
+    return np.stack(parts, axis=1).reshape(n, -1)
+
+
 @pytest.mark.parametrize("chunk", [None, 1000])
 @pytest.mark.parametrize("swap_reduced", [False, True])
 def test_chunked_schur_storage_is_the_one_shot_sum(monkeypatch, swap_reduced, chunk):
     # the Schur storage, gathered and added chunk by chunk, and K, whose F is
     # formed layer by layer, equal bit for bit one np.bincount over the whole
     # term list of a K from one matmul over all blocks; with a small chunk the
-    # list is built and applied in many chunks and F takes many passes
+    # list is built and applied in several chunks and F takes several passes
     form, stack, jinv = _witness_stack(swap_reduced, 2 if swap_reduced else 1, 3)
     want_terms = form.blocks._terms
     if chunk:
@@ -594,13 +614,10 @@ def test_chunked_schur_storage_is_the_one_shot_sum(monkeypatch, swap_reduced, ch
     work = {}
     storage = stack.schur(jinv, work)
     points = len(storage)
-    # layered F and a chunked list where they outgrow the storage or a chunk
-    assert ("f_chunk" in work) == (not swap_reduced or chunk is not None)
     assert (coef.size > ipm._CHUNK) == (not swap_reduced or chunk is not None)
 
-    k_want = np.empty((points, stack._k_at[-1]))
-    for cl, j, at in zip(stack.classes, jinv, stack._k_at):
-        cl.unit_gram(np.swapaxes(j.conj(), -1, -2) @ j, k_want[:, at:at + cl.k_size], {}, 2**62)
+    k_want = np.concatenate([_whole_f_unit_gram(cl, np.swapaxes(j.conj(), -1, -2) @ j)
+                             for cl, j in zip(stack.classes, jinv)], axis=1)
     want = np.stack([np.bincount(pos, np.take(k, k_idx) * coef, minlength=stack.arrow.size)
                      for k in k_want])
     assert work["k"][:k_want.size].tobytes() == k_want.tobytes()
@@ -1190,6 +1207,27 @@ def _near_fraction_stacks(rng, fraction, points):
     return v_all, ds_all, dz_all
 
 
+def _tight_gershgorin_cases(rng, d=6, tries=64):
+    """One-block stacks whose direction block's computed smallest eigenvalue
+    lies below its computed Gershgorin bound, each with a fraction between
+    the two, so the step is just below 1 and only the screen's margin lets
+    the block through.  The block ``D (a I - b (1 - I)) D`` with signs ``D``
+    has the bound ``a - (d - 1) b`` as its smallest eigenvalue."""
+    cases = []
+    for _ in range(tries):
+        b = rng.uniform(0.05, 1.0)
+        a = -1.0 + (d - 1) * b + rng.uniform(-1e-3, 1e-3)
+        signs = rng.choice([-1.0, 1.0], size=d)
+        mat = (a * np.eye(d) - b * (np.ones((d, d)) - np.eye(d))) * np.outer(signs, signs)
+        low = np.abs(np.tril(mat, -1))
+        bound = (np.diagonal(mat) - low.sum(axis=-1) - low.sum(axis=-2)).min()
+        fraction = -np.nextafter(bound, -np.inf)
+        if fraction * (1.0 / -np.linalg.eigvalsh(mat).min()) < 1.0:
+            cases.append((([np.ones((1, 1, d))], [mat[None, None]], [np.zeros((1, 1, d, d))]),
+                          fraction))
+    return cases
+
+
 def test_screened_step_lengths_equal_unscreened(monkeypatch):
     # the Gershgorin screen leaves out blocks that cannot set the step, and
     # the steps are those of eigvalsh on every block, bit for bit: on random
@@ -1205,9 +1243,12 @@ def test_screened_step_lengths_equal_unscreened(monkeypatch):
             mats = _random_hermitian(rng, points, n, d, d) / (2 * d)
             mats = mats if dtype is complex else mats.real
             out.append(scale * (mats + np.eye(d) * rng.uniform(0.0, 1.0, size=(points, n, 1, 1))))
-    cases = [((v_all, ds_all, dz_all), fraction, False) for fraction in (1.0, _STEP_FRACTION)]
-    cases += [(_near_fraction_stacks(rng, fraction, points), fraction, True)
+    cases = [((v_all, ds_all, dz_all), fraction, "random") for fraction in (1.0, _STEP_FRACTION)]
+    cases += [(_near_fraction_stacks(rng, fraction, points), fraction, "near")
               for fraction in (1.0, _STEP_FRACTION)]
+    tight = _tight_gershgorin_cases(rng)
+    assert tight, "no block's eigvalsh result fell below its Gershgorin bound"
+    cases += [(case, fraction, "tight") for case, fraction in tight]
 
     eigvalsh, solved = np.linalg.eigvalsh, []
 
@@ -1215,7 +1256,7 @@ def test_screened_step_lengths_equal_unscreened(monkeypatch):
         solved.append(a.shape[0])
         return eigvalsh(a, *args, **kw)
 
-    for case, fraction, near in cases:
+    for case, fraction, kind in cases:
         want = _unscreened_step_lengths(*case, fraction)
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         got = _step_lengths(*case, fraction)
@@ -1223,10 +1264,12 @@ def test_screened_step_lengths_equal_unscreened(monkeypatch):
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
             # random steps both below 1 and cut to 1; near -fraction, within ulps of 1
-            if near:
-                assert np.all(np.abs(w - 1.0) < 1e-14)
-            else:
+            if kind == "random":
                 assert np.any(w < 1.0) and np.any(w == 1.0)
+            else:
+                assert np.all(np.abs(w - 1.0) < 1e-14)
+        if kind == "tight":
+            assert want[0][0] < 1.0 and want[1][0] == 1.0
     # the screen did leave blocks out
     total = sum(2 * v.shape[0] * v.shape[1] for case, _, _ in cases for v in case[0])
     assert 0 < sum(solved) < total / 2
