@@ -34,7 +34,9 @@ class EntanglementValue:
     method: str  # negativity_eigen | negativity_xstate_closed_form | concurrence
 
     def __float__(self) -> float:
-        return self.value
+        if np.ndim(self.value):
+            raise TypeError(f"float() of an EntanglementValue of array shape {self.value.shape}")
+        return float(self.value)
 
 
 def negativity(rho: DensityMatrix, cut: Bipartition) -> EntanglementValue:

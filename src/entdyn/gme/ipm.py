@@ -71,14 +71,15 @@ and no dense ``m x m`` matrix is formed.  Each
 is the Cholesky factor of ``M`` with the border last (the block-angular
 reduction of Gondzio & Grothey, Comput. Manag. Sci. 6, 2009).  Without a
 partition the border is empty and all variables form one block.  Each
-block is factored as one stack over the batch, at shift 0.  If that fails
-at round-off, each point of the batch climbs its own ladder of growing
-multiples of the identity added to its ``M``.  Each triangular factor is
-inverted once per factorization, so the two solves of an iteration are
-matrix-vector products.  numpy has no triangular inverse, and its general
-one is a pivoted LU solve against the identity, so ``_tri_inv`` halves each
-factor recursively and inverts it with matrix products, down to small
-leaves that ``np.linalg.inv`` inverts; every triangular inverse of the
+block is factored as one stack over the batch, at shift 0; the points
+whose factor fails there (``_guarded``) climb a ladder of growing
+multiples of the identity added to their ``M``, together, and the others
+keep theirs.  Each triangular factor is inverted once per factorization,
+so the two solves of an iteration are matrix-vector products.  numpy has
+no triangular inverse, and its general one is a pivoted LU solve
+against the identity, so ``_tri_inv`` halves each factor recursively and
+inverts it with matrix products, down to small leaves that
+``np.linalg.inv`` inverts; every triangular inverse of the
 solver, those of the NT scaling included, goes through it.  Such a solve
 is not backward stable: late in a run its residual, which the dual
 residual inherits, can rise above the feasibility tolerance or stay there
@@ -114,7 +115,6 @@ float64 view of a real array is the array itself.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -827,18 +827,12 @@ def solve_block_sdp_batch(
             s, gap, r = [sc[live] for sc in s], gap[live], r[live]
 
         # Nesterov-Todd scaling per block: J^-1 S J^-H = J^H Z J = diag(v).
-        scaling, failed = _per_point(_nt_scaling, s, z)
+        v_all, jinv_all, why = _nt_scaling(s, z)
+        failed = {k: f"cone factorization failed: {w}" for k, w in why.items()}
+        if not failed:
+            factor = _factor_arrow(stack.schur(jinv_all, work), stack.arrow, failed)
         if failed:
-            fail(failed, SdpNumericalError,
-                 [f"cone factorization failed: {exc}" for exc in failed.values()], it)
-            batch.keep(np.setdiff1d(np.arange(len(batch)), list(failed)))
-            continue
-        v_all, jinv_all = scaling
-
-        storage = stack.schur(jinv_all, work)
-        factor, failed = _per_point(_factor_arrow, storage, stack.arrow)
-        if failed:
-            fail(failed, SdpNumericalError, [str(exc) for exc in failed.values()], it)
+            fail(failed, SdpNumericalError, failed.values(), it)
             batch.keep(np.setdiff1d(np.arange(len(batch)), list(failed)))
             continue
         mu = gap / dim_total
@@ -950,62 +944,47 @@ def _step_lengths(v_all, ds_all, dz_all, fraction: float) -> tuple[np.ndarray, n
     return steps[:, 0], steps[:, 1]
 
 
-def _per_point(stage, *args):
-    """``stage(*args)`` over the batch, or, if it raises, over each point in turn.
+def _guarded(fn, mats: np.ndarray, failed: dict[int, str]) -> np.ndarray:
+    """``fn(mats)`` of a LAPACK routine (a Cholesky factor or ``eigh``) on a
+    stack whose leading axis is the batch.
 
-    Every array in ``args`` (or in a list there) has the batch on its
-    leading axis.  Returns the stage's output, with the points that raised
-    left out, and a dict from each such point's row to its ``LinAlgError``
-    or ``SdpNumericalError``.
+    A point whose matrices ``fn`` rejects, found by trying its ``(1, ...)``
+    slice alone, is entered in ``failed`` with the error's message (unless
+    it is there), and the stack runs again with identities in its place.
+    LAPACK factors each matrix alone, so the others' results are unchanged.
     """
-    size = len(args[0][0] if isinstance(args[0], list) else args[0])
-    try:
-        return stage(*args), {}
-    except (np.linalg.LinAlgError, SdpNumericalError) as exc:
-        if size == 1:
-            return None, {0: exc}
-
-    def rows(a, k):
-        if isinstance(a, list):
-            return [rows(item, k) for item in a]
-        return a[k:k + 1] if isinstance(a, np.ndarray) else a
-
-    outs, failed = [], {}
-    for k in range(size):
+    def attempt(stack):
+        # the message only: a kept error would hold its traceback's frames
         try:
-            outs.append(stage(*(rows(a, k) for a in args)))
-        except (np.linalg.LinAlgError, SdpNumericalError) as exc:
-            failed[k] = exc
-    return (_concat(outs) if outs else None), failed
+            return fn(stack), None
+        except np.linalg.LinAlgError as exc:
+            return None, str(exc)
 
-
-def _concat(parts: list):
-    """The per-point outputs of a stage joined along the batch axis, field by
-    field; an object that every output holds, such as the partition, is kept."""
-    first = parts[0]
-    if all(p is first for p in parts):
-        return first
-    if isinstance(first, np.ndarray):
-        return np.concatenate(parts)
-    if isinstance(first, (list, tuple)):
-        return type(first)(_concat(list(items)) for items in zip(*parts))
-    return type(first)(**{f.name: _concat([getattr(p, f.name) for p in parts])
-                          for f in dataclasses.fields(first)})
+    out, error = attempt(mats)
+    if error is None:
+        return out
+    mats = mats.copy()
+    for k in range(len(mats)):
+        if (error := attempt(mats[k:k + 1])[1]) is not None:
+            failed.setdefault(k, error)
+            mats[k] = np.eye(mats.shape[-1])
+    return fn(mats)
 
 
 def _nt_scaling(s: list[np.ndarray], z: list[np.ndarray]):
-    """``v`` and ``J^-1`` of every block of each class stack, as two lists; raises
-    LinAlgError if an iterate is not positive definite."""
-    v_all, jinv_all = [], []
+    """``v`` and ``J^-1`` of every block of each class stack, as two lists, and
+    why each point whose slack or scaled dual iterate is not positive
+    definite failed, for its first such block."""
+    v_all, jinv_all, why = [], [], {}
     for sc, zc in zip(s, z):
-        ls = np.linalg.cholesky(sc)
-        lam, uk = np.linalg.eigh(np.swapaxes(ls.conj(), -1, -2) @ zc @ ls)
-        if np.min(lam) <= 0.0:
-            raise np.linalg.LinAlgError("dual iterate lost definiteness")
-        lsinv = _tri_inv(ls)
-        jinv_all.append((np.swapaxes(uk.conj(), -1, -2) @ lsinv) * (lam ** 0.25)[..., None])
+        ls = _guarded(np.linalg.cholesky, sc, why)
+        lam, uk = _guarded(np.linalg.eigh, np.swapaxes(ls.conj(), -1, -2) @ zc @ ls, why)
+        for k in np.flatnonzero(lam.min(axis=(1, 2)) <= 0.0).tolist():
+            why.setdefault(k, "dual iterate lost definiteness")
+        lam[list(why)] = 1.0
+        jinv_all.append((np.swapaxes(uk.conj(), -1, -2) @ _tri_inv(ls)) * (lam ** 0.25)[..., None])
         v_all.append(np.sqrt(lam))
-    return v_all, jinv_all
+    return v_all, jinv_all, why
 
 
 def _add_diag(mat: np.ndarray, v) -> np.ndarray:
@@ -1074,43 +1053,61 @@ class _ArrowFactor:
     border_inv: np.ndarray       # L_B^-1, (B, m_border, m_border)
     shift: np.ndarray            # (B,) identity shift each factorization needed
 
+    def put(self, rows: np.ndarray, other: _ArrowFactor) -> None:
+        """Take the factors of ``other``'s points for the points ``rows``."""
+        for mine, theirs in zip([*self.block_inv, *self.coupling, self.border_inv, self.shift],
+                                [*other.block_inv, *other.coupling, other.border_inv, other.shift]):
+            mine[rows] = theirs
 
-def _factor_arrow(schur: np.ndarray, lay: _ArrowLayout) -> _ArrowFactor:
+
+def _factor_arrow(schur: np.ndarray, lay: _ArrowLayout, failed: dict[int, str]):
     """Block-arrowhead Cholesky of each point's storage ``schur``.
 
-    A batch is factored at shift 0 only; ``_per_point`` gives each point of
-    a batch that raises its own call.  A single point that fails at shift 0
-    climbs the shift ladder, and raises ``SdpNumericalError`` if it fails on
-    every rung.  Every rung shifts the diagonal blocks and the border
-    together, so each attempt factors ``M + shift * I`` exactly.  Each
-    factor is inverted by ``_tri_inv``, only once its Cholesky succeeded,
-    and one inverse per factor replaces a triangular solve per use.
+    The batch is factored at shift 0.  The points whose factor fails there
+    climb the shift ladder together, each rung factoring ``M + shift * I``
+    of each of them, with the diagonal blocks and the border shifted alike;
+    the other points keep their factors.  A point that fails on every rung
+    is entered in ``failed``, and if every point does, no factor is
+    returned.  Each factor is inverted by ``_tri_inv``, and one inverse per
+    factor replaces a triangular solve per use.
     """
-    try:
-        return _factor_shifted(schur, lay, np.zeros(len(schur)))
-    except np.linalg.LinAlgError:
-        if len(schur) > 1:
-            raise
-    scale = max(float(lay.trace(schur)[0]) / max(lay.order.size, 1), 1.0)
-    for shift in _SHIFT_LADDER[1:] * scale:
-        try:
-            return _factor_shifted(schur, lay, np.array([shift]))
-        except np.linalg.LinAlgError:
-            continue
-    raise SdpNumericalError("indefinite Newton system: Schur complement not positive definite")
+    factor, rows = None, np.arange(len(schur))
+    scale = np.maximum(lay.trace(schur) / max(lay.order.size, 1), 1.0)
+    for rung in _SHIFT_LADDER:
+        # uncopied while no point has a factor, as on rung 0 or for one point
+        climbed, still = _factor_shifted(schur if factor is None else schur[rows], lay,
+                                         rung * scale[rows])
+        if factor is None:
+            factor = climbed
+        elif climbed is not None:
+            factor.put(rows, climbed)
+        rows = rows[still]
+        if not rows.size:
+            break
+    failed.update(dict.fromkeys(rows.tolist(),
+                                "indefinite Newton system: Schur complement not positive definite"))
+    return factor
 
 
-def _factor_shifted(schur: np.ndarray, lay: _ArrowLayout, shift: np.ndarray) -> _ArrowFactor:
-    """The arrowhead factors of ``M + shift * I`` for each point; raises LinAlgError on failure."""
-    block_inv, couplings = [], []
+def _factor_shifted(schur: np.ndarray, lay: _ArrowLayout, shift: np.ndarray):
+    """The arrowhead factors of ``M + shift * I`` for each point, or None as
+    soon as every point has failed, and the points whose Cholesky failed."""
+    block_inv, couplings, failed = [], [], {}
     border = _add_diag(lay.border_block(schur), shift[:, None])
     for diag, coupling in lay.blocks(schur):
-        inv = _tri_inv(cho_factor(_add_diag(diag, shift[:, None])))
+        low = _guarded(cho_factor, _add_diag(diag, shift[:, None]), failed)
+        if len(failed) == len(schur):
+            return None, np.arange(len(schur))
+        inv = _tri_inv(low)
         cq = inv @ coupling
         border -= np.swapaxes(cq, -1, -2) @ cq
         block_inv.append(inv)
         couplings.append(cq)
-    return _ArrowFactor(lay.partition, block_inv, couplings, _tri_inv(cho_factor(border)), shift)
+    low = _guarded(cho_factor, border, failed)
+    if len(failed) == len(schur):
+        return None, np.arange(len(schur))
+    factor = _ArrowFactor(lay.partition, block_inv, couplings, _tri_inv(low), shift)
+    return factor, np.array(sorted(failed), dtype=np.intp)
 
 
 def cho_solve(factor: _ArrowFactor, b: np.ndarray) -> np.ndarray:

@@ -116,3 +116,14 @@ def test_method_labels():
     assert negativity_xstate(s).method == "negativity_xstate_closed_form"
     assert concurrence_xstate(s).method == "concurrence"
     assert float(negativity_xstate(s)) == negativity_xstate(s).value
+
+
+def test_float_of_an_array_value_names_its_shape():
+    s = bell_pair()
+    trajectory = XState(*(np.array([getattr(s, f)]) for f in ("rho11", "rho22", "rho33", "rho44",
+                                                                "rho14", "rho23")))
+    value = negativity_xstate(trajectory)
+    assert value.value.shape == (1,)
+    with pytest.raises(TypeError, match=r"array shape \(1,\)"):
+        float(value)
+    assert float(negativity_xstate(s)) == negativity_xstate(s).value

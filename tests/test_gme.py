@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import gc
 import math
 import tracemalloc
 from pathlib import Path
@@ -26,6 +27,7 @@ from entdyn.gme.ipm import (
     SdpBlock,
     SdpNumericalError,
     StackedBlocks,
+    _SHIFT_LADDER,
     _STEP_FRACTION,
     _TRI_LEAF,
     _ArrowLayout,
@@ -211,23 +213,23 @@ def test_real_blocks_run_real_and_match_complex_blocks():
 
 def test_numerical_failure_keeps_best_bound(monkeypatch):
     # the cone factorization fails on every call from two iterations past
-    # where the default-tolerance run converged, in a run at a tolerance it
-    # cannot meet first; the bound it had reached lies in the
-    # default-tolerance solve's interval
+    # where the default-tolerance run converged (its slack is negated
+    # there), in a run at a tolerance it cannot meet first; the bound it had
+    # reached lies in the default-tolerance solve's interval
     sdp = _random_block_sdp(13)
     ref = solve_block_sdp(*sdp)
     calls = 0
     nt_scaling = ipm._nt_scaling
 
-    def failing(*args):
+    def failing(s, *args):
         nonlocal calls
         calls += 1
         if calls > ref.iterations + 2:
-            raise np.linalg.LinAlgError("provoked failure")
-        return nt_scaling(*args)
+            s = [-sc for sc in s]
+        return nt_scaling(s, *args)
 
     monkeypatch.setattr(ipm, "_nt_scaling", failing)
-    with pytest.raises(SdpNumericalError) as err:
+    with pytest.raises(SdpNumericalError, match="cone factorization failed") as err:
         solve_block_sdp(*sdp, tolerance=1e-12)
     assert err.value.iterations > ref.iterations
     assert ref.dual_objective <= err.value.best_bound <= ref.primal_objective
@@ -282,24 +284,33 @@ def test_arrow_factor_solves_like_dense(border_size, block_sizes):
     mats = np.stack([mat, 2.0 * mat, mat + np.diag(rng.uniform(0.0, 1.0, size=len(mat)))])
     storage, layout = _arrow_storage(mats, part)
     rhs = rng.normal(size=(3, mat.shape[0]))
-    factor = _factor_arrow(storage, layout)
+    failed = {}
+    factor = _factor_arrow(storage, layout, failed)
+    assert not failed
     np.testing.assert_array_equal(factor.shift, 0.0)
     want = np.linalg.solve(mats, rhs[..., None])[..., 0]
     np.testing.assert_allclose(cho_solve(factor, rhs), want, rtol=1e-10, atol=1e-12)
 
 
-def _climb_the_shift_ladder(rng, border_size, block_sizes):
-    mat, part = _random_arrowhead(rng, border_size, block_sizes)
+def _indefinite_at_round_off(mat):
+    """``mat`` moved to the smallest eigenvalue -5e-13 * scale, and its new
+    scale: indefinite at round-off only, so the first rung (+1e-12 * scale)
+    makes it positive definite."""
     scale = np.trace(mat) / mat.shape[0]
-    # smallest eigenvalue -5e-13 * scale: indefinite at round-off only, so
-    # the first rung (+1e-12 * scale) makes it positive definite
     lam_min = np.linalg.eigvalsh(mat)[0]
     mat = mat - (lam_min + 5e-13 * scale) * np.eye(mat.shape[0])
-    scale = np.trace(mat) / mat.shape[0]
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(mat)
+    return mat, np.trace(mat) / mat.shape[0]
+
+
+def _climb_the_shift_ladder(rng, border_size, block_sizes):
+    mat, part = _random_arrowhead(rng, border_size, block_sizes)
+    mat, scale = _indefinite_at_round_off(mat)
     storage, layout = _arrow_storage(mat[None], part)
-    factor = _factor_arrow(storage, layout)
+    failed = {}
+    factor = _factor_arrow(storage, layout, failed)
+    assert not failed
     assert factor.shift[0] == pytest.approx(1e-12 * scale, rel=1e-12)
     rhs = rng.normal(size=mat.shape[0])
     x = cho_solve(factor, rhs[None])[0]
@@ -312,10 +323,42 @@ def test_arrow_factor_climbs_the_shift_ladder():
     _climb_the_shift_ladder(np.random.default_rng(5), 5, (6, 6))
 
 
+def _factor_rows(factor, rows):
+    return [f[rows] for f in (*factor.block_inv, *factor.coupling, factor.border_inv)]
+
+
+def test_arrow_factor_climbs_the_shift_ladder_in_a_batch():
+    # of three points only the middle one is indefinite at round-off: it
+    # climbs the ladder alone, and the others keep their stacked factors
+    rng = np.random.default_rng(5)
+    mat, part = _random_arrowhead(rng, 5, (6, 6))
+    bad, scale = _indefinite_at_round_off(mat)
+    mats = np.stack([mat, bad, 2.0 * mat])
+    storage, layout = _arrow_storage(mats, part)
+    failed = {}
+    factor = _factor_arrow(storage, layout, failed)
+    assert not failed
+    assert factor.shift[[0, 2]].tolist() == [0.0, 0.0]
+    assert factor.shift[1] == pytest.approx(_SHIFT_LADDER[1] * scale, rel=1e-12)
+    pair = _factor_arrow(storage[[0, 2]], layout, failed)
+    for got, want in zip(_factor_rows(factor, [0, 2]), _factor_rows(pair, slice(None))):
+        np.testing.assert_array_equal(got, want)
+    rhs = rng.normal(size=(3, len(mat)))
+    shifted = mats + factor.shift[:, None, None] * np.eye(len(mat))
+    want = np.linalg.solve(shifted, rhs[..., None])[..., 0]
+    got = cho_solve(factor, rhs)
+    # both solves lose accuracy with the condition number of M + shift * I
+    bound = 10 * np.finfo(float).eps * np.linalg.cond(shifted)
+    err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+    assert np.all(err <= bound), (err, bound)
+
+
 def test_arrow_factor_climbs_the_shift_ladder_above_the_leaf(monkeypatch):
-    # every inverse is taken of a factor that cho_factor returned, so a
-    # failed Cholesky raises before any inverse of it (the halves that
-    # _tri_inv recurses on, with their out, come from such a factor too)
+    # every inverse is taken of a factor that cho_factor returned: a point
+    # whose Cholesky failed has its matrix replaced by the identity before
+    # the stack is factored again, so no factor of a failed Cholesky is
+    # inverted (the halves that _tri_inv recurses on, with their out, come
+    # from a returned factor too)
     factors, failures, inverted = [], [], []
 
     def spy_factor(a):
@@ -394,8 +437,38 @@ def test_arrow_factor_rejects_indefinite_schur():
     mat, part = _random_arrowhead(rng, 3, (4, 4))
     mat[0, 0] = -1.0
     storage, layout = _arrow_storage(mat[None], part)
-    with pytest.raises(SdpNumericalError, match="indefinite Newton system"):
-        _factor_arrow(storage, layout)
+    failed = {}
+    _factor_arrow(storage, layout, failed)
+    assert failed == {0: "indefinite Newton system: Schur complement not positive definite"}
+
+
+def test_a_failed_factor_leaves_no_reference_cycle():
+    # a kept LinAlgError would hold its traceback's frames, and the factors
+    # they hold, until the cyclic collector ran: on a single unreduced solve
+    # that climbs the ladder that is several MiB of peak memory
+    rng = np.random.default_rng(6)
+    mat, part = _random_arrowhead(rng, 3, (4, 4))
+    mat[0, 0] = -1.0
+    storage, layout = _arrow_storage(mat[None], part)
+    gc.collect()
+    gc.disable()
+    try:
+        failed = {}
+        _factor_arrow(storage, layout, failed)
+        assert failed and gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_ipm_has_one_exception_handler():
+    # one failure rule: the guarded LAPACK call is the solver's only
+    # exception handler, so no stage falls back to a second code path
+    tree = ast.parse(Path(ipm.__file__).read_text())
+    handlers = [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)]
+    assert [ast.unparse(node.type) for node in handlers] == ["np.linalg.LinAlgError"]
+    (guarded,) = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_guarded"]
+    assert handlers[0] in list(ast.walk(guarded))
 
 
 def test_partition_check_rejects_mismatched_partitions():
@@ -1396,26 +1469,46 @@ def test_mixed_batch_matches_single_solves():
         assert verify_witness(got, problem).passed
 
 
-def test_failed_point_of_a_batch_gets_its_own_error():
+@pytest.mark.parametrize("kind, message", [
+    ("primal", "cone factorization failed: Matrix is not positive definite"),
+    ("dual", "cone factorization failed: dual iterate lost definiteness"),
+    ("newton", "indefinite Newton system: Schur complement not positive definite"),
+], ids=["primal", "dual", "newton"])
+def test_failed_point_of_a_batch_gets_its_own_error(monkeypatch, kind, message):
     problems = [_paper_problem(t) for t in (8.0, 13.5853, 40.7559)]
     form = _formulation_for(4, problems[0].cuts, *_symmetry_labels(problems[0], True))
     entries = [p.rho.entries for p in problems]
     c = np.stack([_objective_vector(form, e) for e in entries])
     x0 = np.tile(_initial_x(form), (len(problems), 1))
     z0 = np.stack([_initial_z(form, e) for e in entries])
-    # blocks 0 and 1 are a lower bound and its upper partner, whose basis
-    # is the negated one: subtracting the same matrix from both keeps
-    # A*(Z0) = c, but leaves the upper block indefinite
-    d = problem_json_dict(problems[0])["blocks"][0]["size"]
-    assert problem_json_dict(problems[0])["blocks"][1]["size"] == d
-    upper = z0[1, d * d:2 * d * d].reshape(d, d)
-    shift = (np.linalg.eigvalsh(upper)[-1] + 1.0) * np.eye(d)
-    z0[1, :2 * d * d] -= np.tile(shift.ravel(), 2)
+    if kind == "primal":
+        # the slack of x = 0 is singular
+        x0[1] = 0.0
+    elif kind == "dual":
+        # blocks 0 and 1 are a lower bound and its upper partner, whose basis
+        # is the negated one: subtracting the same matrix from both keeps
+        # A*(Z0) = c, but leaves the upper block indefinite
+        d = problem_json_dict(problems[0])["blocks"][0]["size"]
+        assert problem_json_dict(problems[0])["blocks"][1]["size"] == d
+        upper = z0[1, d * d:2 * d * d].reshape(d, d)
+        shift = (np.linalg.eigvalsh(upper)[-1] + 1.0) * np.eye(d)
+        z0[1, :2 * d * d] -= np.tile(shift.ravel(), 2)
+    else:
+        # the middle point's first Schur complement gets a negative diagonal
+        schur = StackedBlocks.schur
+
+        def negated(self, jinv, work):
+            out = schur(self, jinv, work)
+            if len(out) == 3:
+                out[1, self.arrow._diagonal] *= -1.0
+            return out
+
+        monkeypatch.setattr(StackedBlocks, "schur", negated)
 
     results = solve_block_sdp_batch(form.blocks, c, x0, z0)
     err = results[1]
     assert isinstance(err, SdpNumericalError)
-    assert str(err) == "cone factorization failed: dual iterate lost definiteness"
+    assert str(err) == message
     assert err.iterations == 0 and err.best_bound is not None
     # the others run as a batch without the failed point
     others = solve_block_sdp_batch(form.blocks, c[[0, 2]], x0[[0, 2]], z0[[0, 2]])
