@@ -70,31 +70,42 @@ and no dense ``m x m`` matrix is formed.  Each
 ``A - sum_c C_c^T C_c`` with ``C_c = L_c^-1 B_c^T``; in exact arithmetic this
 is the Cholesky factor of ``M`` with the border last (the block-angular
 reduction of Gondzio & Grothey, Comput. Manag. Sci. 6, 2009).  Without a
-partition the border is empty and all variables form one block.  Each
-block is factored as one stack over the batch, at shift 0; the points
-whose factor fails there (``_guarded``) climb a ladder of growing
-multiples of the identity added to their ``M``, together, and the others
-keep theirs.  Each triangular factor is inverted once per factorization,
+partition the border is empty and all variables form one block.
+
+Consecutive diagonal blocks of one order form a run, which the storage
+holds as one contiguous stack (``_ArrowLayout.runs``): the generic
+formulation's seven blocks of 256 are one run, and the swap-reduced
+form's blocks the runs [43], [27, 27, 27] and [43].  Each run, over the
+batch, and then the border system are factored by ``_chol_inv``, one
+recursion at matrix-product speed that gives the inverse factors ``L^-1``
+(Elmroth, Gustavson, Jonsson & Kagstrom, SIAM Rev. 46, 2004), and the
+couplings of all runs are one ``(B, m_q, m_border)`` array, so that the
+border system is one product (a ``syrk``) and each solve meets the border
+with one product each way.  At shift 0 the factor is written into ``K``'s
+buffer, which the Schur assembly is done with, and the recursions'
+scratch into another of its buffers, so that an iteration allocates no
+large array.  The points whose factor fails there (``_guarded``) climb a
+ladder of growing multiples of the identity added to their ``M``,
+together, and the others keep theirs.  The factors are kept as inverses,
 so the two solves of an iteration are matrix-vector products.  numpy has
 no triangular inverse, and its general one is a pivoted LU solve
 against the identity, so ``_tri_inv`` halves each factor recursively and
 inverts it with matrix products, down to small leaves that
 ``np.linalg.inv`` inverts; every triangular inverse of the
-solver, those of the NT scaling included, goes through it.  Such a solve
-is not backward stable: late in a run its residual, which the dual
-residual inherits, can rise above the feasibility tolerance or stay there
-and keep a point from converging.  So for each point whose dual residual
-is above that tolerance, or whose corrector step would leave it above it,
-the corrector's solve takes one step of iterative refinement against the
-operator: its residual is ``A*(dZ) - r``, which the iteration forms anyway
-to test the step, and not a product with the stored, rounded ``M``.
+solver, those of the NT scaling and of ``_chol_inv``'s leaves included,
+goes through it.  A solve through inverses is not backward stable: late
+in a run its residual, which the dual residual inherits, can rise above
+the feasibility tolerance or stay there and keep a point from converging.
+So for each point whose dual residual is above that tolerance, or whose
+corrector step would leave it above it, the corrector's solve takes one
+step of iterative refinement against the operator: its residual is
+``A*(dZ) - r``, which the iteration forms anyway to test the step, and not
+a product with the stored, rounded ``M``.
 
 A batch of one computes exactly what a solver for one problem would: each
-inner product is one dot product per point, and the border update
-subtracts the blocks' terms one at a time.  A larger batch can differ
-from it at round-off, because numpy's stacked kernels differ from its
-single-matrix ones (``C^T C`` is a ``syrk`` for one matrix, a ``gemm`` in
-a stack).
+inner product is one dot product per point.  A larger batch can differ
+from it at round-off, where numpy's stacked kernels differ from its
+single-matrix ones.
 
 Callers supply strictly feasible starting points, so the dual equality
 residual stays at round-off level; it is still folded into the right-hand side each iteration
@@ -118,6 +129,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -140,6 +152,8 @@ _MIN_STEP = 1e-10
 _SHIFT_LADDER = np.cumsum([0.0, 1e-12, 1e-11, 1e-10])
 # Order at or below which _tri_inv inverts directly instead of halving.
 _TRI_LEAF = 16
+# Order at or below which _chol_inv factors directly instead of halving.
+_CHOL_LEAF = 32
 # Float64 entries of the chunk buffers of the Schur assembly: its term list
 # is built and applied, and the later layers of ``F`` are added, this many
 # entries at a time (see ``StackedBlocks.schur``).
@@ -400,8 +414,15 @@ class _ArrowLayout:
     - the border block ``(m_border, m_border)``.
 
     Only the lower triangles of the diagonal blocks and of the border block
-    are written, as ``np.linalg.cholesky`` reads no other entries, and the
-    transposed couplings ``M[border, block c]`` are not stored.
+    are written, as the factor reads no other entries, and the transposed
+    couplings ``M[border, block c]`` are not stored.
+
+    ``runs`` lists the runs of consecutive diagonal blocks of one order
+    ``s``, each as ``(s, k, first entry, first row in order)``: the ``k``
+    blocks of a run are one contiguous ``(k, s, s)`` stack in the storage,
+    and their couplings ``k * s`` contiguous rows, so a run is factored as
+    one stack, with no copy (``runs_of``).  The arrowhead factor
+    (``_ArrowFactor``) is kept in this layout too.
     """
 
     def __init__(self, part: SchurPartition):
@@ -412,10 +433,18 @@ class _ArrowLayout:
         sizes = np.array([len(q) for q in part.blocks], dtype=np.intp)
         self._diag_at = np.cumsum(sizes * sizes) - sizes * sizes
         self._rows = np.cumsum(sizes) - sizes
+        self.runs = []
+        for s, run in groupby(zip(sizes.tolist(), self._diag_at.tolist(), self._rows.tolist()),
+                              key=lambda block: block[0]):
+            run = list(run)
+            self.runs.append((s, len(run), run[0][1], run[0][2]))
         diag_end = int(np.sum(sizes * sizes))
         self.coupling = slice(diag_end, diag_end + self.mq * self.mb)
         self.border = slice(self.coupling.stop, self.coupling.stop + self.mb * self.mb)
         self.size = self.border.stop
+        # scratch entries per point of the factor's recursions (_factor_shifted)
+        self.room = max([k * _chol_room(s) for s, k, _, _ in self.runs]
+                        + [self.mb * self.mb + _chol_room(self.mb)])
         # per variable: its row in ``order``, and for a block variable its
         # block's first row in ``order``, place in the storage and size
         m = self.order.size
@@ -447,17 +476,19 @@ class _ArrowLayout:
         """
         return np.where(self.in_border[j], self.row_at[1][i], self.row_at[0][i]) + self.col_at[j]
 
-    def blocks(self, schur: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Each diagonal block's ``(B, s, s)`` and coupling's ``(B, s, m_border)``
-        view of the batch's storage."""
-        n = len(schur)
-        couplings = schur[:, self.coupling].reshape(n, self.mq, self.mb)
-        return [(schur[:, at:at + len(q) ** 2].reshape(n, len(q), len(q)),
-                 couplings[:, row:row + len(q)])
-                for q, at, row in zip(self.partition.blocks, self._diag_at, self._rows)]
+    def runs_of(self, arr: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each run's ``(B, k, s, s)`` diagonal blocks and ``(B, k, s, m_border)``
+        couplings, as views of ``arr``, a batch's storage or factor."""
+        n, couplings = len(arr), self.couplings(arr)
+        return [(arr[:, at:at + k * s * s].reshape(n, k, s, s),
+                 couplings[:, row:row + k * s].reshape(n, k, s, self.mb))
+                for s, k, at, row in self.runs]
 
-    def border_block(self, schur: np.ndarray) -> np.ndarray:
-        return schur[:, self.border].reshape(len(schur), self.mb, self.mb)
+    def couplings(self, arr: np.ndarray) -> np.ndarray:
+        return arr[:, self.coupling].reshape(len(arr), self.mq, self.mb)
+
+    def border_block(self, arr: np.ndarray) -> np.ndarray:
+        return arr[:, self.border].reshape(len(arr), self.mb, self.mb)
 
     @cached_property
     def _diagonal(self) -> np.ndarray:
@@ -631,10 +662,15 @@ class StackedBlocks:
         ``np.add.at``, which adds each entry's terms in list order.  The
         storage and the large intermediates live in ``work`` (see
         ``_buffer``), so the storage is valid until the next call with the
-        same ``work``, or the next ``unit_gram`` with it.
+        same ``work``, or the next ``unit_gram`` with it; the arrowhead
+        factor of the storage takes ``K``'s buffer once this call is done.
         """
         pos, k_idx, coef = self._terms
         n = len(jinv[0])
+        # the arrowhead factor takes "k" and "terms" next (_factor_shifted):
+        # sized for both, so that they need not grow
+        _buffer(work, "k", (n * max(self._k_at[-1], self.arrow.size),))
+        _buffer(work, "terms", (max(min(coef.size, _CHUNK), n * self.arrow.room),))
         kflat = _buffer(work, "k", (n, self._k_at[-1]))
         for cl, j, at in zip(self.classes, jinv, self._k_at):
             cl.unit_gram(np.swapaxes(j.conj(), -1, -2) @ j, kflat[:, at:at + cl.k_size], work,
@@ -830,7 +866,7 @@ def solve_block_sdp_batch(
         v_all, jinv_all, why = _nt_scaling(s, z)
         failed = {k: f"cone factorization failed: {w}" for k, w in why.items()}
         if not failed:
-            factor = _factor_arrow(stack.schur(jinv_all, work), stack.arrow, failed)
+            factor = _factor_arrow(stack.schur(jinv_all, work), stack.arrow, failed, work)
         if failed:
             fail(failed, SdpNumericalError, failed.values(), it)
             batch.keep(np.setdiff1d(np.arange(len(batch)), list(failed)))
@@ -1035,32 +1071,90 @@ def _tri_inv(low: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+
+
+def _chol_room(n: int) -> int:
+    """Scratch entries per matrix that ``_chol_inv`` takes at order ``n``."""
+    return 0 if n <= _CHOL_LEAF else (n - n // 2) ** 2 + _chol_room(n - n // 2)
+
+
+def _chol_inv(m: np.ndarray, out: np.ndarray | None = None, failed: dict[int, str] | None = None,
+              tmp: np.ndarray | None = None, shift: np.ndarray | None = None) -> np.ndarray:
+    """``L^-1`` for the lower Cholesky factor ``L`` of each matrix of a stack
+    ``m + shift I``, ``(..., n, n)``, reading only the lower triangles of
+    ``m``; written into ``out`` when given, which must not overlap ``m``.
+
+    One recursion at matrix-product speed (Elmroth, Gustavson, Jonsson &
+    Kagstrom, SIAM Rev. 46, 2004): with ``m = [[A, .], [B, C]]`` it inverts
+    ``A``'s factor into ``I_A``, sets ``L21 = B I_A^H`` and ``S = C - L21
+    L21^H``, inverts ``S``'s factor into ``I_S``, and the lower-left block
+    of the inverse is ``-(I_S L21) I_A``.  Leaves of order at most
+    ``_CHOL_LEAF`` are factored by ``cho_factor`` and inverted by
+    ``_tri_inv``, so each result is exactly lower triangular.
+
+    ``m`` is never written.  A leaf that is not positive definite raises
+    ``np.linalg.LinAlgError``, or with ``failed`` is entered there per point
+    (``_guarded``).  ``tmp`` is a flat array of ``m``'s dtype with
+    ``_chol_room(n)`` entries per matrix, and ``shift``, one value per
+    matrix, broadcasts against the stack's leading axes ``(...)``.
+    """
+    n = m.shape[-1]
+    if out is None:
+        out = np.empty_like(m)
+    if n <= _CHOL_LEAF:
+        a = m if shift is None else _add_diag(m, shift[..., None])
+        out[...] = _tri_inv(cho_factor(a) if failed is None else _guarded(cho_factor, a, failed))
+        return out
+    if tmp is None:
+        tmp = np.empty(m[..., 0, 0].size * _chol_room(n), dtype=m.dtype)
+    h = n // 2
+    i_a = _chol_inv(m[..., :h, :h], out[..., :h, :h], failed, tmp, shift)
+    if failed is not None and len(failed) == len(m):
+        return out    # every point has failed: nothing of out is kept
+    l21, c = out[..., h:, :h], m[..., h:, h:]
+    np.matmul(m[..., h:, :h], np.swapaxes(i_a.conj(), -1, -2), out=l21)
+    s = tmp[:c.size].reshape(c.shape)
+    # a syrk for real l21, whose conj() is itself
+    np.matmul(l21, np.swapaxes(l21.conj(), -1, -2), out=s)
+    np.subtract(c, s, out=s)
+    if shift is not None:
+        idx = np.arange(n - h)
+        s[..., idx, idx] += shift[..., None]
+    i_s = _chol_inv(s, out[..., h:, h:], failed, tmp[s.size:])
+    t = tmp[:l21.size].reshape(l21.shape)
+    np.matmul(i_s, l21, out=t)
+    np.matmul(t, i_a, out=l21)
+    np.negative(l21, out=l21)
+    out[..., :h, h:] = 0.0
+    return out
+
+
 @dataclass
 class _ArrowFactor:
     """Cholesky factors of each point's block-arrowhead matrix, diagonal blocks
-    first, kept as inverses.
+    first, kept as inverses in the layout of the Schur storage.
 
     ``L = [[L_1, ..., 0], ..., [C_1^T, ..., L_B]]`` with ``L_c`` the factor of
     diagonal block ``c``, ``C_c = L_c^-1 M[block c, border]`` and ``L_B`` the
     factor of the border system ``M[border, border] - sum_c C_c^T C_c``.
-    Each triangular factor is inverted once, by ``_tri_inv``, so that every
-    solve with ``L`` is a few matrix-vector products.
+    ``data`` holds ``L_c^-1`` where the storage holds ``M_c``, the ``C_c``
+    where it holds the couplings and ``L_B^-1`` where it holds the border
+    block (``_ArrowLayout.runs_of``), so that every solve with ``L`` is a
+    few matrix-vector products.
     """
 
-    partition: SchurPartition
-    block_inv: list[np.ndarray]  # L_c^-1, (B, s_c, s_c)
-    coupling: list[np.ndarray]   # C_c, (B, s_c, m_border)
-    border_inv: np.ndarray       # L_B^-1, (B, m_border, m_border)
+    layout: _ArrowLayout
+    data: np.ndarray             # (B, layout.size)
     shift: np.ndarray            # (B,) identity shift each factorization needed
 
     def put(self, rows: np.ndarray, other: _ArrowFactor) -> None:
         """Take the factors of ``other``'s points for the points ``rows``."""
-        for mine, theirs in zip([*self.block_inv, *self.coupling, self.border_inv, self.shift],
-                                [*other.block_inv, *other.coupling, other.border_inv, other.shift]):
-            mine[rows] = theirs
+        self.data[rows] = other.data
+        self.shift[rows] = other.shift
 
 
-def _factor_arrow(schur: np.ndarray, lay: _ArrowLayout, failed: dict[int, str]):
+def _factor_arrow(schur: np.ndarray, lay: _ArrowLayout, failed: dict[int, str],
+                  work: dict | None = None):
     """Block-arrowhead Cholesky of each point's storage ``schur``.
 
     The batch is factored at shift 0.  The points whose factor fails there
@@ -1068,15 +1162,21 @@ def _factor_arrow(schur: np.ndarray, lay: _ArrowLayout, failed: dict[int, str]):
     of each of them, with the diagonal blocks and the border shifted alike;
     the other points keep their factors.  A point that fails on every rung
     is entered in ``failed``, and if every point does, no factor is
-    returned.  Each factor is inverted by ``_tri_inv``, and one inverse per
-    factor replaces a triangular solve per use.
+    returned.
+
+    The factor and the recursions' scratch live in the buffers ``"k"`` and
+    ``"terms"`` of ``work``, which the Schur assembly is done with (a fresh
+    dict when none is given); so do those of every rung while no point has
+    a factor, and a sub-batch that climbs beside factored points gets
+    buffers of its own.
     """
+    work = {} if work is None else work
     factor, rows = None, np.arange(len(schur))
     scale = np.maximum(lay.trace(schur) / max(lay.order.size, 1), 1.0)
     for rung in _SHIFT_LADDER:
         # uncopied while no point has a factor, as on rung 0 or for one point
         climbed, still = _factor_shifted(schur if factor is None else schur[rows], lay,
-                                         rung * scale[rows])
+                                         rung * scale[rows], work if factor is None else {})
         if factor is None:
             factor = climbed
         elif climbed is not None:
@@ -1089,25 +1189,33 @@ def _factor_arrow(schur: np.ndarray, lay: _ArrowLayout, failed: dict[int, str]):
     return factor
 
 
-def _factor_shifted(schur: np.ndarray, lay: _ArrowLayout, shift: np.ndarray):
-    """The arrowhead factors of ``M + shift * I`` for each point, or None as
-    soon as every point has failed, and the points whose Cholesky failed."""
-    block_inv, couplings, failed = [], [], {}
-    border = _add_diag(lay.border_block(schur), shift[:, None])
-    for diag, coupling in lay.blocks(schur):
-        low = _guarded(cho_factor, _add_diag(diag, shift[:, None]), failed)
-        if len(failed) == len(schur):
-            return None, np.arange(len(schur))
-        inv = _tri_inv(low)
-        cq = inv @ coupling
-        border -= np.swapaxes(cq, -1, -2) @ cq
-        block_inv.append(inv)
-        couplings.append(cq)
-    low = _guarded(cho_factor, border, failed)
-    if len(failed) == len(schur):
-        return None, np.arange(len(schur))
-    factor = _ArrowFactor(lay.partition, block_inv, couplings, _tri_inv(low), shift)
-    return factor, np.array(sorted(failed), dtype=np.intp)
+def _factor_shifted(schur: np.ndarray, lay: _ArrowLayout, shift: np.ndarray, work: dict):
+    """The arrowhead factors of ``M + shift * I`` for each point, in the
+    buffers of ``work``, or None as soon as every point has failed, and the
+    points whose Cholesky failed.
+
+    Each run of diagonal blocks is one ``_chol_inv`` stack, and its
+    couplings one product with it; the border system is then formed with
+    one product over all couplings, a ``syrk`` as both operands are the
+    same array.
+    """
+    n, failed, shifted = len(schur), {}, np.any(shift)
+    data = _buffer(work, "k", (n, lay.size))
+    tmp = _buffer(work, "terms", (n * lay.room,))
+    for (diag, coupling), (inv, cq) in zip(lay.runs_of(schur), lay.runs_of(data)):
+        _chol_inv(diag, inv, failed, tmp, shift[:, None] if shifted else None)
+        if len(failed) == n:
+            return None, np.arange(n)
+        np.matmul(inv, coupling, out=cq)
+    cq = lay.couplings(data)
+    border = tmp[:n * lay.mb * lay.mb].reshape(n, lay.mb, lay.mb)
+    np.matmul(np.swapaxes(cq, -1, -2), cq, out=border)
+    np.subtract(lay.border_block(schur), border, out=border)
+    _chol_inv(border, lay.border_block(data), failed, tmp[border.size:],
+              shift if shifted else None)
+    if len(failed) == n:
+        return None, np.arange(n)
+    return _ArrowFactor(lay, data, shift), np.array(sorted(failed), dtype=np.intp)
 
 
 def cho_solve(factor: _ArrowFactor, b: np.ndarray) -> np.ndarray:
@@ -1115,17 +1223,24 @@ def cho_solve(factor: _ArrowFactor, b: np.ndarray) -> np.ndarray:
     back substitution with ``L``.
 
     With the triangular inverses held by ``factor``, both substitutions are
-    matrix-vector products.
+    matrix-vector products: one per run of diagonal blocks each way, and
+    one over all couplings each way.
     """
-    part = factor.partition
-    y = [lq_inv @ b[:, q, None] for lq_inv, q in zip(factor.block_inv, part.blocks)]
-    r_border = b[:, part.border, None]
-    for cq, yq in zip(factor.coupling, y):
-        r_border -= np.swapaxes(cq, -1, -2) @ yq
-    lb_inv = factor.border_inv
-    x_border = np.swapaxes(lb_inv, -1, -2) @ (lb_inv @ r_border)
+    lay, n = factor.layout, len(b)
+    runs = lay.runs_of(factor.data)
+    cq, lb_inv = lay.couplings(factor.data), lay.border_block(factor.data)
+    # b in layout order, the block variables run by run, then the border
+    z = b[:, lay.order, None]
+    y, border = z[:, :lay.mq], z[:, lay.mq:]
+    for (inv, _), (s, k, _, row) in zip(runs, lay.runs):
+        at = slice(row, row + k * s)
+        y[:, at] = (inv @ y[:, at].reshape(n, k, s, 1)).reshape(n, -1, 1)
+    border -= np.swapaxes(cq, -1, -2) @ y
+    border[...] = np.swapaxes(lb_inv, -1, -2) @ (lb_inv @ border)
+    y -= cq @ border
+    for (inv, _), (s, k, _, row) in zip(runs, lay.runs):
+        at = slice(row, row + k * s)
+        y[:, at] = (np.swapaxes(inv, -1, -2) @ y[:, at].reshape(n, k, s, 1)).reshape(n, -1, 1)
     x = np.empty_like(b)
-    x[:, part.border] = x_border[..., 0]
-    for lq_inv, q, cq, yq in zip(factor.block_inv, part.blocks, factor.coupling, y):
-        x[:, q] = (np.swapaxes(lq_inv, -1, -2) @ (yq - cq @ x_border))[..., 0]
+    x[:, lay.order] = z[..., 0]
     return x

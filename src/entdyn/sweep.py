@@ -449,11 +449,19 @@ def _freeze_windows(ts, vs, tol: Tolerances) -> list[tuple[float, float]]:
     The exit departs quadratically and is invisible at first; the reported
     end is where the value has measurably left the plateau, at 0.1% of the
     plateau level, found by interpolation.
+
+    A spacing wider than 1.5 times the smallest one is a gap, where a
+    failed solve left no sample.  Nothing is read across a gap: a run of
+    flat intervals ends at it, an entry whose secant would reach across it
+    is the first sample after it, and an exit that would is the last sample
+    before it.
     """
     if len(ts) < 3:
         return []
-    slopes = np.diff(vs) / np.diff(ts)
-    ok = np.abs(slopes) <= tol.plateau_slope
+    dt = np.diff(ts)
+    gap = dt > 1.5 * np.min(dt)
+    slopes = np.diff(vs) / dt
+    ok = (np.abs(slopes) <= tol.plateau_slope) & ~gap
     global_max = float(np.max(vs))
 
     windows: list[tuple[float, float]] = []
@@ -477,17 +485,17 @@ def _freeze_windows(ts, vs, tol: Tolerances) -> list[tuple[float, float]]:
             while b + 1 <= hi and vs[b + 1] >= band:
                 b += 1
             start = float(ts[a])
-            if a >= 2 and vs[a - 1] > vs[a - 2]:
+            if a >= 2 and not (gap[a - 2] or gap[a - 1]) and vs[a - 1] > vs[a - 2]:
                 start = _secant_root(ts[a - 2], vs[a - 2], ts[a - 1], vs[a - 1],
                                      vmax, ts[a - 1], ts[a])
             level = (1.0 - 1e-3) * vmax
             q = max(arg, b)
-            while q + 1 < len(ts) and vs[q + 1] >= level:
+            while q + 1 < len(ts) and not gap[q] and vs[q + 1] >= level:
                 q += 1
-            if q + 1 < len(ts):
+            if q + 1 < len(ts) and not gap[q]:
                 end = _interp_crossing(ts[q], vs[q], ts[q + 1], vs[q + 1], level)
             else:
-                end = float(ts[-1])
+                end = float(ts[q])
             if end - start >= tol.plateau_dwell:
                 windows.append((start, end))
         k = k_end + 1

@@ -13,6 +13,7 @@ import entdyn
 import entdyn.evolution
 import entdyn.sweep
 from entdyn.amplitude import AmplitudeModel, c0
+from entdyn.cli import main
 from entdyn.gme import GmeProblem
 from entdyn.states import DensityMatrix, StateValidationError
 from entdyn.sweep import (
@@ -141,6 +142,36 @@ def test_freeze_detection_on_synthetic_plateau():
     start, end = rep.freeze_windows[0]
     assert start == pytest.approx(4.0, abs=0.1)
     assert end == pytest.approx(8.0, abs=0.1)
+
+
+def _plateau_table(drop=()):
+    """Ramp locking at 0.2 from t=4.03, leaving it quadratically after t=8,
+    with the samples ``drop`` failed (NaN)."""
+    ts = np.linspace(0.0, 10.0, 201)
+    v = np.minimum(0.2 * ts / 4.03, 0.2)
+    v = np.where(ts > 8.0, 0.2 - 0.01 * (ts - 8.0) ** 2, v)
+    v[list(drop)] = np.nan
+    return SweepTable(ts, np.ones_like(ts), np.full_like(ts, np.nan), np.full_like(ts, np.nan), v)
+
+
+@pytest.mark.parametrize("drop, windows", [
+    ((), [(4.03, 8.140000000000002)]),                     # as without the gap rule
+    ((81,), [(4.1000000000000005, 8.140000000000002)]),    # the first plateau sample failed
+    ((163,), [(4.03, 8.1)]),                               # the sample past the exit failed
+    ((120,), [(4.03, 5.95), (6.050000000000001, 8.140000000000002)]),
+], ids=["none", "entry", "exit", "inside"])
+def test_freeze_windows_stop_at_a_failed_sample(tmp_path, drop, windows):
+    # a failed sample leaves a gap in the finite series: the entry secant
+    # and the exit interpolation never reach across it, and a plateau run
+    # ends at it; the events command, from trace.csv, finds the same
+    table = _plateau_table(drop)
+    report = detect_events(table, Tolerances())
+    assert report.freeze_windows == windows
+    emit(table, report, tmp_path)
+    original = (tmp_path / "events.json").read_bytes()
+    (tmp_path / "events.json").unlink()
+    assert main(["events", "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "events.json").read_bytes() == original
 
 
 def test_freeze_detection_rejects_smooth_peak():
