@@ -96,20 +96,23 @@ solver, those of the NT scaling and of ``_chol_inv``'s leaves included,
 goes through it.  A solve through inverses is not backward stable: late
 in a run its residual, which the dual residual inherits, can rise above
 the feasibility tolerance or stay there and keep a point from converging.
-So for each point whose dual residual is above that tolerance, or whose
-corrector step would leave it above it, the corrector's solve takes one
-step of iterative refinement against the operator: its residual is
-``A*(dZ) - r``, which the iteration forms anyway to test the step, and not
-a product with the stored, rounded ``M``.
+So the corrector's solve has one refinement rule: while a point's solve
+residual ``e = A*(dZ) - r`` has an entry above that tolerance, it takes a
+step of iterative refinement against the operator, at most
+``_REFINE_STEPS`` of them.  ``e`` is formed through the operator, not as a
+product with the stored, rounded ``M``.
 
 A batch of one computes exactly what a solver for one problem would: each
 inner product is one dot product per point.  A larger batch can differ
 from it at round-off, where numpy's stacked kernels differ from its
 single-matrix ones.
 
-Callers supply strictly feasible starting points, so the dual equality
-residual stays at round-off level; it is still folded into the right-hand side each iteration
-to keep it from drifting.
+The method starts from any interior pair, ``S(x0)`` and ``Z0`` positive
+definite, feasible or not (an infeasible-start method, as SDPT3 is).  The
+dual residual ``r = c - A*(Z)`` is folded into the corrector's right-hand
+side, so a full dual step removes it, and the predictor's right-hand side
+is ``-c`` whatever ``r`` is.  A point counts as converged only once ``r``
+is within the feasibility tolerance.
 
 Every inner product of Hermitian matrices, ``<X, Y> = Re tr(XY) =
 sum Re X * Re Y + Im X * Im Y``, is a real dot product of the float64 views
@@ -147,6 +150,8 @@ __all__ = [
 
 _STEP_FRACTION = 0.98
 _MIN_STEP = 1e-10
+# Most steps of iterative refinement of a corrector solve.
+_REFINE_STEPS = 10
 # Cumulative identity shifts, in units of max(trace(M)/m, 1), tried in turn
 # when the Schur complement is not numerically positive definite.
 _SHIFT_LADDER = np.cumsum([0.0, 1e-12, 1e-11, 1e-10])
@@ -762,7 +767,8 @@ def solve_block_sdp(
     tolerance: float = 1e-7,
     max_iterations: int = 200,
 ) -> SdpResult:
-    """Run the interior-point iteration from a strictly feasible pair.
+    """Run the interior-point iteration from an interior pair: ``S(x0)`` and
+    ``Z0`` positive definite.
 
     ``blocks`` is a ``StackedBlocks``, which carries the Schur partition;
     a plain list of ``SdpBlock`` is stacked for this solve, with all
@@ -873,8 +879,8 @@ def solve_block_sdp_batch(
             continue
         mu = gap / dim_total
 
-        # Predictor (affine) direction; with feasibility maintained the
-        # right-hand side reduces to -c exactly.
+        # Predictor (affine) direction: with A*(Z) = c - r the right-hand
+        # side -r - A*(Z) is -c, feasible iterate or not.
         dx_aff = cho_solve(factor, -batch.c)
         ds_aff = [_congruence(j, d_s) for j, d_s in zip(jinv_all, stack.combine(dx_aff))]
         dz_aff = [-_add_diag(d_s, v) for d_s, v in zip(ds_aff, v_all)]
@@ -904,11 +910,13 @@ def solve_block_sdp_batch(
         # The step leaves the dual residual at (1 - beta) r - beta e, with
         # e = A*(dZ) - r = rhs - M dx this solve's residual, formed through
         # the operator, which the explicit triangular inverses leave at up
-        # to eps cond(M) |rhs| late in a run.  Where r or e is above the
-        # feasibility tolerance, one step of iterative refinement cuts it down.
-        e = stack.adjoint(dz_full) - r
-        off = np.any(np.abs(r) > feas_tol, axis=1) | np.any(np.abs(e) > feas_tol, axis=1)
-        if np.any(off):
+        # to eps cond(M) |rhs| late in a run.  While e is above the
+        # feasibility tolerance, iterative refinement cuts it down.
+        for _ in range(_REFINE_STEPS):
+            e = stack.adjoint(dz_full) - r
+            off = np.any(np.abs(e) > feas_tol, axis=1)
+            if not np.any(off):
+                break
             dx[off] += cho_solve(factor, e)[off]
             ds, dz, dz_full = _directions(stack, jinv_all, rt_all, dx)
 

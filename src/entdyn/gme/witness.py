@@ -260,12 +260,12 @@ def _sectors(labels: tuple[int, ...]) -> list[list[int]]:
     return [by_label[lab] for lab in sorted(by_label)]
 
 
-def _kept_sectors(labels: tuple[int, ...], perm: np.ndarray) -> list[tuple[int, list[int], bool]]:
-    """``(label, sector, twinned)`` of each sector whose block is kept.
+def _kept_sectors(labels: tuple[int, ...], perm: np.ndarray) -> list[tuple[int, list[int]]]:
+    """``(label, sector)`` of each sector whose block is kept.
 
     For a matrix invariant under ``perm``, the block of a sector is the
     permuted block of its image sector, so of two sectors that ``perm``
-    exchanges only the first is kept, and marked ``twinned``.
+    exchanges only the first is kept.
     """
     sectors = _sectors(labels)
     kept = []
@@ -273,7 +273,7 @@ def _kept_sectors(labels: tuple[int, ...], perm: np.ndarray) -> list[tuple[int, 
         twin = labels[perm[sec[0]]]
         assert sorted(perm[sec]) == sectors[twin]
         if twin >= lab:
-            kept.append((lab, sec, twin > lab))
+            kept.append((lab, sec))
     return kept
 
 
@@ -318,22 +318,6 @@ def _cut_mask(cut: Bipartition, n: int) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class _StartIndex:
-    """Where each element of the starting dual blocks is read from.
-
-    Element ``e`` of the concatenated, flattened blocks is
-    ``sources.flat[src[e]] + coefs[coef[e]]`` (see ``_initial_z``); a
-    ``twinned`` block adds the same of its twin sector, permuted, at
-    ``twin_at`` from ``twin_src``.
-    """
-
-    src: np.ndarray
-    coef: np.ndarray
-    twin_at: np.ndarray
-    twin_src: np.ndarray
-
-
 @dataclass
 class _Formulation:
     """Variables and SDP blocks of one witness problem.
@@ -367,7 +351,6 @@ class _Formulation:
     block_role: np.ndarray
     block_size: np.ndarray
     block_sectors: np.ndarray
-    start: _StartIndex
     reduced: bool
 
 
@@ -412,18 +395,18 @@ def _formulation_for(
     w_ent = np.flatnonzero(e_owner == 0)
 
     blocks: list[SdpBlock] = []
-    roles: list[tuple[int, int, int, bool]] = []   # per block: cut, role code, size, twinned
+    roles: list[tuple[int, int, int]] = []   # per block: cut, role code, size
     sectors: list[list[int]] = []
 
-    def add_pair(ci: int, role: int, sec: list[int], twin_sec: bool, ent: np.ndarray,
-                 e_r: np.ndarray, e_c: np.ndarray, sign: np.ndarray):
+    def add_pair(ci: int, role: int, sec: list[int], ent: np.ndarray, e_r: np.ndarray,
+                 e_c: np.ndarray, sign: np.ndarray):
         ds = len(sec)
         # positions in the sector, which is in ascending order
         coords = dict(var=e_var[ent], row=np.searchsorted(sec, e_r), col=np.searchsorted(sec, e_c),
                       imag=e_imag[ent])
         blocks.append(SdpBlock(a0=np.zeros((ds, ds), dtype=dtype), coef=sign, **coords))
         blocks.append(SdpBlock(a0=-np.eye(ds, dtype=dtype), coef=-sign, **coords))
-        roles.extend([(ci, role, ds, twin_sec), (ci, role + 1, ds, twin_sec)])
+        roles.extend([(ci, role, ds), (ci, role + 1, ds)])
         sectors.extend([sec, sec])
 
     for k, (ci, t) in enumerate(zip(kept, tie)):
@@ -440,15 +423,14 @@ def _formulation_for(
         p_ent = np.r_[w_ent, q_ent]
         p_row, p_col = np.r_[e_row[w_ent], ti], np.r_[e_col[w_ent], tj]
         p_sign = np.r_[np.ones(w_ent.size), -np.ones(q_ent.size)]
-        for lab, sec, twin_sec in _kept_sectors(w_labels, t):
+        for lab, sec in _kept_sectors(w_labels, t):
             sel = w_sector_of[p_row] == lab
-            add_pair(ci, 0, sec, twin_sec, p_ent[sel], p_row[sel], p_col[sel], p_sign[sel])
+            add_pair(ci, 0, sec, p_ent[sel], p_row[sel], p_col[sel], p_sign[sel])
 
         q_sector_of = np.array(q_labels[ci])
-        for lab, sec, twin_sec in _kept_sectors(q_labels[ci], t):
+        for lab, sec in _kept_sectors(q_labels[ci], t):
             sel = q_sector_of[qi] == lab
-            add_pair(ci, 2, sec, twin_sec, q_ent[sel], qi[sel], qj[sel],
-                     np.ones(np.count_nonzero(sel)))
+            add_pair(ci, 2, sec, q_ent[sel], qi[sel], qj[sel], np.ones(np.count_nonzero(sel)))
 
     # W couples to every cut; the Q variables of different cuts never share
     # a block, so the Schur complement is an arrowhead with W as its border.
@@ -456,7 +438,7 @@ def _formulation_for(
         border=np.flatnonzero(owner == 0),
         blocks=tuple(np.flatnonzero(owner == k + 1) for k in range(len(kept))),
     )
-    cut, role, sizes, twinned = (np.array(a) for a in zip(*roles))
+    cut, role, sizes = (np.array(a) for a in zip(*roles))
     sectors = np.concatenate(sectors)
     return _Formulation(
         n=n,
@@ -474,44 +456,12 @@ def _formulation_for(
         block_role=role,
         block_size=sizes,
         block_sectors=sectors,
-        start=_start_index(cut, role, sizes, sectors, twinned, kept, perm),
         reduced=real or len(set(w_labels)) > 1,
     )
 
 
-def _start_index(
-    cut: np.ndarray, role: np.ndarray, sizes: np.ndarray, secs: np.ndarray, twinned: np.ndarray,
-    kept: list[int], perm: np.ndarray,
-) -> _StartIndex:
-    """Gather indices of the starting dual blocks (see ``_initial_z``).
-
-    Source 0 is zero, 1 the state and ``2 + k`` its partial transpose over
-    the ``k``-th kept cut; coefficient 1 is the P blocks' shift and
-    ``2 + k`` the Q blocks' bump of that cut.  Upper-bound blocks read
-    source 0, so they hold only their coefficient times the identity.  The
-    blocks are given as in ``_Formulation``; ``kept`` is in ascending order.
-    """
-    dim = perm.size
-    k = np.where(role < 2, 1, 2 + np.searchsorted(kept, cut))
-    src_k = np.where(role % 2 == 0, k, 0)
-    # element e of block b is entry (i, j) of the state's indices
-    areas = sizes**2
-    blk = np.repeat(np.arange(sizes.size), areas)
-    local = np.arange(blk.size) - (np.cumsum(areas) - areas)[blk]
-    first = (np.cumsum(sizes) - sizes)[blk]
-    i, j = secs[first + local // sizes[blk]], secs[first + local % sizes[blk]]
-    base = src_k[blk] * dim * dim
-    twin_at = np.flatnonzero(twinned[blk])
-    return _StartIndex(
-        src=base + i * dim + j,
-        coef=np.where(i == j, k[blk], 0),
-        twin_at=twin_at,
-        twin_src=base[twin_at] + perm[i[twin_at]] * dim + perm[j[twin_at]],
-    )
-
-
 # ---------------------------------------------------------------------------
-# per-solve data: objective vector and strictly feasible starting points
+# per-solve data: objective vector and interior starting points
 
 def _objective_vector(form: _Formulation, entries: np.ndarray) -> np.ndarray:
     """``c`` with ``c . x = Re tr(W(x) rho)``; the Q variables cost nothing.
@@ -534,31 +484,10 @@ def _initial_x(form: _Formulation) -> np.ndarray:
     return np.where(diag & (form.owner == 0), 1.0, np.where(diag, 0.5, 0.0))
 
 
-def _initial_z(form: _Formulation, entries: np.ndarray) -> np.ndarray:
-    """A strictly feasible dual start, ``<A_k, Z0> = c_k`` for every variable, as one
-    row: the blocks flattened and concatenated in block order.
-
-    Each kept cut's lower P blocks hold ``rho / mc`` plus a shift, and its
-    lower Q blocks ``rho^{T_M} / mc`` plus a bump that makes them positive
-    definite, with ``mc`` the kept cut count; each upper block holds the
-    same multiple of the identity as its lower partner, so that the two
-    cancel in ``A*(Z0)``.  A twinned block also holds its dropped twin's
-    start, permuted, so that the entries the twin held are still priced.
-    """
-    if form.real:
-        entries = entries.real
-    d = 2**form.n
-    mc = len(form.kept)
-    shift = 0.2
-    pts = np.stack([_partial_transpose_matrix(entries, form.cuts[ci].left, (2,) * form.n)
-                    for ci in form.kept])
-    bumps = shift + np.maximum(0.0, -np.linalg.eigvalsh(pts)[:, 0]) / mc
-    sources = np.concatenate([np.zeros((1, d, d)), entries[None], pts]).ravel() / mc
-    coefs = np.r_[0.0, shift, bumps]
-    st = form.start
-    z = sources[st.src] + coefs[st.coef]
-    z[st.twin_at] += sources[st.twin_src] + coefs[st.coef[st.twin_at]]
-    return z
+def _initial_z(form: _Formulation) -> np.ndarray:
+    """Z0 = I in every dual block, as one row: the blocks flattened and
+    concatenated in block order."""
+    return np.concatenate([np.eye(d).ravel() for d in form.block_size])
 
 
 def _matrices_from_x(form: _Formulation, x: np.ndarray):
@@ -610,11 +539,9 @@ def solve_gme(
 
 def _solve(form: _Formulation, problem: GmeProblem, max_iterations: int = 200) -> GmeSolution:
     """Solve ``problem`` on the given formulation of it."""
-    entries = problem.rho.entries
     result = solve_block_sdp(
-        form.blocks, _objective_vector(form, entries), _initial_x(form),
-        [_initial_z(form, entries)], tolerance=problem.tolerance,
-        max_iterations=max_iterations,
+        form.blocks, _objective_vector(form, problem.rho.entries), _initial_x(form),
+        [_initial_z(form)], tolerance=problem.tolerance, max_iterations=max_iterations,
     )
     return _solution_from_result(form, problem, result)
 
@@ -644,11 +571,10 @@ def solve_gme_batch(
     for key, members in groups.items():
         form = _formulation_for(*key[:-1])
         batch = [problems[k] for k in members]
-        entries = [problem.rho.entries for problem in batch]
         results = solve_block_sdp_batch(
-            form.blocks, np.stack([_objective_vector(form, e) for e in entries]),
+            form.blocks, np.stack([_objective_vector(form, p.rho.entries) for p in batch]),
             np.tile(_initial_x(form), (len(batch), 1)),
-            np.stack([_initial_z(form, e) for e in entries]),
+            np.tile(_initial_z(form), (len(batch), 1)),
             tolerance=key[-1], max_iterations=max_iterations,
         )
         for k, problem, result in zip(members, batch, results):

@@ -380,41 +380,27 @@ def _secant_root(t0, v0, t1, v1, level, lo, hi) -> float:
     return float(np.clip(out, lo, hi))
 
 
-def _refine_death(ts, vs, k, tol) -> float:
-    """Crossing time for vs[k-1] > tol >= vs[k].
+def _crossing(ts, vs, k, tol) -> float:
+    """Time at which ``vs`` crosses ``tol`` between samples ``k - 1`` and ``k``.
 
     The value typically hits exactly zero somewhere inside the bracket and
-    stays there, so the bracket endpoints carry no slope information;
-    extrapolate the secant through the last two live samples instead.
+    stays there, so the dead end of the bracket carries no slope
+    information; the secant through the two nearest live samples, on the
+    live side, is extrapolated instead, or else the bracket's chord is used.
     """
-    if k >= 2 and vs[k - 2] > vs[k - 1] > tol:
-        return _secant_root(ts[k - 2], vs[k - 2], ts[k - 1], vs[k - 1], tol,
-                            ts[k - 1], ts[k])
+    near, far = (k - 1, k - 2) if vs[k - 1] > tol else (k, k + 1)
+    if 0 <= far < len(vs) and vs[far] > vs[near] > tol:
+        return _secant_root(ts[far], vs[far], ts[near], vs[near], tol, ts[k - 1], ts[k])
     return _interp_crossing(ts[k - 1], vs[k - 1], ts[k], vs[k], tol)
 
 
-def _refine_birth(ts, vs, k, tol) -> float:
-    """Crossing time for vs[k-1] <= tol < vs[k] (secant through first live samples)."""
-    if k + 1 < len(vs) and vs[k + 1] > vs[k] > tol:
-        return _secant_root(ts[k + 1], vs[k + 1], ts[k], vs[k], tol,
-                            ts[k - 1], ts[k])
-    return _interp_crossing(ts[k - 1], vs[k - 1], ts[k], vs[k], tol)
-
-
-def _down_crossings(ts, vs, tol) -> list[float]:
-    return [
-        _refine_death(ts, vs, k, tol)
-        for k in range(1, len(ts))
-        if vs[k - 1] > tol >= vs[k]
-    ]
-
-
-def _up_crossings(ts, vs, tol) -> list[float]:
-    return [
-        _refine_birth(ts, vs, k, tol)
-        for k in range(1, len(ts))
-        if vs[k - 1] <= tol < vs[k]
-    ]
+def _crossings(ts, vs, tol) -> tuple[list[float], list[float]]:
+    """Times at which a finite series falls to ``tol`` or below, and at which
+    it rises above it."""
+    live = vs > tol
+    falls, rises = live[:-1] & ~live[1:], ~live[:-1] & live[1:]
+    return ([_crossing(ts, vs, k, tol) for k in np.flatnonzero(falls) + 1],
+            [_crossing(ts, vs, k, tol) for k in np.flatnonzero(rises) + 1])
 
 
 def _first_dead_window(ts, cc, rr, tol) -> tuple[float, float] | None:
@@ -426,8 +412,8 @@ def _first_dead_window(ts, cc, rr, tol) -> tuple[float, float] | None:
     k1 = k0
     while k1 + 1 < len(ts) and dead[k1 + 1]:
         k1 += 1
-    start = ts[0] if k0 == 0 else _refine_death(ts, both, k0, tol)
-    end = ts[-1] if k1 == len(ts) - 1 else _refine_birth(ts, both, k1 + 1, tol)
+    start = ts[0] if k0 == 0 else _crossing(ts, both, k0, tol)
+    end = ts[-1] if k1 == len(ts) - 1 else _crossing(ts, both, k1 + 1, tol)
     if end <= start:
         return None
     return float(start), float(end)
@@ -489,13 +475,12 @@ def _freeze_windows(ts, vs, tol: Tolerances) -> list[tuple[float, float]]:
                 start = _secant_root(ts[a - 2], vs[a - 2], ts[a - 1], vs[a - 1],
                                      vmax, ts[a - 1], ts[a])
             level = (1.0 - 1e-3) * vmax
-            q = max(arg, b)
-            while q + 1 < len(ts) and not gap[q] and vs[q + 1] >= level:
-                q += 1
-            if q + 1 < len(ts) and not gap[q]:
-                end = _interp_crossing(ts[q], vs[q], ts[q + 1], vs[q + 1], level)
+            while b + 1 < len(ts) and not gap[b] and vs[b + 1] >= level:
+                b += 1
+            if b + 1 < len(ts) and not gap[b]:
+                end = _interp_crossing(ts[b], vs[b], ts[b + 1], vs[b + 1], level)
             else:
-                end = float(ts[q])
+                end = float(ts[b])
             if end - start >= tol.plateau_dwell:
                 windows.append((start, end))
         k = k_end + 1
@@ -520,14 +505,13 @@ def detect_events(table: SweepTable, tolerances: Tolerances | None = None) -> Ev
     cc_ok = np.all(np.isfinite(table.e_cc))
     rr_ok = np.all(np.isfinite(table.e_rr))
     if cc_ok:
-        downs = _down_crossings(ts, table.e_cc, tol.zero)
+        downs, ups = _crossings(ts, table.e_cc, tol.zero)
         report.esd_time = downs[0] if downs else None
-        ups = _up_crossings(ts, table.e_cc, tol.zero)
         # only onsets after a death count as re-entanglement
         if report.esd_time is not None:
             report.revival_times = [u for u in ups if u > report.esd_time]
     if rr_ok:
-        ups = _up_crossings(ts, table.e_rr, tol.zero)
+        ups = _crossings(ts, table.e_rr, tol.zero)[1]
         report.esb_time = ups[0] if ups else None
     if cc_ok and rr_ok:
         report.dead_window = _first_dead_window(ts, table.e_cc, table.e_rr, tol.zero)

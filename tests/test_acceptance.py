@@ -31,7 +31,7 @@ from entdyn.states import (
     tensor,
     werner,
 )
-from entdyn.sweep import SweepConfig, Tolerances, _down_crossings, detect_events, run_sweep
+from entdyn.sweep import SweepConfig, Tolerances, _crossings, detect_events, run_sweep
 
 pytestmark = pytest.mark.acceptance
 
@@ -186,7 +186,7 @@ def test_criterion_5_reservoir_window_alpha26(pure26_x5, pure26_x001):
     _, r5 = pure26_x5
     t001, r001 = pure26_x001
     dead = r5.dead_window or (None, None)
-    rr_deaths = _down_crossings(t001.gamma0_t, t001.e_rr, Tolerances().zero)
+    rr_deaths = _crossings(t001.gamma0_t, t001.e_rr, Tolerances().zero)[0]
     rr_vanish = rr_deaths[0] if rr_deaths else None
     _criterion(5, "reservoir windows, alpha=sqrt(1/26)", [
         _near("markov esb", r5.esb_time, 1.7, 0.15),

@@ -1152,21 +1152,18 @@ def test_reduction_counts_real_and_complex_states():
 
 
 # pure alpha = sqrt(1/10), x = 0.01 next to its recurrent plateau at |alpha beta| = 0.3.
-# All three formulations converge to 0.293765 here through their round-off,
-# not through a solver fix: the public path fails with "cone factorization
-# failed" at the census point gamma0*t = 33.25 next to it.  If round-off
+# All three formulations converge to 0.293765 here, and the public path
+# converges at the census point gamma0*t = 33.25 next to it.  If round-off
 # makes one fail here, put it back under a strict xfail, never loosen the
 # tolerance.
 @pytest.mark.parametrize("symmetry_reduction", [
     "unswapped",
     True,
     # the generic path's Schur complement turns singular to working
-    # precision late in the run; it converges because a corrector step that
-    # would take its dual residual above the tolerance is refined, with its
-    # dual 3.1e-7 above its primal.  Its outcome depends on the BLAS thread
-    # count: it converges with two OpenBLAS threads (numpy's default on two
-    # cores, which this test process keeps) and fails with "cone
-    # factorization failed" with one, which is how the command line runs
+    # precision late in the run; its corrector solves are refined until
+    # their residual is within the tolerance, and it converges in 12
+    # iterations with one OpenBLAS thread, as the command line runs, and
+    # with two (numpy's default on two cores, which this test process keeps)
     False,
 ])
 def test_known_failure_alpha10_x001_t33(symmetry_reduction):
@@ -1183,21 +1180,28 @@ def test_known_failure_alpha10_x001_t33(symmetry_reduction):
     assert sol.genuine_negativity == pytest.approx(0.293765, abs=1e-6)
 
 
-# pure alpha = sqrt(1/5), x = 1, gamma0*t = 15.75, a point of the census of
-# 21 sweeps where the public reduced path's dual iterate loses definiteness
-# late in the run.  The formulation without the pair swap and the generic
-# path converge to about 6e-7, zero within the solver tolerance.  When the
-# point is fixed, drop the mark
+# pure alpha = sqrt(1/2), x = 0.01: the census sweep's batch of grid points
+# 144-159 (gamma0*t 36.0-39.75), as a sweep solves it, where the point
+# gamma0*t = 38.5 fails with "cone factorization failed: Matrix is not
+# positive definite" (with one and with two OpenBLAS threads), the one
+# failure of the census of 21 sweeps.  Solved alone it converges, to
+# 0.3992332 in 13 iterations.  When the point is fixed, drop the mark
 @pytest.mark.xfail(strict=True, raises=SdpNumericalError,
-                   reason="known solver failure at a census point of alpha^2 = 1/5")
-def test_known_failure_alpha5_x1_t1575():
-    s0 = pure_alpha_beta(math.sqrt(1 / 5), math.sqrt(4 / 5))
-    problem = GmeProblem(rho=evolve_four(s0, AmplitudeModel(1.0, 1.0), 15.75))
-    sol = solve_gme(problem)
+                   reason="known solver failure at a census point of alpha^2 = 1/2")
+def test_known_failure_alpha2_x001_t385():
+    s0 = pure_alpha_beta(math.sqrt(1 / 2), math.sqrt(1 / 2))
+    ts = np.linspace(0.0, 50.0, 201)[144:160]
+    states = evolve_four(s0, AmplitudeModel(1.0, 0.01), ts)
+    problems = [GmeProblem(rho=DensityMatrix(rho, (2,) * 4, validate=False)) for rho in states]
+    solved = solve_gme_batch(problems)
+    problem, sol = problems[10], solved[10]
+    assert ts[10] == 38.5
+    if isinstance(sol, Exception):
+        raise sol
     assert sol.converged and verify_witness(sol, problem).passed
     min_cut = min(negativity(problem.rho, cut).value for cut in problem.cuts)
     assert sol.genuine_negativity <= min_cut + 1e-6
-    assert sol.genuine_negativity == pytest.approx(0.0, abs=1e-6)
+    assert sol.genuine_negativity == pytest.approx(0.3992332, abs=1e-6)
 
 
 # --- pair-swap reduction --------------------------------------------------------
@@ -1277,23 +1281,39 @@ def test_pair_swap_reduction_keeps_its_scope(problem, count):
 
 
 @pytest.mark.parametrize("swap", [True, False])
-def test_initial_dual_is_feasible(swap):
-    # the solver assumes a strictly feasible start: c - A*(Z0) at round-off
-    # and every Z0 block positive definite, also with the twin blocks folded
+def test_initial_dual_is_interior(swap):
+    # the solver needs an interior start, not a feasible one: Z0 = I, one
+    # row of the blocks flattened in block order, positive definite in every
+    # block
     problem = _paper_problem(8.0)
     real, _, w_labels, q_labels = _symmetry_labels(problem, True)
     form = _formulation_for(4, problem.cuts, real, swap, w_labels, q_labels)
     blocks = form.blocks.blocks
-    # one row: the blocks flattened in block order
-    z0 = _initial_z(form, problem.rho.entries)
+    z0 = _initial_z(form)
     areas = [blk.a0.size for blk in blocks]
     assert z0.shape == (sum(areas),)
     zs = [z.reshape(blk.a0.shape) for blk, z in zip(blocks, np.split(z0, np.cumsum(areas)[:-1]))]
     for z in zs:
+        np.testing.assert_array_equal(z, np.eye(len(z)))
         assert np.linalg.eigvalsh(z)[0] > 0.1
-    adjoint = _adjoint(blocks, zs, form.num_vars)
+    # which is dual infeasible for the state
     c = _objective_vector(form, problem.rho.entries)
-    assert np.max(np.abs(c - adjoint)) <= 1e-14
+    assert np.max(np.abs(c - _adjoint(blocks, zs, form.num_vars))) > 0.1
+
+
+def test_identity_dual_start_reaches_the_feasible_start_optimum():
+    # the random SDP's built-in Z0 is strictly feasible, the identity is not:
+    # from it the iteration reaches the same optimum and ends dual feasible
+    blocks, c, x0, z0 = _random_block_sdp(13)
+    eye = [np.eye(len(z), dtype=complex) for z in z0]
+    assert np.max(np.abs(c - _adjoint(blocks, eye, c.size))) > 0.1
+    ref = solve_block_sdp(blocks, c, x0, z0)
+    got = solve_block_sdp(blocks, c, x0, eye)
+    assert ref.converged and got.converged
+    assert got.dual_residual <= 1e-7
+    tol = 1e-7 * (1.0 + abs(ref.primal_objective) + abs(ref.dual_objective))
+    assert got.primal_objective == pytest.approx(ref.primal_objective, abs=tol)
+    assert got.dual_objective == pytest.approx(ref.dual_objective, abs=tol)
 
 
 def test_fused_step_lengths_equal_separate_calls():
@@ -1500,8 +1520,11 @@ def test_solution_residuals_are_small():
 
 
 def test_nonconvergence_reported_with_bound():
+    # capped one iteration short of convergence, which is past the first
+    # dual-feasible iterate of the identity start
+    iterations = solve_gme(ghz_state(3)).iterations
     with pytest.raises(SdpNonConvergenceError) as err:
-        solve_gme(ghz_state(3), max_iterations=2)
+        solve_gme(ghz_state(3), max_iterations=iterations - 1)
     assert err.value.best_bound is not None
     assert err.value.best_bound <= -0.4  # valid lower bound on the optimum
 
@@ -1559,14 +1582,14 @@ def test_failed_point_of_a_batch_gets_its_own_error(monkeypatch, kind, message):
     entries = [p.rho.entries for p in problems]
     c = np.stack([_objective_vector(form, e) for e in entries])
     x0 = np.tile(_initial_x(form), (len(problems), 1))
-    z0 = np.stack([_initial_z(form, e) for e in entries])
+    z0 = np.tile(_initial_z(form), (len(problems), 1))
     if kind == "primal":
         # the slack of x = 0 is singular
         x0[1] = 0.0
     elif kind == "dual":
         # blocks 0 and 1 are a lower bound and its upper partner, whose basis
         # is the negated one: subtracting the same matrix from both keeps
-        # A*(Z0) = c, but leaves the upper block indefinite
+        # A*(Z0), but leaves the upper block indefinite
         d = problem_json_dict(problems[0])["blocks"][0]["size"]
         assert problem_json_dict(problems[0])["blocks"][1]["size"] == d
         upper = z0[1, d * d:2 * d * d].reshape(d, d)
@@ -1588,7 +1611,8 @@ def test_failed_point_of_a_batch_gets_its_own_error(monkeypatch, kind, message):
     err = results[1]
     assert isinstance(err, SdpNumericalError)
     assert str(err) == message
-    assert err.iterations == 0 and err.best_bound is not None
+    # the identity start is dual infeasible, so a failure at iteration 0 has no bound
+    assert err.iterations == 0 and err.best_bound is None
     # the others run as a batch without the failed point
     others = solve_block_sdp_batch(form.blocks, c[[0, 2]], x0[[0, 2]], z0[[0, 2]])
     for got, want in zip(results[::2], others):

@@ -438,3 +438,69 @@ def test_gme_solves_and_sweeps_do_not_import_numpy_ma():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+# --- GMN as a function of c0**2 -------------------------------------------------
+# On each cavity-reservoir pair |10> -> c0 |10> + c |01>, with c0 real and
+# c = sqrt(1 - c0**2).  Up to local unitaries, which leave every negativity
+# unchanged, the four-qubit state depends on t and x only through
+# q = c0(t)**2, and swapping each cavity with its reservoir maps q to 1 - q.
+
+@pytest.mark.parametrize("state", [A26, {"kind": "werner", "p": 0.9}], ids=["pure26", "werner09"])
+def test_gme_is_a_function_of_c0_squared(state):
+    # at equal q the GMN agrees across x, and g(q) = g(1 - q)
+    from entdyn.amplitude import first_zero
+    from entdyn.evolution import evolve_four
+    from entdyn.gme import solve_gme_batch
+
+    s0 = bipartite_config(initial_state=state).initial_state
+    qs, xs = (0.2, 0.35, 0.5, 0.65, 0.8), (5.0, 0.1, 0.01)
+    problems = []
+    for x in xs:
+        model = AmplitudeModel(1.0, x)
+        tmax = first_zero(model) or 20.0
+        problems += [GmeProblem(rho=evolve_four(s0, model, _first_root(model, q, tmax)))
+                     for q in qs]
+    solved = solve_gme_batch(problems)
+    assert all(sol.converged for sol in solved)
+    g = np.array([sol.genuine_negativity for sol in solved]).reshape(len(xs), len(qs))
+    tol = 10 * SDP_TOLERANCE
+    assert np.max(np.ptp(g, axis=0)) <= tol, g
+    assert np.max(np.abs(g - g[:, ::-1])) <= tol, g
+
+
+@pytest.mark.parametrize("alpha2", [1 / 26, 1 / 10, 1 / 50, 1 / 5, 1 / 3],
+                         ids=["a26", "a10", "a50", "a5", "a3"])
+def test_dead_band_in_closed_form(alpha2):
+    # alpha|00> + beta|11> with r = |alpha/beta|: e_cc > 0 exactly when
+    # q > 1 - r and e_rr > 0 exactly when q < r, so a time is dead exactly
+    # when r <= q <= 1 - r, an empty band for r > 1/2
+    alpha, beta = math.sqrt(alpha2), math.sqrt(1 - alpha2)
+    r = alpha / beta
+    for x in (0.01, 0.1, 0.2, 5.0):
+        cfg = bipartite_config(initial_state={"kind": "pure", "alpha": alpha, "beta": beta},
+                               x=x, gamma0_t_max=50.0, steps=6000)
+        table = run_sweep(cfg)
+        q = table.c0**2
+        clear = (np.abs(q - r) > 1e-6) & (np.abs(q - (1 - r)) > 1e-6)
+        dead = np.maximum(table.e_cc, table.e_rr) <= Tolerances().zero
+        band = (r <= q) & (q <= 1 - r)
+        np.testing.assert_array_equal(dead[clear], band[clear], err_msg=f"x={x}")
+
+
+@pytest.mark.slow
+def test_census_sweeps_fail_at_few_points():
+    # the census grid (201 points over [0, 50], GME only, default tolerance)
+    # on the census's two sweeps that fail most from a feasible dual start
+    # (16 NaN cells together, against 1 from the identity)
+    sweeps = {
+        "alpha2=1/2 x=0.01": ({"kind": "pure", "alpha": math.sqrt(0.5), "beta": math.sqrt(0.5)},
+                              0.01),
+        "werner(0.9) x=0.1": ({"kind": "werner", "p": 0.9}, 0.1),
+    }
+    nans = {}
+    for name, (state, x) in sweeps.items():
+        cfg = bipartite_config(initial_state=state, x=x, gamma0_t_max=50.0, steps=200,
+                               measures=["gme"])
+        nans[name] = int(np.count_nonzero(np.isnan(run_sweep(cfg).e_gme)))
+    assert sum(nans.values()) <= 3, f"NaN cells per sweep: {nans}"
