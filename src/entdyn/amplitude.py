@@ -136,36 +136,19 @@ def c_excitation(model: AmplitudeModel, t) -> np.ndarray | float:
 
 
 def first_zero(model: AmplitudeModel, gamma0_t_max: float | None = None) -> float | None:
-    """First zero of ``c0`` in dimensionless time, or None if there is none.
+    """First zero of ``c0`` in dimensionless time, or None if there is none
+    (or if it lies beyond ``gamma0_t_max``).
 
-    Zeros exist only in the oscillatory regime ``x < 2``.  The root is
-    bracketed by a coarse scan and refined by bisection to 1e-10 absolute
-    tolerance in ``gamma0 * t``.
+    Zeros exist only in the oscillatory regime ``x < 2``.  There ``c0`` is a
+    positive factor times ``cos u + (x/s) sin u`` with ``u = s gamma0 t / 2``,
+    which first vanishes at ``u = pi/2 + arctan(x/s)``, so the zero is at
+    ``gamma0 t = 2 atan2(s, -x) / s``.
     """
     x = model.x
     if x >= 2.0 - _CRITICAL_WINDOW:
         return None
     s = math.sqrt(x * (2.0 - x))
-    # The first sign change happens before the first full period 2*pi/s.
-    horizon = 2.0 * math.pi / s * 1.05
-    if gamma0_t_max is not None:
-        horizon = min(horizon, gamma0_t_max)
-
-    unit = AmplitudeModel(gamma0=1.0, x=x)
-    grid = np.linspace(0.0, horizon, 2049)
-    vals = np.asarray(c0(unit, grid))
-    sign_change = np.nonzero(np.signbit(vals[1:]) != np.signbit(vals[:-1]))[0]
-    if sign_change.size == 0:
+    root = 2.0 * math.atan2(s, -x) / s
+    if gamma0_t_max is not None and root > gamma0_t_max:
         return None
-    lo, hi = float(grid[sign_change[0]]), float(grid[sign_change[0] + 1])
-    flo = float(c0(unit, lo))
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        fmid = float(c0(unit, mid))
-        if fmid == 0.0:
-            return mid
-        if (fmid < 0) == (flo < 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return root

@@ -1,11 +1,13 @@
 """Command-line driver: sweep | events | gme-single | amplitude.
 
-Every subcommand takes ``--config cfg.json`` plus ``--out-dir`` and
-``--format``; :mod:`entdyn.sweep` reads the configs and writes the files, and
-this module parses arguments and dispatches.  Exit codes: 0 success; 1 config
+Every subcommand takes ``--config cfg.json`` (optional for events) and
+``--out-dir``, and sweep also ``--format`` and ``--measures``;
+:mod:`entdyn.sweep` reads the configs and writes the files, and this module
+parses arguments and dispatches.  Exit codes: 0 success; 1 config or usage
 error (invalid JSON, an unknown top-level key or a bad value, a malformed
-trace); 2 numerical failure (an SDP solve that failed or did not converge, a
-sweep worker that died); 3 I/O error (a missing file, an unwritable directory).
+trace, an unknown flag or a missing ``--config``); 2 numerical failure (an
+SDP solve that failed or did not converge, a sweep worker that died); 3 I/O
+error (a missing file, an unwritable directory).
 
 The witness-SDP solver is imported only by the commands that solve: gme-single
 and a sweep whose measures include gme.  The process pool is imported only by
@@ -87,8 +89,17 @@ def _cmd_amplitude(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors on ``EXIT_CONFIG``: its own code, 2,
+    is ``EXIT_NUMERICAL`` here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="entdyn",
         description="Entanglement dynamics of cavity-reservoir qubit pairs.",
     )
@@ -103,9 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=(name != "events"), default=None,
                        help="path to the JSON configuration")
         p.add_argument("--out-dir", default=".", help="output directory")
-        p.add_argument("--format", default="csv", choices=("csv", "json"),
-                       help="trace table format (events are always JSON)")
         if name == "sweep":
+            p.add_argument("--format", default="csv", choices=("csv", "json"),
+                           help="trace table format (events are always JSON)")
             p.add_argument("--measures", default=None,
                            help="comma-separated override of the measures to "
                                 "compute (e.g. cc,rr to skip the SDP)")

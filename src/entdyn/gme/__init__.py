@@ -9,6 +9,7 @@ from .ipm import (
     SdpNonConvergenceError,
     SdpNumericalError,
     SdpResult,
+    StackedBlocks,
     solve_block_sdp,
     solve_block_sdp_batch,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "SdpError",
     "SdpNonConvergenceError",
     "SdpNumericalError",
+    "StackedBlocks",
     "solve_block_sdp",
     "solve_block_sdp_batch",
     "GmeProblem",

@@ -19,7 +19,7 @@ are diagonal), reduces the Newton system to the Schur complement
 dual step lengths at a 0.98 fraction to the cone boundary.
 
 A run solves a batch of ``B`` problems on one block structure that differ
-only in ``c``, ``x0`` and ``Z0``; ``solve_block_sdp`` is the batch of one.
+only in ``c`` and ``x0``; ``solve_block_sdp`` is the batch of one.
 Every array of an iteration carries a leading batch axis, so each numpy
 call serves the whole batch.  Each point keeps its own ``mu``, ``sigma``,
 step lengths, Schur shift, convergence test, stall count and best bound.
@@ -107,12 +107,13 @@ inner product is one dot product per point.  A larger batch can differ
 from it at round-off, where numpy's stacked kernels differ from its
 single-matrix ones.
 
-The method starts from any interior pair, ``S(x0)`` and ``Z0`` positive
-definite, feasible or not (an infeasible-start method, as SDPT3 is).  The
-dual residual ``r = c - A*(Z)`` is folded into the corrector's right-hand
-side, so a full dual step removes it, and the predictor's right-hand side
-is ``-c`` whatever ``r`` is.  A point counts as converged only once ``r``
-is within the feasibility tolerance.
+Every point starts from the caller's ``x0``, whose slack ``S(x0)`` must be
+positive definite, and from ``Z0 = I`` in every dual block, feasible or
+not (an infeasible-start method, as SDPT3 is).  The dual residual
+``r = c - A*(Z)`` is folded into the corrector's right-hand side, so a
+full dual step removes it, and the predictor's right-hand side is ``-c``
+whatever ``r`` is.  A point counts as converged only once ``r`` is within
+the feasibility tolerance.
 
 Every inner product of Hermitian matrices, ``<X, Y> = Re tr(XY) =
 sum Re X * Re Y + Im X * Im Y``, is a real dot product of the float64 views
@@ -275,8 +276,7 @@ class _SizeClass:
     and the coordinate, halved for ``E_aa``.
     """
 
-    def __init__(self, ids: list[int], blocks: Sequence[SdpBlock], dtype: np.dtype,
-                 block_at: np.ndarray):
+    def __init__(self, ids: list[int], blocks: Sequence[SdpBlock], dtype: np.dtype):
         self.d = d = blocks[ids[0]].a0.shape[0]
         self.dtype = dtype
         self.pa, self.pb = np.triu_indices(d)
@@ -314,8 +314,6 @@ class _SizeClass:
         self.block_ids = np.asarray(ids)[order]
         self.n = len(ids)
         self.a0 = np.stack([blocks[b].a0 for b in self.block_ids], dtype=dtype)
-        # where each stacked block starts in a row of flattened blocks in block order
-        self.z_index = (block_at[self.block_ids][:, None] + np.arange(d * d)).ravel()
 
         # the coordinates in stack order, each block numbered by its place
         place = np.argsort(order)[blk]
@@ -509,11 +507,11 @@ class _ArrowLayout:
 class StackedBlocks:
     """The blocks of one SDP stacked by size and dtype, with its Schur partition and index arrays.
 
-    Build it once per problem structure and pass it to ``solve_block_sdp``
-    in place of the block list, so that the stacks and the index arrays are
-    made once.  The blocks are checked and stacked here; the index arrays
-    are made on the first solve, so a caller that only reads a problem's
-    structure does not pay for them.  ``len`` counts the ``blocks``.
+    Build it once per problem structure and pass it to every solve of that
+    structure, so that the stacks and the index arrays are made once.  The
+    blocks are checked and stacked here; the index arrays are made on the
+    first solve, so a caller that only reads a problem's structure does not
+    pay for them.  ``len`` counts the ``blocks``.
 
     Raises ``ValueError`` if a block is malformed (``SdpBlock.check``) or
     ``partition`` does not fit the blocks (``SchurPartition.check``);
@@ -535,10 +533,7 @@ class StackedBlocks:
         self.num_vars = num_vars
         self.partition = partition
         self.blocks = list(blocks)
-        areas = np.array([blk.a0.size for blk in blocks])
-        block_at = np.cumsum(areas) - areas
-        self.classes = [_SizeClass(ids, blocks, dtype, block_at)
-                        for (_, dtype), ids in by_kind.items()]
+        self.classes = [_SizeClass(ids, blocks, dtype) for (_, dtype), ids in by_kind.items()]
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -627,13 +622,6 @@ class StackedBlocks:
             del full
             coef[span] = (2.0 * val[e][i] * val[e][j])[keep]
         return pos, k_idx, coef
-
-    def start(self, z0: np.ndarray) -> list[np.ndarray]:
-        """Each class's ``(B, n, d, d)`` stack of the dual blocks in ``z0``, one
-        ``(B, sum d_b^2)`` row per point holding the flattened blocks in block order."""
-        rows = [np.take(z0, cl.z_index, axis=1) for cl in self.classes]
-        return [np.asarray(r.real if cl.dtype.kind == "f" else r, dtype=cl.dtype)
-                .reshape(len(z0), cl.n, cl.d, cl.d) for cl, r in zip(self.classes, rows)]
 
     def combine(self, coef: np.ndarray) -> list[np.ndarray]:
         """``sum_k coef[p, k] A_k`` of every block of each point ``p``, one
@@ -760,22 +748,16 @@ class _Batch:
 
 
 def solve_block_sdp(
-    blocks: StackedBlocks | Sequence[SdpBlock],
+    stack: StackedBlocks,
     c: np.ndarray,
     x0: np.ndarray,
-    z0: Sequence[np.ndarray],
     tolerance: float = 1e-7,
     max_iterations: int = 200,
 ) -> SdpResult:
-    """Run the interior-point iteration from an interior pair: ``S(x0)`` and
-    ``Z0`` positive definite.
+    """Run the interior-point iteration from ``x0``, whose slack ``S(x0)`` must
+    be positive definite, and ``Z0 = I`` in every dual block.
 
-    ``blocks`` is a ``StackedBlocks``, which carries the Schur partition;
-    a plain list of ``SdpBlock`` is stacked for this solve, with all
-    variables in one dense Schur block.  ``z0`` holds the dual blocks in the
-    order the blocks were given, in arrays whose flattened concatenation
-    lists each block row-major: one array per block, or a list of one flat
-    array of all blocks.  A real block takes the real part of its start.  This is
+    ``stack`` carries the blocks and the Schur partition.  This is
     ``solve_block_sdp_batch`` on a batch of one.
 
     Raises
@@ -788,36 +770,32 @@ def solve_block_sdp(
 
     Both carry the best dual bound and the iteration count (``SdpError``).
     """
-    z_row = np.concatenate([np.ravel(z) for z in z0])
-    (out,) = solve_block_sdp_batch(blocks, np.asarray(c)[None], np.asarray(x0)[None], z_row[None],
-                                   tolerance, max_iterations)
+    (out,) = solve_block_sdp_batch(stack, np.asarray(c)[None], np.asarray(x0)[None], tolerance,
+                                   max_iterations)
     if isinstance(out, SdpError):
         raise out
     return out
 
 
 def solve_block_sdp_batch(
-    blocks: StackedBlocks | Sequence[SdpBlock],
+    stack: StackedBlocks,
     c: np.ndarray,
     x0: np.ndarray,
-    z0: np.ndarray,
     tolerance: float = 1e-7,
     max_iterations: int = 200,
 ) -> list[SdpResult | SdpError]:
     """Run the interior-point iteration on a batch of problems that share their blocks.
 
-    ``c`` and ``x0`` are ``(B, m)``, one row per point, and ``z0`` is
-    ``(B, sum d_b^2)``: each point's dual blocks flattened and concatenated
-    in block order.  Returns, in input order, each point's ``SdpResult``, or
-    the ``SdpNumericalError`` or ``SdpNonConvergenceError`` that
-    ``solve_block_sdp`` would raise for it.
+    ``c`` and ``x0`` are ``(B, m)``, one row per point.  Returns, in input
+    order, each point's ``SdpResult``, or the ``SdpNumericalError`` or
+    ``SdpNonConvergenceError`` that ``solve_block_sdp`` would raise for it.
     """
     c = np.asarray(c, dtype=float)
     m = c.shape[1]
-    stack = blocks if isinstance(blocks, StackedBlocks) else StackedBlocks(blocks, m)
     dim_total = sum(cl.n * cl.d for cl in stack.classes)
     a0 = [cl.a0 for cl in stack.classes]
-    batch = _Batch(c, np.array(x0, dtype=float), stack.start(np.asarray(z0)))
+    z0 = [np.tile(np.eye(cl.d, dtype=cl.dtype), (len(c), cl.n, 1, 1)) for cl in stack.classes]
+    batch = _Batch(c, np.array(x0, dtype=float), z0)
     work: dict = {}
     results: list[SdpResult | SdpError | None] = [None] * len(c)
 
@@ -1079,18 +1057,16 @@ def _tri_inv(low: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-
-
 def _chol_room(n: int) -> int:
     """Scratch entries per matrix that ``_chol_inv`` takes at order ``n``."""
     return 0 if n <= _CHOL_LEAF else (n - n // 2) ** 2 + _chol_room(n - n // 2)
 
 
-def _chol_inv(m: np.ndarray, out: np.ndarray | None = None, failed: dict[int, str] | None = None,
-              tmp: np.ndarray | None = None, shift: np.ndarray | None = None) -> np.ndarray:
+def _chol_inv(m: np.ndarray, out: np.ndarray, failed: dict[int, str], tmp: np.ndarray,
+              shift: np.ndarray | None = None) -> np.ndarray:
     """``L^-1`` for the lower Cholesky factor ``L`` of each matrix of a stack
     ``m + shift I``, ``(..., n, n)``, reading only the lower triangles of
-    ``m``; written into ``out`` when given, which must not overlap ``m``.
+    ``m``; written into ``out``, which must not overlap ``m``.
 
     One recursion at matrix-product speed (Elmroth, Gustavson, Jonsson &
     Kagstrom, SIAM Rev. 46, 2004): with ``m = [[A, .], [B, C]]`` it inverts
@@ -1100,27 +1076,26 @@ def _chol_inv(m: np.ndarray, out: np.ndarray | None = None, failed: dict[int, st
     ``_CHOL_LEAF`` are factored by ``cho_factor`` and inverted by
     ``_tri_inv``, so each result is exactly lower triangular.
 
-    ``m`` is never written.  A leaf that is not positive definite raises
-    ``np.linalg.LinAlgError``, or with ``failed`` is entered there per point
-    (``_guarded``).  ``tmp`` is a flat array of ``m``'s dtype with
-    ``_chol_room(n)`` entries per matrix, and ``shift``, one value per
-    matrix, broadcasts against the stack's leading axes ``(...)``.
+    ``m`` is never written.  A point with a leaf that is not positive
+    definite is entered in ``failed`` (``_guarded``), and its ``L21`` is
+    zero from then on, so that its later levels work on blocks of ``m`` and
+    stay finite; its ``out`` is not an inverse.  ``tmp`` is a flat array of
+    ``m``'s dtype with ``_chol_room(n)`` entries per matrix, and ``shift``,
+    one value per matrix, broadcasts against the stack's leading axes
+    ``(...)``.
     """
     n = m.shape[-1]
-    if out is None:
-        out = np.empty_like(m)
     if n <= _CHOL_LEAF:
         a = m if shift is None else _add_diag(m, shift[..., None])
-        out[...] = _tri_inv(cho_factor(a) if failed is None else _guarded(cho_factor, a, failed))
+        out[...] = _tri_inv(_guarded(cho_factor, a, failed))
         return out
-    if tmp is None:
-        tmp = np.empty(m[..., 0, 0].size * _chol_room(n), dtype=m.dtype)
     h = n // 2
     i_a = _chol_inv(m[..., :h, :h], out[..., :h, :h], failed, tmp, shift)
-    if failed is not None and len(failed) == len(m):
+    if len(failed) == len(m):
         return out    # every point has failed: nothing of out is kept
     l21, c = out[..., h:, :h], m[..., h:, h:]
     np.matmul(m[..., h:, :h], np.swapaxes(i_a.conj(), -1, -2), out=l21)
+    l21[list(failed)] = 0.0
     s = tmp[:c.size].reshape(c.shape)
     # a syrk for real l21, whose conj() is itself
     np.matmul(l21, np.swapaxes(l21.conj(), -1, -2), out=s)
@@ -1161,8 +1136,7 @@ class _ArrowFactor:
         self.shift[rows] = other.shift
 
 
-def _factor_arrow(schur: np.ndarray, lay: _ArrowLayout, failed: dict[int, str],
-                  work: dict | None = None):
+def _factor_arrow(schur: np.ndarray, lay: _ArrowLayout, failed: dict[int, str], work: dict):
     """Block-arrowhead Cholesky of each point's storage ``schur``.
 
     The batch is factored at shift 0.  The points whose factor fails there
@@ -1173,12 +1147,10 @@ def _factor_arrow(schur: np.ndarray, lay: _ArrowLayout, failed: dict[int, str],
     returned.
 
     The factor and the recursions' scratch live in the buffers ``"k"`` and
-    ``"terms"`` of ``work``, which the Schur assembly is done with (a fresh
-    dict when none is given); so do those of every rung while no point has
-    a factor, and a sub-batch that climbs beside factored points gets
-    buffers of its own.
+    ``"terms"`` of ``work``, which the Schur assembly is done with; so do
+    those of every rung while no point has a factor, and a sub-batch that
+    climbs beside factored points gets buffers of its own.
     """
-    work = {} if work is None else work
     factor, rows = None, np.arange(len(schur))
     scale = np.maximum(lay.trace(schur) / max(lay.order.size, 1), 1.0)
     for rung in _SHIFT_LADDER:

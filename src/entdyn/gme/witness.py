@@ -461,7 +461,7 @@ def _formulation_for(
 
 
 # ---------------------------------------------------------------------------
-# per-solve data: objective vector and interior starting points
+# per-solve data: objective vector and primal starting point
 
 def _objective_vector(form: _Formulation, entries: np.ndarray) -> np.ndarray:
     """``c`` with ``c . x = Re tr(W(x) rho)``; the Q variables cost nothing.
@@ -482,12 +482,6 @@ def _initial_x(form: _Formulation) -> np.ndarray:
     _, i, j, _ = form.entries
     diag = (i == j)[:form.num_vars]
     return np.where(diag & (form.owner == 0), 1.0, np.where(diag, 0.5, 0.0))
-
-
-def _initial_z(form: _Formulation) -> np.ndarray:
-    """Z0 = I in every dual block, as one row: the blocks flattened and
-    concatenated in block order."""
-    return np.concatenate([np.eye(d).ravel() for d in form.block_size])
 
 
 def _matrices_from_x(form: _Formulation, x: np.ndarray):
@@ -515,10 +509,7 @@ def _matrices_from_x(form: _Formulation, x: np.ndarray):
 # public entry points
 
 def solve_gme(
-    problem: GmeProblem | DensityMatrix,
-    *,
-    symmetry_reduction: bool = True,
-    max_iterations: int = 200,
+    problem: GmeProblem | DensityMatrix, *, symmetry_reduction: bool = True
 ) -> GmeSolution:
     """Solve the fully-decomposable-witness SDP for one state.
 
@@ -534,37 +525,26 @@ def solve_gme(
     form = _formulation_for(
         problem.rho.num_subsystems, problem.cuts, *_symmetry_labels(problem, symmetry_reduction)
     )
-    return _solve(form, problem, max_iterations)
-
-
-def _solve(form: _Formulation, problem: GmeProblem, max_iterations: int = 200) -> GmeSolution:
-    """Solve ``problem`` on the given formulation of it."""
-    result = solve_block_sdp(
-        form.blocks, _objective_vector(form, problem.rho.entries), _initial_x(form),
-        [_initial_z(form)], tolerance=problem.tolerance, max_iterations=max_iterations,
-    )
+    result = solve_block_sdp(form.blocks, _objective_vector(form, problem.rho.entries),
+                             _initial_x(form), tolerance=problem.tolerance)
     return _solution_from_result(form, problem, result)
 
 
-def solve_gme_batch(
-    problems: Sequence[GmeProblem],
-    *,
-    symmetry_reduction: bool = True,
-    max_iterations: int = 200,
-) -> list[GmeSolution | SdpError]:
+def solve_gme_batch(problems: Sequence[GmeProblem]) -> list[GmeSolution | SdpError]:
     """Solve many states, with one interior-point run per formulation.
 
     The problems are grouped by formulation (qubit count, cuts and the
-    symmetry labels that ``solve_gme`` derives) and by tolerance, and each
-    group is one batch of ``solve_block_sdp_batch``.  Returns, in input
-    order, each problem's ``GmeSolution``, or the ``SdpError`` that
-    ``solve_gme`` would raise for it; a failed point does not stop the
-    others.  A point's values agree with its ``solve_gme`` values to
-    round-off; a group of one is the same computation.
+    symmetry labels that ``solve_gme`` derives with its default reduction)
+    and by tolerance, and each group is one batch of
+    ``solve_block_sdp_batch``.  Returns, in input order, each problem's
+    ``GmeSolution``, or the ``SdpError`` that ``solve_gme`` would raise for
+    it; a failed point does not stop the others.  A point's values agree
+    with its ``solve_gme`` values to round-off; a group of one is the same
+    computation.
     """
     groups: dict[tuple, list[int]] = {}
     for k, problem in enumerate(problems):
-        labels = _symmetry_labels(problem, symmetry_reduction)
+        labels = _symmetry_labels(problem, True)
         key = (problem.rho.num_subsystems, problem.cuts, *labels, problem.tolerance)
         groups.setdefault(key, []).append(k)
     out: list[GmeSolution | SdpError] = [None] * len(problems)  # type: ignore[list-item]
@@ -573,9 +553,7 @@ def solve_gme_batch(
         batch = [problems[k] for k in members]
         results = solve_block_sdp_batch(
             form.blocks, np.stack([_objective_vector(form, p.rho.entries) for p in batch]),
-            np.tile(_initial_x(form), (len(batch), 1)),
-            np.tile(_initial_z(form), (len(batch), 1)),
-            tolerance=key[-1], max_iterations=max_iterations,
+            np.tile(_initial_x(form), (len(batch), 1)), tolerance=key[-1],
         )
         for k, problem, result in zip(members, batch, results):
             out[k] = result if isinstance(result, SdpError) else \

@@ -277,8 +277,8 @@ class EventReport:
 
 def solve_gme(problem, *, symmetry_reduction: bool = True):
     """:func:`entdyn.gme.solve_gme` for a ``GmeProblem``, or
-    :func:`entdyn.gme.solve_gme_batch` for a list of them, importing the
-    solver at the first call.
+    :func:`entdyn.gme.solve_gme_batch` for a list of them (always reduced),
+    importing the solver at the first call.
 
     Only GME work loads the witness-SDP solver; a cc/rr sweep, ``events`` and
     ``amplitude`` never import it.
@@ -286,7 +286,7 @@ def solve_gme(problem, *, symmetry_reduction: bool = True):
     from . import gme
 
     if isinstance(problem, list):
-        return gme.solve_gme_batch(problem, symmetry_reduction=symmetry_reduction)
+        return gme.solve_gme_batch(problem)
     return gme.solve_gme(problem, symmetry_reduction=symmetry_reduction)
 
 

@@ -345,6 +345,25 @@ def test_every_freeze_window_lies_in_a_dead_window(pure26_x5, pure26_x01, pure26
     assert checked == 4
 
 
+def test_every_freeze_window_maps_into_the_closed_form_dead_band(pure26_x5, pure26_x01,
+                                                                  pure26_x001):
+    # up to local unitaries the state depends on t and x only through
+    # q = c0(t)^2, and for alpha|00> + beta|11> a time is dead exactly when
+    # r <= q <= 1 - r, with r = |alpha| / |beta| = 1/5 here: so every freeze
+    # window, the recurrent one at x = 0.01 included, lies in that band at
+    # every time inside it, not only at its ends
+    r = ALPHA_26 / BETA_26
+    assert r == pytest.approx(0.2, abs=1e-15)
+    checked = 0
+    for (_, report), x in ((pure26_x5, 5.0), (pure26_x01, 0.1), (pure26_x001, 0.01)):
+        assert report.freeze_windows
+        for start, end in report.freeze_windows:
+            q = np.asarray(c0(AmplitudeModel(1.0, x), np.linspace(start, end, 2001))) ** 2
+            assert r <= q.min() and q.max() <= 1 - r, (x, (start, end), q.min(), q.max())
+            checked += 1
+    assert checked == 4
+
+
 def test_criterion_8_sdp_oracles():
     rng = np.random.default_rng(808)
     checks = []

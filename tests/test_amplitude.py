@@ -29,6 +29,22 @@ def test_first_zero_strongly_non_markovian():
     assert c_excitation(AmplitudeModel(1.0, 0.01), root) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("x", [1e-4, 0.01, 0.1, 0.5, 1.0, 1.5, 1.9, 1.999])
+def test_first_zero_closed_form_matches_bisection(x):
+    # bisection on c0 itself, from a bracket found by a dense scan of c0
+    model = AmplitudeModel(1.0, x)
+    root = first_zero(model)
+    ts = np.linspace(0.0, 2.0 * root, 20001)
+    vals = np.asarray(c0(model, ts))
+    k = int(np.flatnonzero(vals <= 0.0)[0])
+    lo, hi = float(ts[k - 1]), float(ts[k])
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if c0(model, mid) > 0.0 else (lo, mid)
+    assert root == pytest.approx(0.5 * (lo + hi), rel=1e-11, abs=1e-11)
+    assert abs(c0(model, root)) < 1e-12
+
+
 def test_first_zero_respects_horizon():
     # the x=0.1 zero sits at ~8.24; a shorter scan window must miss it
     assert first_zero(AmplitudeModel(1.0, 0.1), gamma0_t_max=5.0) is None

@@ -298,6 +298,29 @@ def test_config_error_exit_code(tmp_path):
     assert main(["sweep", "--config", missing, "--out-dir", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--config", "cfg.json", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["sweep"], "the following arguments are required: --config"),
+    # each of events, gme-single and amplitude writes one fixed format
+    (["events", "--format", "json"], "unrecognized arguments: --format json"),
+], ids=["unknown_flag", "missing_config", "format_on_events"])
+def test_usage_error_exits_1(tmp_path, capsys, argv, message):
+    # argparse's own code, 2, would read as a numerical failure
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exited:
+        main([*argv, "--out-dir", str(out)])
+    assert exited.value.code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["sweep", "--help"])
+    assert exited.value.code == 0
+    assert "--format" in capsys.readouterr().out
+
+
 def test_io_error_exit_code(tmp_path):
     cfg = write_config(tmp_path, {"x": 5.0, "gamma0_t_max": 1.0, "steps": 5})
     blocker = tmp_path / "blocked"

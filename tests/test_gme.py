@@ -32,6 +32,7 @@ from entdyn.gme.ipm import (
     _TRI_LEAF,
     _ArrowLayout,
     _chol_inv,
+    _chol_room,
     _directions,
     _factor_arrow,
     _step_lengths,
@@ -44,11 +45,10 @@ from entdyn.gme.ipm import (
 from entdyn.gme.witness import (
     _formulation_for,
     _initial_x,
-    _initial_z,
     _ROLES,
     _matrices_from_x,
     _objective_vector,
-    _solve,
+    _solution_from_result,
     _swap_perm,
     _symmetry_labels,
 )
@@ -126,8 +126,7 @@ def _adjoint(blocks, zs, m):
 def test_solver_scalar_bound():
     # minimize x subject to x >= 1
     blocks = [_block(np.eye(1, dtype=complex), np.ones((1, 1, 1), dtype=complex), [0])]
-    res = solve_block_sdp(blocks, np.array([1.0]), np.array([2.0]),
-                          [np.array([[1.0 + 0j]])])
+    res = solve_block_sdp(StackedBlocks(blocks, 1), np.array([1.0]), np.array([2.0]))
     assert res.primal_objective == pytest.approx(1.0, abs=1e-6)
     assert res.dual_objective == pytest.approx(1.0, abs=1e-6)
 
@@ -138,8 +137,7 @@ def test_solver_interval():
         _block(np.zeros((1, 1), dtype=complex), np.ones((1, 1, 1), dtype=complex), [0]),
         _block(-3.0 * np.eye(1, dtype=complex), -np.ones((1, 1, 1), dtype=complex), [0]),
     ]
-    res = solve_block_sdp(blocks, np.array([-1.0]), np.array([1.5]),
-                          [np.array([[0.5 + 0j]]), np.array([[0.5 + 0j]])])
+    res = solve_block_sdp(StackedBlocks(blocks, 1), np.array([-1.0]), np.array([1.5]))
     assert res.primal_objective == pytest.approx(-3.0, abs=1e-6)
 
 
@@ -155,15 +153,18 @@ def _embed(h):
 
 def test_solver_real_embedding_matches_complex_blocks():
     # two blocks share a shape, so they run as one batched group
-    blocks, c, x0, z0 = _random_block_sdp(13)
-    embedded = [_block(_embed(b.a0), np.stack([_embed(ak) for ak in a]), var)
-                for b in blocks for var, a in [_dense_basis(b)]]
+    stack, c, x0, _ = _random_block_sdp(13)
+    # halved: <embed(X) / 2, embed(Y)> = <X, Y>, so Z maps to embed(Z), and
+    # the identity start of each complex block to that of its embedding
+    embedded = [_block(_embed(b.a0) / 2, np.stack([_embed(ak) / 2 for ak in a]), var)
+                for b in stack.blocks for var, a in [_dense_basis(b)]]
     assert not any(b.imag.any() for b in embedded)
 
-    # <embed(X), embed(Y)> = 2 <X, Y>, so the halved embedded Z0 keeps the
-    # dual equalities; both runs take the same iterates up to round-off
-    direct = solve_block_sdp(blocks, c, x0, z0)
-    real = solve_block_sdp(embedded, c, x0, [0.5 * _embed(z) for z in z0])
+    # S(x) maps to embed(S(x)) / 2 and Z to embed(Z), with the same
+    # objectives, residuals and gap; both runs take the same iterates up to
+    # round-off
+    direct = solve_block_sdp(stack, c, x0)
+    real = solve_block_sdp(StackedBlocks(embedded, c.size), c, x0)
     assert direct.converged and real.converged
     assert real.iterations == direct.iterations
     assert real.primal_objective == pytest.approx(direct.primal_objective, abs=1e-8)
@@ -171,15 +172,16 @@ def test_solver_real_embedding_matches_complex_blocks():
 
 
 def _random_block_sdp(seed):
-    """Random Hermitian block SDP with a strictly feasible pair built in.
+    """Random Hermitian block SDP with a strictly feasible pair built in: its
+    stacked blocks, ``c``, ``x0`` and the dual blocks ``Z_f``.
 
-    ``S(x0) = P`` and ``<A_k, Z0> = c_k`` with ``P`` and ``Z0`` positive definite.
+    ``S(x0) = P`` and ``<A_k, Z_f> = c_k`` with ``P`` and ``Z_f`` positive definite.
     """
     rng = np.random.default_rng(seed)
     m = 7
     layout = [(3, [0, 1, 2, 3]), (3, [2, 4, 5, 6]), (2, [0, 5, 6])]
     x0 = rng.normal(size=m)
-    blocks, z0 = [], []
+    blocks, z_f = [], []
     c = np.zeros(m)
     for d, var_idx in layout:
         a = _random_hermitian(rng, len(var_idx), d, d)
@@ -187,25 +189,25 @@ def _random_block_sdp(seed):
         p = g @ g / d + np.eye(d)
         blocks.append(_block(np.einsum("k,kij->ij", x0[var_idx], a) - p, a, var_idx))
         h = _random_hermitian(rng, d, d)
-        z0.append(h @ h / d + np.eye(d))
-        c[var_idx] += np.einsum("kij,ji->k", a, z0[-1]).real
-    return blocks, c, x0, z0
+        z_f.append(h @ h / d + np.eye(d))
+        c[var_idx] += np.einsum("kij,ji->k", a, z_f[-1]).real
+    return StackedBlocks(blocks, m), c, x0, z_f
 
 
 def test_real_blocks_run_real_and_match_complex_blocks():
     # one real symmetric SDP, solved with float64 blocks and with the same
     # blocks cast to complex: the real run stays real and takes the same steps
-    blocks, c, x0, z0 = _random_block_sdp(17)
-    real = [_block(b.a0.real, a.real, var) for b in blocks for var, a in [_dense_basis(b)]]
-    # the real parts keep S(x0) > 0, and c is re-priced against real Z0
-    z_real = [z.real for z in z0]
-    c = _adjoint(real, z_real, c.size)
+    stack, c, x0, z_f = _random_block_sdp(17)
+    real = [_block(b.a0.real, a.real, var) for b in stack.blocks for var, a in [_dense_basis(b)]]
+    # the real parts keep S(x0) > 0, and c is re-priced against the real Z_f
+    c = _adjoint(real, [z.real for z in z_f], c.size)
     # the same coordinates: a complex a0 alone makes a block complex
     as_complex = [dataclasses.replace(b, a0=b.a0.astype(complex)) for b in real]
-    assert {cl.dtype for cl in StackedBlocks(real, c.size).classes} == {np.dtype(np.float64)}
-    assert {cl.dtype for cl in StackedBlocks(as_complex, c.size).classes} == {np.dtype(complex)}
-    r = solve_block_sdp(real, c, x0, z_real)
-    z = solve_block_sdp(as_complex, c, x0, [zz.astype(complex) for zz in z_real])
+    real, as_complex = StackedBlocks(real, c.size), StackedBlocks(as_complex, c.size)
+    assert {cl.dtype for cl in real.classes} == {np.dtype(np.float64)}
+    assert {cl.dtype for cl in as_complex.classes} == {np.dtype(complex)}
+    r = solve_block_sdp(real, c, x0)
+    z = solve_block_sdp(as_complex, c, x0)
     assert r.converged and z.converged
     assert r.iterations == z.iterations
     assert r.primal_objective == pytest.approx(z.primal_objective, abs=1e-8)
@@ -217,7 +219,7 @@ def test_numerical_failure_keeps_best_bound(monkeypatch):
     # where the default-tolerance run converged (its slack is negated
     # there), in a run at a tolerance it cannot meet first; the bound it had
     # reached lies in the default-tolerance solve's interval
-    sdp = _random_block_sdp(13)
+    sdp = _random_block_sdp(13)[:3]
     ref = solve_block_sdp(*sdp)
     calls = 0
     nt_scaling = ipm._nt_scaling
@@ -286,7 +288,7 @@ def test_arrow_factor_solves_like_dense(border_size, block_sizes):
     storage, layout = _arrow_storage(mats, part)
     rhs = rng.normal(size=(3, mat.shape[0]))
     failed = {}
-    factor = _factor_arrow(storage, layout, failed)
+    factor = _factor_arrow(storage, layout, failed, {})
     assert not failed
     np.testing.assert_array_equal(factor.shift, 0.0)
     want = np.linalg.solve(mats, rhs[..., None])[..., 0]
@@ -310,7 +312,7 @@ def _climb_the_shift_ladder(rng, border_size, block_sizes):
     mat, scale = _indefinite_at_round_off(mat)
     storage, layout = _arrow_storage(mat[None], part)
     failed = {}
-    factor = _factor_arrow(storage, layout, failed)
+    factor = _factor_arrow(storage, layout, failed, {})
     assert not failed
     assert factor.shift[0] == pytest.approx(1e-12 * scale, rel=1e-12)
     rhs = rng.normal(size=mat.shape[0])
@@ -367,11 +369,11 @@ def _climb_in_a_batch(rng, mat, part, bad, scale):
     mats = np.stack([mat, bad, 2.0 * mat])
     storage, layout = _arrow_storage(mats, part)
     failed = {}
-    factor = _factor_arrow(storage, layout, failed)
+    factor = _factor_arrow(storage, layout, failed, {})
     assert not failed
     assert factor.shift[[0, 2]].tolist() == [0.0, 0.0]
     assert factor.shift[1] == pytest.approx(_SHIFT_LADDER[1] * scale, rel=1e-12)
-    pair = _factor_arrow(storage[[0, 2]], layout, failed)
+    pair = _factor_arrow(storage[[0, 2]], layout, failed, {})
     for got, want in zip(_factor_rows(factor, [0, 2]), _factor_rows(pair, slice(None))):
         np.testing.assert_array_equal(got, want)
     rhs = rng.normal(size=(3, len(mat)))
@@ -442,7 +444,15 @@ def test_tri_inv_is_exactly_triangular_where_lu_pivots():
         assert not np.any(np.triu(_tri_inv(low), 1))
 
 
-@pytest.mark.parametrize("n", [1, 16, 31, 32, 33, 43, 64, 65, 255, 256, 257])
+def _chol_inv_of(mats):
+    """``_chol_inv`` of a stack into fresh buffers, and the points it failed."""
+    failed = {}
+    tmp = np.empty(mats[..., 0, 0].size * _chol_room(mats.shape[-1]), dtype=mats.dtype)
+    return _chol_inv(mats, np.empty_like(mats), failed, tmp), failed
+
+
+# orders 300 and 512 recurse past the witness's largest Schur blocks (256)
+@pytest.mark.parametrize("n", [1, 16, 31, 32, 33, 43, 64, 65, 255, 256, 257, 300, 512])
 @pytest.mark.parametrize("batch", [(3,), (2, 3)], ids=["B", "B_k"])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_chol_inv_inverts_cholesky_factors_of_stacks(n, batch, dtype):
@@ -454,8 +464,8 @@ def test_chol_inv_inverts_cholesky_factors_of_stacks(n, batch, dtype):
     # only the lower triangles are read: what is above them is not M's
     given = np.tril(mat) + np.triu(rng.normal(size=mat.shape), 1)
     before = given.copy()
-    inv = _chol_inv(given)
-    assert np.array_equal(given, before)
+    inv, failed = _chol_inv_of(given)
+    assert np.array_equal(given, before) and not failed
     assert inv.shape == mat.shape and inv.dtype == mat.dtype
     assert not np.any(np.triu(inv, 1))
     eye = np.broadcast_to(np.eye(n), mat.shape)
@@ -465,14 +475,17 @@ def test_chol_inv_inverts_cholesky_factors_of_stacks(n, batch, dtype):
     err = np.linalg.norm(inv - ref, axis=(-2, -1)) / np.linalg.norm(ref, axis=(-2, -1))
     assert np.all(err <= 1e-12)
 
-    # one indefinite member of the stack: raised, or entered per point
+    # one indefinite member of the stack: entered per point, and the later
+    # levels of the failed point compute on finite values (an overflow
+    # would be an error here), while the other points' inverses are those
+    # of the stack without it
     bad = given.copy()
     bad[(1,) * len(batch)] *= -1.0
-    with pytest.raises(np.linalg.LinAlgError):
-        _chol_inv(bad)
-    failed = {}
-    _chol_inv(bad, failed=failed)
+    got, failed = _chol_inv_of(bad)
     assert list(failed) == [1]
+    assert np.all(np.isfinite(got))
+    others = [0, 2] if len(batch) == 1 else [0]
+    np.testing.assert_array_equal(got[others], inv[others])
 
 
 def test_ipm_inverts_only_through_tri_inv():
@@ -502,7 +515,7 @@ def test_arrow_factor_rejects_indefinite_schur():
     mat[0, 0] = -1.0
     storage, layout = _arrow_storage(mat[None], part)
     failed = {}
-    _factor_arrow(storage, layout, failed)
+    _factor_arrow(storage, layout, failed, {})
     assert failed == {0: "indefinite Newton system: Schur complement not positive definite"}
 
 
@@ -518,7 +531,7 @@ def test_a_failed_factor_leaves_no_reference_cycle():
     gc.disable()
     try:
         failed = {}
-        _factor_arrow(storage, layout, failed)
+        _factor_arrow(storage, layout, failed, {})
         assert failed and gc.collect() == 0
     finally:
         gc.enable()
@@ -795,11 +808,13 @@ def test_blocks_encode_the_witness_constraints(case):
 
 
 def test_stacked_blocks_carry_their_partition():
-    blocks, c, x0, z0 = _random_block_sdp(13)
+    plain, c, x0, _ = _random_block_sdp(13)
+    blocks = plain.blocks
     whole = SchurPartition(np.zeros(0, dtype=int), (np.arange(c.size),))
     stack = StackedBlocks(blocks, c.size, whole)
-    assert solve_block_sdp(stack, c, x0, z0).primal_objective == \
-        solve_block_sdp(blocks, c, x0, z0).primal_objective
+    # without a partition all variables form one block
+    assert solve_block_sdp(stack, c, x0).primal_objective == \
+        solve_block_sdp(plain, c, x0).primal_objective
     with pytest.raises(ValueError, match="misses a variable"):
         StackedBlocks(blocks, c.size, SchurPartition(np.zeros(0, dtype=int), (np.arange(1),)))
 
@@ -866,11 +881,11 @@ def test_freeze_window_points_converge_with_certificate(gamma0_t):
 
 
 def test_a_step_that_would_break_dual_feasibility_is_refined(monkeypatch):
-    # the corrector solve of the first iteration, from a dual-feasible start,
-    # comes back with a relative error of 1e-4, as a Schur solve late in a
-    # run can; the full step would leave the dual residual far above the
-    # tolerance, so the same iteration refines the solve
-    sdp = _random_block_sdp(13)
+    # the corrector solve of the first iteration comes back with a relative
+    # error of 1e-4, as a Schur solve late in a run can; the full step would
+    # leave the dual residual far above the tolerance, so the same iteration
+    # refines the solve
+    sdp = _random_block_sdp(13)[:3]
     c = sdp[1]
     ref = solve_block_sdp(*sdp)
     calls = []
@@ -1171,7 +1186,7 @@ def test_known_failure_alpha10_x001_t33(symmetry_reduction):
     problem = GmeProblem(rho=evolve_four(s0, AmplitudeModel(1.0, 0.01), 33.0))
     if symmetry_reduction == "unswapped":
         assert _symmetry_labels(problem, True)[1]
-        sol = _solve(_unswapped(problem), problem)
+        sol = _solve_on(_unswapped(problem), problem)
     else:
         sol = solve_gme(problem, symmetry_reduction=symmetry_reduction)
     assert sol.converged and verify_witness(sol, problem).passed
@@ -1211,6 +1226,13 @@ def _paper_problem(gamma0_t=13.5853):
     return GmeProblem(rho=evolve_four(s0, AmplitudeModel(1.0, 0.01), gamma0_t))
 
 
+def _solve_on(form, problem):
+    """``solve_gme``'s solve of ``problem``, on the formulation ``form`` of it."""
+    result = solve_block_sdp(form.blocks, _objective_vector(form, problem.rho.entries),
+                             _initial_x(form), tolerance=problem.tolerance)
+    return _solution_from_result(form, problem, result)
+
+
 def _unswapped(problem):
     real, _, w_labels, q_labels = _symmetry_labels(problem, True)
     return _formulation_for(problem.rho.num_subsystems, problem.cuts, real, False, w_labels,
@@ -1232,7 +1254,7 @@ def test_pair_swap_reduction_matches_unswapped(problem):
     assert (part.border.size, [q.size for q in part.blocks]) == (27, [43, 27, 27, 27, 43])
     assert [(size, k) for size, k, _, _ in form.blocks.arrow.runs] == [(43, 1), (27, 3), (43, 1)]
 
-    swapped, unswapped = solve_gme(problem), _solve(plain, problem)
+    swapped, unswapped = solve_gme(problem), _solve_on(plain, problem)
     for sol in (swapped, unswapped):
         assert sol.converged
         assert set(sol.decompositions) == set(problem.cuts)
@@ -1281,39 +1303,48 @@ def test_pair_swap_reduction_keeps_its_scope(problem, count):
 
 
 @pytest.mark.parametrize("swap", [True, False])
-def test_initial_dual_is_interior(swap):
-    # the solver needs an interior start, not a feasible one: Z0 = I, one
-    # row of the blocks flattened in block order, positive definite in every
-    # block
+def test_initial_dual_is_interior(monkeypatch, swap):
+    # the solver needs an interior start, not a feasible one: the dual
+    # iterate of its first scaling is Z0 = I in every block, in each size
+    # class's dtype, positive definite
     problem = _paper_problem(8.0)
     real, _, w_labels, q_labels = _symmetry_labels(problem, True)
     form = _formulation_for(4, problem.cuts, real, swap, w_labels, q_labels)
-    blocks = form.blocks.blocks
-    z0 = _initial_z(form)
-    areas = [blk.a0.size for blk in blocks]
-    assert z0.shape == (sum(areas),)
-    zs = [z.reshape(blk.a0.shape) for blk, z in zip(blocks, np.split(z0, np.cumsum(areas)[:-1]))]
-    for z in zs:
-        np.testing.assert_array_equal(z, np.eye(len(z)))
-        assert np.linalg.eigvalsh(z)[0] > 0.1
+    nt_scaling, starts = ipm._nt_scaling, []
+
+    def spy(s, z):
+        if not starts:
+            starts.append([zc.copy() for zc in z])
+        return nt_scaling(s, z)
+
+    monkeypatch.setattr(ipm, "_nt_scaling", spy)
+    assert _solve_on(form, problem).converged
+    (zs,) = starts
+    for cl, z in zip(form.blocks.classes, zs):
+        assert z.dtype == cl.dtype and z.shape == (1, cl.n, cl.d, cl.d)
+        np.testing.assert_array_equal(z, np.broadcast_to(np.eye(cl.d), z.shape))
+        assert np.linalg.eigvalsh(z).min() > 0.1
     # which is dual infeasible for the state
     c = _objective_vector(form, problem.rho.entries)
-    assert np.max(np.abs(c - _adjoint(blocks, zs, form.num_vars))) > 0.1
+    assert np.max(np.abs(c - form.blocks.adjoint(zs)[0])) > 0.1
 
 
 def test_identity_dual_start_reaches_the_feasible_start_optimum():
-    # the random SDP's built-in Z0 is strictly feasible, the identity is not:
-    # from it the iteration reaches the same optimum and ends dual feasible
-    blocks, c, x0, z0 = _random_block_sdp(13)
-    eye = [np.eye(len(z), dtype=complex) for z in z0]
-    assert np.max(np.abs(c - _adjoint(blocks, eye, c.size))) > 0.1
-    ref = solve_block_sdp(blocks, c, x0, z0)
-    got = solve_block_sdp(blocks, c, x0, eye)
-    assert ref.converged and got.converged
+    # the random SDP's built-in Z_f is strictly feasible, the identity is
+    # not: from it the iteration ends dual feasible, at an optimum that weak
+    # duality bounds below by Z_f's objective <A0, Z_f>
+    stack, c, x0, z_f = _random_block_sdp(13)
+    eye = [np.eye(len(z), dtype=complex) for z in z_f]
+    assert np.max(np.abs(c - _adjoint(stack.blocks, eye, c.size))) > 0.1
+    got = solve_block_sdp(stack, c, x0)
+    assert got.converged
     assert got.dual_residual <= 1e-7
-    tol = 1e-7 * (1.0 + abs(ref.primal_objective) + abs(ref.dual_objective))
-    assert got.primal_objective == pytest.approx(ref.primal_objective, abs=tol)
-    assert got.dual_objective == pytest.approx(ref.dual_objective, abs=tol)
+    # the primal iterates stay strictly feasible, and the dual one is
+    # feasible to within the tolerance
+    feasible = sum(np.vdot(b.a0, z).real for b, z in zip(stack.blocks, z_f))
+    tol = 1e-7 * (1.0 + abs(got.primal_objective) + abs(got.dual_objective))
+    assert got.primal_objective >= feasible
+    assert got.dual_objective >= feasible - tol
 
 
 def test_fused_step_lengths_equal_separate_calls():
@@ -1520,11 +1551,15 @@ def test_solution_residuals_are_small():
 
 
 def test_nonconvergence_reported_with_bound():
-    # capped one iteration short of convergence, which is past the first
-    # dual-feasible iterate of the identity start
-    iterations = solve_gme(ghz_state(3)).iterations
+    # GHZ(3)'s witness SDP capped one iteration short of convergence, which
+    # is past the first dual-feasible iterate of the identity start
+    problem = GmeProblem(rho=ghz_state(3))
+    form = _formulation_for(3, problem.cuts, *_symmetry_labels(problem, True))
+    sdp = form.blocks, _objective_vector(form, problem.rho.entries), _initial_x(form)
+    iterations = solve_block_sdp(*sdp).iterations
+    assert iterations == solve_gme(problem).iterations
     with pytest.raises(SdpNonConvergenceError) as err:
-        solve_gme(ghz_state(3), max_iterations=iterations - 1)
+        solve_block_sdp(*sdp, max_iterations=iterations - 1)
     assert err.value.best_bound is not None
     assert err.value.best_bound <= -0.4  # valid lower bound on the optimum
 
@@ -1582,19 +1617,23 @@ def test_failed_point_of_a_batch_gets_its_own_error(monkeypatch, kind, message):
     entries = [p.rho.entries for p in problems]
     c = np.stack([_objective_vector(form, e) for e in entries])
     x0 = np.tile(_initial_x(form), (len(problems), 1))
-    z0 = np.tile(_initial_z(form), (len(problems), 1))
     if kind == "primal":
         # the slack of x = 0 is singular
         x0[1] = 0.0
     elif kind == "dual":
-        # blocks 0 and 1 are a lower bound and its upper partner, whose basis
-        # is the negated one: subtracting the same matrix from both keeps
-        # A*(Z0), but leaves the upper block indefinite
-        d = problem_json_dict(problems[0])["blocks"][0]["size"]
-        assert problem_json_dict(problems[0])["blocks"][1]["size"] == d
-        upper = z0[1, d * d:2 * d * d].reshape(d, d)
-        shift = (np.linalg.eigvalsh(upper)[-1] + 1.0) * np.eye(d)
-        z0[1, :2 * d * d] -= np.tile(shift.ravel(), 2)
+        # the middle point's first dual iterate is negated
+        nt_scaling, calls = ipm._nt_scaling, 0
+
+        def negated(s, z):
+            nonlocal calls
+            calls += 1
+            if calls == 1:
+                z = [zc.copy() for zc in z]
+                for zc in z:
+                    zc[1] *= -1.0
+            return nt_scaling(s, z)
+
+        monkeypatch.setattr(ipm, "_nt_scaling", negated)
     else:
         # the middle point's first Schur complement gets a negative diagonal
         schur = StackedBlocks.schur
@@ -1607,14 +1646,14 @@ def test_failed_point_of_a_batch_gets_its_own_error(monkeypatch, kind, message):
 
         monkeypatch.setattr(StackedBlocks, "schur", negated)
 
-    results = solve_block_sdp_batch(form.blocks, c, x0, z0)
+    results = solve_block_sdp_batch(form.blocks, c, x0)
     err = results[1]
     assert isinstance(err, SdpNumericalError)
     assert str(err) == message
     # the identity start is dual infeasible, so a failure at iteration 0 has no bound
     assert err.iterations == 0 and err.best_bound is None
     # the others run as a batch without the failed point
-    others = solve_block_sdp_batch(form.blocks, c[[0, 2]], x0[[0, 2]], z0[[0, 2]])
+    others = solve_block_sdp_batch(form.blocks, c[[0, 2]], x0[[0, 2]])
     for got, want in zip(results[::2], others):
         assert got.converged and got.iterations == want.iterations
         np.testing.assert_array_equal(got.x, want.x)
@@ -1645,7 +1684,7 @@ def test_generic_solve_peak_memory():
     tracemalloc.start()
     try:
         form = _formulation_for.__wrapped__(4, problem.cuts, *labels)
-        sol = _solve(form, problem)
+        sol = _solve_on(form, problem)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1668,7 +1707,7 @@ def test_generic_solve_factors_in_its_run_buffers(monkeypatch):
         return factor
 
     monkeypatch.setattr(ipm, "_factor_arrow", spy)
-    sol = _solve(form, problem)
+    sol = _solve_on(form, problem)
     assert sol.converged and len(seen) == sol.iterations > 2
     # one run of seven diagonal blocks of 256
     assert [(size, k) for size, k, _, _ in form.blocks.arrow.runs] == [(256, 7)]
