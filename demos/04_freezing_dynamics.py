@@ -31,7 +31,7 @@ def main():
         bar = "#" * int(round(vals[k] / peak * 48))
         print(f"  gamma0*t = {ts[k]:5.2f}  {vals[k]:.6f} |{bar}")
 
-    rep = detect_events(table, cfg.tolerances)
+    rep = detect_events(table)
     print()
     print("detected freeze windows:", [(round(a, 3), round(b, 3)) for a, b in rep.freeze_windows])
 

@@ -1,13 +1,15 @@
 """Command-line driver: sweep | events | gme-single | amplitude.
 
-Every subcommand takes ``--config cfg.json`` (optional for events) and
-``--out-dir``, and sweep also ``--format`` and ``--measures``;
-:mod:`entdyn.sweep` reads the configs and writes the files, and this module
-parses arguments and dispatches.  Exit codes: 0 success; 1 config or usage
-error (invalid JSON, an unknown top-level key or a bad value, a malformed
-trace, an unknown flag or a missing ``--config``); 2 numerical failure (an
-SDP solve that failed or did not converge, a sweep worker that died); 3 I/O
-error (a missing file, an unwritable directory).
+Every subcommand takes ``--out-dir``; sweep, gme-single and amplitude also
+take ``--config cfg.json``, and sweep ``--measures``.  events takes nothing
+else: it re-reads the trace.csv in ``--out-dir`` and writes the events.json
+the sweep wrote, byte for byte.  :mod:`entdyn.sweep` reads the configs and
+writes the files, and this module parses arguments and dispatches.  Exit
+codes: 0 success; 1 config or usage error (invalid JSON, an unknown
+top-level key or a bad value, a malformed trace, an unknown flag or a
+missing ``--config``); 2 numerical failure (an SDP solve that failed or did
+not converge, a sweep worker that died); 3 I/O error (a missing file such
+as a trace.csv, an unwritable directory).
 
 The witness-SDP solver is imported only by the commands that solve: gme-single
 and a sweep whose measures include gme.  The process pool is imported only by
@@ -53,17 +55,14 @@ def _cmd_sweep(args) -> int:
     if args.measures:
         cfg = dataclasses.replace(cfg, measures=tuple(args.measures.split(",")))
     table = run_sweep(cfg)
-    report = detect_events(table, cfg.tolerances)
-    emit(table, report, args.out_dir, args.format)
+    emit(table, detect_events(table), args.out_dir)
     for diag in table.diagnostics:
         print(f"sdp failure: {diag}", file=sys.stderr)
     return EXIT_NUMERICAL if table.diagnostics else EXIT_OK
 
 
 def _cmd_events(args) -> int:
-    cfg = sweep.SweepConfig.from_dict(sweep.load_config(args.config)) if args.config else None
-    table = sweep.read_trace(args.out_dir)
-    sweep.write_events(detect_events(table, cfg.tolerances if cfg else None), args.out_dir)
+    sweep.write_events(detect_events(sweep.read_trace(args.out_dir)), args.out_dir)
     return EXIT_OK
 
 
@@ -111,12 +110,10 @@ def _build_parser() -> argparse.ArgumentParser:
         ("amplitude", _cmd_amplitude),
     ):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=(name != "events"), default=None,
-                       help="path to the JSON configuration")
+        if name != "events":
+            p.add_argument("--config", required=True, help="path to the JSON configuration")
         p.add_argument("--out-dir", default=".", help="output directory")
         if name == "sweep":
-            p.add_argument("--format", default="csv", choices=("csv", "json"),
-                           help="trace table format (events are always JSON)")
             p.add_argument("--measures", default=None,
                            help="comma-separated override of the measures to "
                                 "compute (e.g. cc,rr to skip the SDP)")

@@ -33,7 +33,6 @@ __all__ = [
     "WorkerError",
     "SDP_TOLERANCE",
     "GME_BATCH",
-    "Tolerances",
     "SweepConfig",
     "GmeSingleConfig",
     "AmplitudeConfig",
@@ -62,6 +61,14 @@ _MEASURES = ("cc", "rr", "gme")
 # here so that reading a config does not import the solver
 SDP_TOLERANCE = 1e-7
 
+# Event-detection thresholds; a value at or below ZERO_ENTANGLEMENT_TOL
+# counts as zero.  The slope threshold must sit well below the curvature
+# scale of smooth maxima (which are not freezes) and well above solver noise
+# on true locked plateaus; 1e-5 separates the two by orders of magnitude
+# even for strongly non-Markovian sweeps where the dynamics slows down.
+_PLATEAU_SLOPE = 1e-5       # per unit gamma0*t
+_PLATEAU_DWELL = 0.5        # minimum plateau length in gamma0*t
+
 # GME points per batch.  A sweep cuts its GME points into batches of this
 # many consecutive points whatever ``workers`` is, so that its output does
 # not depend on the pool: a point's value can differ at round-off between
@@ -83,17 +90,24 @@ def load_config(path):
         return json.load(fh)
 
 
-_STRICT = {bool: json_exact(bool, "boolean"), int: json_exact(int, "integer"), float: json_number}
+def _json_strings(v) -> tuple[str, ...]:
+    if type(v) is not list or not all(type(s) is str for s in v):
+        raise TypeError(f"expected a JSON array of strings, got {v!r}")
+    return tuple(v)
+
+
+_STRICT = {bool: json_exact(bool, "boolean"), int: json_exact(int, "integer"), float: json_number,
+           tuple[str, ...]: _json_strings}
 
 
 def _from_dict(cls, doc, what: str, **convert):
     """The config dataclass ``cls`` from JSON object ``doc``; its fields are the keys.
 
     Any other key is rejected.  Each key present is converted by
-    ``convert[key]``, or else by the field's annotation (``float``,
-    ``tuple[str, ...]``); a ``bool``, ``int`` or ``float`` field takes only a
-    JSON boolean, integer or number.  Absent keys are not passed, so every
-    default is written once, in ``cls``.
+    ``convert[key]``, or else by ``_STRICT`` for the field's annotation: a
+    ``bool``, ``int``, ``float`` or ``tuple[str, ...]`` field takes only a
+    JSON boolean, integer, number or array of strings.  Absent keys are not
+    passed, so every default is written once, in ``cls``.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object")
@@ -103,36 +117,13 @@ def _from_dict(cls, doc, what: str, **convert):
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
     try:
         return cls(**{
-            key: convert.get(key, _STRICT.get(hints[key], hints[key]))(v)
+            key: (convert.get(key) or _STRICT[hints[key]])(v)
             for key, v in doc.items()
         })
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {what}: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    # The slope threshold must sit well below the curvature scale of smooth
-    # maxima (which are not freezes) and well above solver noise on true
-    # locked plateaus; 1e-5 separates the two by orders of magnitude even
-    # for strongly non-Markovian sweeps where the dynamics slows down.
-    zero: float = ZERO_ENTANGLEMENT_TOL
-    plateau_slope: float = 1e-5        # per unit gamma0*t
-    plateau_dwell: float = 0.5         # minimum plateau length in gamma0*t
-
-    def __post_init__(self):
-        if not self.zero >= 0:
-            raise ConfigError(f"tolerances.zero must be >= 0, got {self.zero}")
-        if not self.plateau_slope > 0:
-            raise ConfigError(f"tolerances.plateau_slope must be > 0, got {self.plateau_slope}")
-        if not self.plateau_dwell >= 0:
-            raise ConfigError(f"tolerances.plateau_dwell must be >= 0, got {self.plateau_dwell}")
-
-    @classmethod
-    def from_dict(cls, data: dict | None) -> "Tolerances":
-        return _from_dict(cls, {} if data is None else data, "tolerance")
 
 
 def _tagged(spec, kinds: dict, what: str):
@@ -174,7 +165,6 @@ class SweepConfig:
     gamma0_t_max: float
     steps: int = 400
     measures: tuple[str, ...] = ("cc", "rr", "gme")
-    tolerances: Tolerances = field(default_factory=Tolerances)
     gme_stride: int = 1
     workers: int = 1
     sdp_tolerance: float = SDP_TOLERANCE
@@ -199,8 +189,7 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
-        return _from_dict(cls, data, "config", initial_state=_parse_initial_state,
-                          tolerances=Tolerances.from_dict)
+        return _from_dict(cls, data, "config", initial_state=_parse_initial_state)
 
 
 def _parse_state(spec) -> DensityMatrix:
@@ -419,12 +408,12 @@ def _first_dead_window(ts, cc, rr, tol) -> tuple[float, float] | None:
     return float(start), float(end)
 
 
-def _freeze_windows(ts, vs, tol: Tolerances) -> list[tuple[float, float]]:
+def _freeze_windows(ts, vs) -> list[tuple[float, float]]:
     """Locked plateaus of a (sub)sampled genuine-negativity series.
 
     A freeze is a run of consecutive grid intervals with |slope| below
-    ``plateau_slope``, trimmed to the contiguous stretch staying within 1%
-    of the run maximum, lasting at least ``plateau_dwell``.  Freezing means
+    ``_PLATEAU_SLOPE``, trimmed to the contiguous stretch staying within 1%
+    of the run maximum, lasting at least ``_PLATEAU_DWELL``.  Freezing means
     locking at the series maximum, so runs whose level falls short of the
     global maximum (for example flat tails near zero, or slow smooth peaks
     elsewhere) are not freezes.
@@ -447,7 +436,7 @@ def _freeze_windows(ts, vs, tol: Tolerances) -> list[tuple[float, float]]:
     dt = np.diff(ts)
     gap = dt > 1.5 * np.min(dt)
     slopes = np.diff(vs) / dt
-    ok = (np.abs(slopes) <= tol.plateau_slope) & ~gap
+    ok = (np.abs(slopes) <= _PLATEAU_SLOPE) & ~gap
     global_max = float(np.max(vs))
 
     windows: list[tuple[float, float]] = []
@@ -461,7 +450,7 @@ def _freeze_windows(ts, vs, tol: Tolerances) -> list[tuple[float, float]]:
             k_end += 1
         lo, hi = k, k_end + 1            # point indices of the run
         vmax = float(np.max(vs[lo : hi + 1]))
-        if vmax > tol.zero and vmax >= 0.99 * global_max:
+        if vmax > ZERO_ENTANGLEMENT_TOL and vmax >= 0.99 * global_max:
             band = 0.99 * vmax
             arg = lo + int(np.argmax(vs[lo : hi + 1]))
             a = arg
@@ -481,7 +470,7 @@ def _freeze_windows(ts, vs, tol: Tolerances) -> list[tuple[float, float]]:
                 end = _interp_crossing(ts[b], vs[b], ts[b + 1], vs[b + 1], level)
             else:
                 end = float(ts[b])
-            if end - start >= tol.plateau_dwell:
+            if end - start >= _PLATEAU_DWELL:
                 windows.append((start, end))
         k = k_end + 1
 
@@ -494,31 +483,31 @@ def _freeze_windows(ts, vs, tol: Tolerances) -> list[tuple[float, float]]:
     return merged
 
 
-def detect_events(table: SweepTable, tolerances: Tolerances | None = None) -> EventReport:
+def detect_events(table: SweepTable) -> EventReport:
     """Extract sudden-death, sudden-birth, dead-window and freezing events."""
     if table.gamma0_t.size == 0:
         raise ValueError("empty sweep table")
-    tol = tolerances or Tolerances()
     ts = table.gamma0_t
     report = EventReport()
 
     cc_ok = np.all(np.isfinite(table.e_cc))
     rr_ok = np.all(np.isfinite(table.e_rr))
     if cc_ok:
-        downs, ups = _crossings(ts, table.e_cc, tol.zero)
+        downs, ups = _crossings(ts, table.e_cc, ZERO_ENTANGLEMENT_TOL)
         report.esd_time = downs[0] if downs else None
         # only onsets after a death count as re-entanglement
         if report.esd_time is not None:
             report.revival_times = [u for u in ups if u > report.esd_time]
     if rr_ok:
-        ups = _crossings(ts, table.e_rr, tol.zero)[1]
+        ups = _crossings(ts, table.e_rr, ZERO_ENTANGLEMENT_TOL)[1]
         report.esb_time = ups[0] if ups else None
     if cc_ok and rr_ok:
-        report.dead_window = _first_dead_window(ts, table.e_cc, table.e_rr, tol.zero)
+        report.dead_window = _first_dead_window(ts, table.e_cc, table.e_rr,
+                                                ZERO_ENTANGLEMENT_TOL)
 
     valid = np.isfinite(table.e_gme)
     if np.any(valid):
-        report.freeze_windows = _freeze_windows(ts[valid], table.e_gme[valid], tol)
+        report.freeze_windows = _freeze_windows(ts[valid], table.e_gme[valid])
     return report
 
 
@@ -554,19 +543,10 @@ def _write_csv(out_dir, name: str, header: str, cols) -> str:
     return _write(out_dir, name, "\n".join([header, *rows]) + "\n")
 
 
-def emit(table: SweepTable, report: EventReport, out_dir, fmt: str = "csv"):
-    """Write trace.csv(|.json) and events.json; output is deterministic."""
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {fmt!r}")
+def emit(table: SweepTable, report: EventReport, out_dir):
+    """Write trace.csv and events.json; output is deterministic."""
     cols = (table.gamma0_t, table.c0, table.e_cc, table.e_rr, table.e_gme)
-    if fmt == "csv":
-        trace_path = _write_csv(out_dir, "trace.csv", CSV_HEADER, cols)
-    else:
-        trace_path = _write_json(out_dir, "trace.json", {
-            name: [v if math.isfinite(v) else None for v in col.tolist()]
-            for name, col in zip(_COLUMNS, cols)
-        })
-    return trace_path, write_events(report, out_dir)
+    return _write_csv(out_dir, "trace.csv", CSV_HEADER, cols), write_events(report, out_dir)
 
 
 def write_events(report: EventReport, out_dir) -> str:
@@ -575,35 +555,28 @@ def write_events(report: EventReport, out_dir) -> str:
 
 
 def read_trace(out_dir) -> SweepTable:
-    """The table ``emit`` wrote to ``out_dir``: trace.csv, or trace.json without one.
+    """The table ``emit`` wrote to ``out_dir/trace.csv``.
 
-    Raises ConfigError for a malformed trace, such as a gamma0_t column that
-    is not finite and strictly increasing, and OSError when there is none.
-    Each column is converted by one numpy call.
+    Raises ConfigError for a malformed trace, such as a header other than
+    ``CSV_HEADER`` or a gamma0_t column that is not finite and strictly
+    increasing, and OSError when there is none.  Each column is converted by
+    one numpy call.
     """
     path = os.path.join(out_dir, "trace.csv")
-    if os.path.exists(path):
-        with open(path) as fh:
-            header, *rows = [ln.strip().split(",") for ln in fh if ln.strip()] or [[]]
-        for row in rows:
-            if len(row) != len(header):
-                raise ConfigError(f"bad trace row in {path}: {','.join(row)!r}")
-        # an empty cell holds a value that was not computed
-        columns = list(zip(*rows)) or [()] * len(header)
-        doc = {name: [cell or "nan" for cell in col] for name, col in zip(header, columns)}
-    else:
-        path = os.path.join(out_dir, "trace.json")
-        with open(path) as fh:
-            doc = json.load(fh)
-    if not isinstance(doc, dict) or set(doc) != set(_COLUMNS):
-        raise ConfigError(f"{path} does not hold the columns {_COLUMNS}")
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()] or [""]
+    if lines[0] != CSV_HEADER:
+        raise ConfigError(f"{path} does not start with the header {CSV_HEADER!r}")
+    rows = [ln.split(",") for ln in lines[1:]]
+    for row in rows:
+        if len(row) != len(_COLUMNS):
+            raise ConfigError(f"bad trace row in {path}: {','.join(row)!r}")
+    # an empty cell holds a value that was not computed
+    columns = list(zip(*rows)) or [()] * len(_COLUMNS)
     try:
-        # JSON null, which trace.json writes for NaN, converts to NaN
-        cols = [np.array(doc[name], dtype=float) for name in _COLUMNS]
-    except (TypeError, ValueError) as exc:
+        cols = [np.array([cell or "nan" for cell in col], dtype=float) for col in columns]
+    except ValueError as exc:
         raise ConfigError(f"bad trace column in {path}: {exc}") from exc
-    if any(col.ndim != 1 for col in cols) or len({col.size for col in cols}) != 1:
-        raise ConfigError(f"{path} columns differ in length")
     ts = cols[0]
     if not np.all(np.isfinite(ts)):
         raise ConfigError(f"{path}: every gamma0_t must be a finite number")

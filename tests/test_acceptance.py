@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from entdyn.amplitude import AmplitudeModel, c0, c_excitation
-from entdyn.entanglement import concurrence_xstate, negativity, negativity_xstate
+from entdyn.entanglement import (ZERO_ENTANGLEMENT_TOL, concurrence_xstate, negativity,
+                                 negativity_xstate)
 from entdyn.evolution import evolve_cc, evolve_four, evolve_rr
 from entdyn.gme import GmeProblem, enumerate_bipartitions, negativity_via_gme, solve_gme
 from entdyn.states import (
@@ -31,7 +32,7 @@ from entdyn.states import (
     tensor,
     werner,
 )
-from entdyn.sweep import SweepConfig, Tolerances, _crossings, detect_events, run_sweep
+from entdyn.sweep import SweepConfig, _crossings, detect_events, run_sweep
 
 pytestmark = pytest.mark.acceptance
 
@@ -53,7 +54,7 @@ def _sweep(state: XState, x: float, tmax: float, measures, steps: int = 400,
     )
     table = run_sweep(cfg)
     assert table.diagnostics == [], table.diagnostics
-    return table, detect_events(table, cfg.tolerances)
+    return table, detect_events(table)
 
 
 @pytest.fixture(scope="module")
@@ -186,7 +187,7 @@ def test_criterion_5_reservoir_window_alpha26(pure26_x5, pure26_x001):
     _, r5 = pure26_x5
     t001, r001 = pure26_x001
     dead = r5.dead_window or (None, None)
-    rr_deaths = _crossings(t001.gamma0_t, t001.e_rr, Tolerances().zero)[0]
+    rr_deaths = _crossings(t001.gamma0_t, t001.e_rr, ZERO_ENTANGLEMENT_TOL)[0]
     rr_vanish = rr_deaths[0] if rr_deaths else None
     _criterion(5, "reservoir windows, alpha=sqrt(1/26)", [
         _near("markov esb", r5.esb_time, 1.7, 0.15),
@@ -337,7 +338,7 @@ def test_every_freeze_window_lies_in_a_dead_window(pure26_x5, pure26_x01, pure26
     # does not report)
     checked = 0
     for table, report in (pure26_x5, pure26_x01, pure26_x001):
-        runs = _dead_runs(table, Tolerances().zero)
+        runs = _dead_runs(table, ZERO_ENTANGLEMENT_TOL)
         assert report.freeze_windows, runs
         for start, end in report.freeze_windows:
             assert any(lo <= start and end <= hi for lo, hi in runs), ((start, end), runs)

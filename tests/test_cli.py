@@ -1,3 +1,4 @@
+import argparse
 import collections
 import importlib
 import json
@@ -7,6 +8,7 @@ import runpy
 import subprocess
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +16,10 @@ import pytest
 
 import entdyn
 from entdyn.amplitude import AmplitudeModel, c0, c_excitation
-from entdyn.cli import main
+from entdyn.cli import _build_parser, main
 from entdyn.gme import SdpNumericalError
 from entdyn.states import ghz_state, random_density_matrix
+from entdyn.sweep import CSV_HEADER, AmplitudeConfig, GmeSingleConfig, SweepConfig
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -79,56 +82,63 @@ def test_events_command_recomputes_from_trace(tmp_path):
     assert recomputed["dead_window"] == pytest.approx(original["dead_window"], abs=1e-9)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_events_command_reproduces_sweep_events_exactly(tmp_path, fmt):
-    cfg = write_config(tmp_path, {
-        "initial_state": {"kind": "pure", "alpha": math.sqrt(1 / 3),
-                          "beta": math.sqrt(2 / 3)},
-        "x": 5.0,
-        "gamma0_t_max": 8.0,
-        "steps": 6000,
-        "measures": ["cc", "rr"],
-    })
+@pytest.mark.parametrize("doc, freezes", [
+    ({"initial_state": {"kind": "pure", "alpha": math.sqrt(1 / 3), "beta": math.sqrt(2 / 3)},
+      "x": 5.0, "gamma0_t_max": 8.0, "steps": 6000, "measures": ["cc", "rr"]}, 0),
+    # the freeze-sweep benchmark's config: 10 SDP points, a freeze window
+    # and its recurrence
+    ({"initial_state": {"kind": "pure", "alpha": math.sqrt(1 / 26),
+                        "beta": 5 * math.sqrt(1 / 26)},
+      "x": 0.01, "gamma0_t_max": 40.75, "steps": 405, "gme_stride": 45}, 2),
+], ids=["cc_rr", "gme"])
+def test_events_command_reproduces_sweep_events_exactly(tmp_path, doc, freezes):
+    cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
-    assert main(["sweep", "--config", cfg, "--out-dir", str(out), "--format", fmt]) == 0
+    assert main(["sweep", "--config", cfg, "--out-dir", str(out)]) == 0
     original = (out / "events.json").read_bytes()
-    assert json.loads(original)["esd_time"] is not None
+    events = json.loads(original)
+    assert events["esd_time"] is not None and len(events["freeze_windows"]) == freezes
     (out / "events.json").unlink()
     assert main(["events", "--out-dir", str(out)]) == 0
     assert (out / "events.json").read_bytes() == original
 
 
 def test_events_command_rejects_malformed_json_trace(tmp_path):
+    # trace.csv is the only trace: a directory that holds only a trace.json
+    # has none
     (tmp_path / "trace.json").write_text(json.dumps({"gamma0_t": [0.0, 1.0]}))
-    assert main(["events", "--out-dir", str(tmp_path)]) == 1
+    assert main(["events", "--out-dir", str(tmp_path)]) == 3
     assert main(["events", "--out-dir", str(tmp_path / "missing")]) == 3
+    assert not (tmp_path / "events.json").exists()
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("times", [[0.0, None, 1.0, 1.5], [0.0, 0.5, 0.4, 1.5],
                                    [0.0, 0.5, 0.5, 1.5]], ids=["empty", "decreasing", "repeated"])
-def test_events_command_rejects_a_bad_time_column(tmp_path, capsys, fmt, times):
+def test_events_command_rejects_a_bad_time_column(tmp_path, capsys, times):
     # events on a grid with a hole or out of order would be meaningless, and
     # a NaN time would reach events.json as NaN, which is not JSON
     doc = {"gamma0_t": times, "c0": [1.0, 0.9, 0.8, 0.7], "e_cc": [0.4, 0.2, 0.0, 0.0],
            "e_rr": [0.0, 0.0, 0.1, 0.2], "e_gme": [None] * 4}
-    if fmt == "csv":
-        rows = zip(*(["" if v is None else repr(v) for v in col] for col in doc.values()))
-        (tmp_path / "trace.csv").write_text("\n".join([",".join(doc), *map(",".join, rows)]))
-    else:
-        (tmp_path / "trace.json").write_text(json.dumps(doc))
+    rows = zip(*(["" if v is None else repr(v) for v in col] for col in doc.values()))
+    (tmp_path / "trace.csv").write_text("\n".join([",".join(doc), *map(",".join, rows)]))
     assert main(["events", "--out-dir", str(tmp_path)]) == 1
     assert "gamma0_t" in capsys.readouterr().err
     assert not (tmp_path / "events.json").exists()
 
 
-@pytest.mark.parametrize("row, message", [
-    ("0.5,0.9,abc,0.1,", "bad trace column"),
-    ("0.5,0.9,0.2,0.1", "bad trace row"),
-], ids=["non_numeric_e_cc", "ragged"])
-def test_events_command_rejects_a_malformed_csv_row(tmp_path, capsys, row, message):
-    rows = ["gamma0_t,c0,e_cc,e_rr,e_gme", "0.0,1.0,0.4,0.0,", row, "1.0,0.8,0.0,0.2,"]
-    (tmp_path / "trace.csv").write_text("\n".join(rows) + "\n")
+@pytest.mark.parametrize("lines, message", [
+    ([CSV_HEADER, "0.0,1.0,0.4,0.0,", "0.5,0.9,abc,0.1,", "1.0,0.8,0.0,0.2,"],
+     "bad trace column"),
+    ([CSV_HEADER, "0.0,1.0,0.4,0.0,", "0.5,0.9,0.2,0.1", "1.0,0.8,0.0,0.2,"], "bad trace row"),
+    # a reader that went by column names would drop the second e_gme, and
+    # would read the reordered columns by their names
+    (["gamma0_t,c0,e_cc,e_rr,e_gme,e_gme", "0.0,1.0,0.4,0.0,,", "0.5,0.9,0.2,0.1,,",
+      "1.0,0.8,0.0,0.2,,"], CSV_HEADER),
+    (["gamma0_t,c0,e_rr,e_cc,e_gme", "0.0,1.0,0.0,0.4,", "0.5,0.9,0.1,0.2,",
+      "1.0,0.8,0.2,0.0,"], CSV_HEADER),
+], ids=["non_numeric_e_cc", "ragged", "duplicate_column", "reordered_columns"])
+def test_events_command_rejects_a_malformed_csv_row(tmp_path, capsys, lines, message):
+    (tmp_path / "trace.csv").write_text("\n".join(lines) + "\n")
     assert main(["events", "--out-dir", str(tmp_path)]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "events.json").exists()
@@ -256,22 +266,6 @@ def test_amplitude_command(tmp_path):
     assert float(first[2]) == pytest.approx(0.0)
 
 
-def test_sweep_json_format(tmp_path):
-    cfg = write_config(tmp_path, {
-        "initial_state": {"kind": "werner", "p": 0.45},
-        "x": 5.0,
-        "gamma0_t_max": 1.0,
-        "steps": 10,
-        "measures": ["cc"],
-    })
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", cfg, "--out-dir", str(out),
-                 "--format", "json"]) == 0
-    doc = json.loads((out / "trace.json").read_text())
-    assert len(doc["gamma0_t"]) == 11
-    assert doc["e_rr"][0] is None and doc["e_cc"][0] > 0
-
-
 def test_sweep_measures_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path, {
         "initial_state": {"kind": "werner", "p": 0.45},
@@ -301,9 +295,13 @@ def test_config_error_exit_code(tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (["sweep", "--config", "cfg.json", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
     (["sweep"], "the following arguments are required: --config"),
-    # each of events, gme-single and amplitude writes one fixed format
+    # every command writes one fixed format, and events reads trace.csv alone
     (["events", "--format", "json"], "unrecognized arguments: --format json"),
-], ids=["unknown_flag", "missing_config", "format_on_events"])
+    (["sweep", "--config", "cfg.json", "--format", "json"],
+     "unrecognized arguments: --format json"),
+    (["events", "--config", "cfg.json"], "unrecognized arguments: --config cfg.json"),
+], ids=["unknown_flag", "missing_config", "format_on_events", "format_on_sweep",
+        "config_on_events"])
 def test_usage_error_exits_1(tmp_path, capsys, argv, message):
     # argparse's own code, 2, would read as a numerical failure
     out = tmp_path / "out"
@@ -318,7 +316,31 @@ def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exited:
         main(["sweep", "--help"])
     assert exited.value.code == 0
-    assert "--format" in capsys.readouterr().out
+    assert "--measures" in capsys.readouterr().out
+
+
+def test_the_settable_surface_is_pinned():
+    # every option and config key a user can set, so that adding or
+    # removing one changes exactly this test; 8 options and 15 keys
+    subcommands = next(a for a in _build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    options = {name: sorted(flag for action in p._actions for flag in action.option_strings
+                            if flag not in ("-h", "--help"))
+               for name, p in subcommands.items()}
+    assert options == {
+        "sweep": ["--config", "--measures", "--out-dir"],
+        "events": ["--out-dir"],
+        "gme-single": ["--config", "--out-dir"],
+        "amplitude": ["--config", "--out-dir"],
+    }
+    keys = {cls.__name__: list(typing.get_type_hints(cls))
+            for cls in (SweepConfig, GmeSingleConfig, AmplitudeConfig)}
+    assert keys == {
+        "SweepConfig": ["initial_state", "x", "gamma0_t_max", "steps", "measures",
+                        "gme_stride", "workers", "sdp_tolerance"],
+        "GmeSingleConfig": ["state", "tolerance", "symmetry_reduction", "dump_problem"],
+        "AmplitudeConfig": ["x", "gamma0_t_max", "steps"],
+    }
 
 
 def test_io_error_exit_code(tmp_path):
@@ -333,7 +355,6 @@ def test_io_error_exit_code(tmp_path):
     ("gme-single", {"state": {"kind": "ghz", "n": 3}, "symetry_reduction": False},
      "symetry_reduction"),
     ("amplitude", {"x": 5.0, "gamma0_t_max": 2.0, "stpes": 20}, "stpes"),
-    ("events", {"tolerances": {"zero": 1e-8}, "tolerance": 1e-7}, "tolerance"),
 ])
 def test_unknown_config_key_exits_1(tmp_path, capsys, command, doc, key):
     cfg = write_config(tmp_path, doc)
@@ -365,7 +386,7 @@ def _matrix_state(key, bad):
     ("sweep", {**SWEEP_DOC, "gme_stride": True}),
     ("sweep", {**SWEEP_DOC, "x": True}),
     ("sweep", {**SWEEP_DOC, "gamma0_t_max": "1.0"}),
-    ("sweep", {**SWEEP_DOC, "tolerances": {"zero": "1e-8"}}),
+    ("sweep", {**SWEEP_DOC, "sdp_tolerance": "1e-7"}),
     ("sweep", {**SWEEP_DOC, "initial_state": {"kind": "werner", "p": "0.45"}}),
     ("sweep", {**SWEEP_DOC, "initial_state": {"kind": "pure", "alpha": True, "beta": 0}}),
     ("sweep", {**SWEEP_DOC, "initial_state": {"kind": "pure", "alpha": [0.6, "0"],
@@ -388,11 +409,13 @@ def _matrix_state(key, bad):
     ("gme-single", _matrix_state("im", math.inf)),
     ("sweep", {**SWEEP_DOC, "x": math.nan}),
     ("sweep", {**SWEEP_DOC, "x": 10**400}),
+    ("sweep", {**SWEEP_DOC, "measures": {"cc": 1, "rr": 2}}),
 ])
 def test_config_value_of_wrong_json_type_exits_1(tmp_path, capsys, command, doc):
-    # booleans take only true/false, integers only JSON integers and floats
-    # only JSON numbers: nothing is coerced, so "false" does not run the
-    # reduced solve, 4.7 is not 4, and neither true nor "1.0" is 1.0
+    # booleans take only true/false, integers only JSON integers, floats
+    # only JSON numbers and measures only a JSON array of strings: nothing is
+    # coerced, so "false" does not run the reduced solve, 4.7 is not 4,
+    # neither true nor "1.0" is 1.0, and an object is not its keys
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out-dir", str(out)]) == 1
@@ -403,11 +426,8 @@ def test_config_value_of_wrong_json_type_exits_1(tmp_path, capsys, command, doc)
 @pytest.mark.parametrize("command, doc, key", [
     ("sweep", {**SWEEP_DOC, "sdp_tolerance": 0.5}, "sdp_tolerance"),
     ("sweep", {**SWEEP_DOC, "sdp_tolerance": -1}, "sdp_tolerance"),
-    ("sweep", {**SWEEP_DOC, "tolerances": {"zero": -1}}, "zero"),
-    ("sweep", {**SWEEP_DOC, "tolerances": {"plateau_slope": 0}}, "plateau_slope"),
-    ("sweep", {**SWEEP_DOC, "tolerances": {"plateau_slope": -1}}, "plateau_slope"),
-    ("sweep", {**SWEEP_DOC, "tolerances": {"plateau_dwell": -3}}, "plateau_dwell"),
-    ("events", {**SWEEP_DOC, "tolerances": {"zero": -1}}, "zero"),
+    # the event thresholds are constants, not config values
+    ("sweep", {**SWEEP_DOC, "tolerances": {"zero": 1e-8}}, "tolerances"),
 ])
 def test_config_value_out_of_range_exits_1(tmp_path, capsys, command, doc, key):
     # rejected when the config is read, before any evolution or SDP work;

@@ -14,6 +14,7 @@ import entdyn.evolution
 import entdyn.sweep
 from entdyn.amplitude import AmplitudeModel, c0
 from entdyn.cli import main
+from entdyn.entanglement import ZERO_ENTANGLEMENT_TOL
 from entdyn.gme import GmeProblem
 from entdyn.states import DensityMatrix, StateValidationError
 from entdyn.sweep import (
@@ -24,7 +25,6 @@ from entdyn.sweep import (
     GmeSingleConfig,
     SweepConfig,
     SweepTable,
-    Tolerances,
     detect_events,
     emit,
     run_sweep,
@@ -111,7 +111,7 @@ def test_event_detection_on_synthetic_series():
     e_rr = np.clip(0.2 * (ts - 5.0), 0.0, None)        # born at t = 5
     gme = np.full_like(ts, np.nan)
     table = SweepTable(ts, np.ones_like(ts), e_cc, e_rr, gme)
-    rep = detect_events(table, Tolerances())
+    rep = detect_events(table)
     assert rep.esd_time == pytest.approx(3.0, abs=1e-6)
     assert rep.esb_time == pytest.approx(5.0, abs=1e-6)
     assert rep.dead_window[0] == pytest.approx(3.0, abs=1e-6)
@@ -125,7 +125,7 @@ def test_event_detection_revivals():
     e_cc = np.maximum(0.0, 0.2 * np.sin(ts))           # alive on (0, pi), (2pi, 3pi)
     table = SweepTable(ts, np.ones_like(ts), e_cc, np.zeros_like(ts),
                        np.full_like(ts, np.nan))
-    rep = detect_events(table, Tolerances())
+    rep = detect_events(table)
     assert rep.esd_time == pytest.approx(math.pi, abs=0.05)
     assert len(rep.revival_times) == 1
     assert rep.revival_times[0] == pytest.approx(2 * math.pi, abs=0.05)
@@ -137,7 +137,7 @@ def test_freeze_detection_on_synthetic_plateau():
     v = np.where(ts > 8.0, 0.2 - 0.08 * (ts - 8.0), v)  # decays after t=8
     table = SweepTable(ts, np.ones_like(ts), np.full_like(ts, np.nan),
                        np.full_like(ts, np.nan), v)
-    rep = detect_events(table, Tolerances())
+    rep = detect_events(table)
     assert len(rep.freeze_windows) == 1
     start, end = rep.freeze_windows[0]
     assert start == pytest.approx(4.0, abs=0.1)
@@ -165,7 +165,7 @@ def test_freeze_windows_stop_at_a_failed_sample(tmp_path, drop, windows):
     # and the exit interpolation never reach across it, and a plateau run
     # ends at it; the events command, from trace.csv, finds the same
     table = _plateau_table(drop)
-    report = detect_events(table, Tolerances())
+    report = detect_events(table)
     assert report.freeze_windows == windows
     emit(table, report, tmp_path)
     original = (tmp_path / "events.json").read_bytes()
@@ -179,36 +179,40 @@ def test_freeze_detection_rejects_smooth_peak():
     v = 0.2 * np.exp(-((ts - 5.0) ** 2) / 4.0)
     table = SweepTable(ts, np.ones_like(ts), np.full_like(ts, np.nan),
                        np.full_like(ts, np.nan), v)
-    rep = detect_events(table, Tolerances())
+    rep = detect_events(table)
     assert rep.freeze_windows == []
+
+
+def _hold_table(hold: float) -> SweepTable:
+    """Ramp to 0.2 by t=1, hold it for ``hold``, then decay."""
+    ts = np.linspace(0.0, 10.0, 401)
+    v = np.minimum(0.2 * ts, 0.2)
+    v = np.where(ts > 1.0 + hold, np.maximum(0.2 - 0.4 * (ts - 1.0 - hold), 0.0), v)
+    return SweepTable(ts, np.ones_like(ts), np.full_like(ts, np.nan),
+                      np.full_like(ts, np.nan), v)
 
 
 def test_freeze_detection_respects_dwell():
-    # ramp to 0.2 by t=1, hold until t=2, decay: plateau lasts 1.0
-    ts = np.linspace(0.0, 10.0, 401)
-    v = np.minimum(0.2 * ts, 0.2)
-    v = np.where(ts > 2.0, np.maximum(0.2 - 0.4 * (ts - 2.0), 0.0), v)
-    table = SweepTable(ts, np.ones_like(ts), np.full_like(ts, np.nan),
-                       np.full_like(ts, np.nan), v)
-    assert len(detect_events(table, Tolerances()).freeze_windows) == 1
-    rep = detect_events(table, Tolerances(plateau_dwell=2.0))
-    assert rep.freeze_windows == []
+    # a plateau 1.0 long is a freeze; one 0.3 long, below the minimum
+    # length of 0.5, is not
+    assert len(detect_events(_hold_table(1.0)).freeze_windows) == 1
+    assert detect_events(_hold_table(0.3)).freeze_windows == []
 
 
 def test_detect_events_rejects_empty_table():
     empty = SweepTable(np.array([]), np.array([]), np.array([]), np.array([]), np.array([]))
     with pytest.raises(ValueError):
-        detect_events(empty, Tolerances())
+        detect_events(empty)
 
 
 def test_emit_csv_schema_and_determinism(tmp_path):
     cfg = bipartite_config(steps=50)
     table = run_sweep(cfg)
-    rep = detect_events(table, cfg.tolerances)
+    rep = detect_events(table)
     d1, d2 = tmp_path / "one", tmp_path / "two"
     emit(table, rep, d1)
     table2 = run_sweep(cfg)
-    emit(table2, detect_events(table2, cfg.tolerances), d2)
+    emit(table2, detect_events(table2), d2)
 
     text1 = (d1 / "trace.csv").read_bytes()
     text2 = (d2 / "trace.csv").read_bytes()
@@ -228,17 +232,6 @@ def test_emit_csv_schema_and_determinism(tmp_path):
     assert events1 == json.loads((d2 / "events.json").read_text())
 
 
-def test_emit_json_format(tmp_path):
-    cfg = bipartite_config(steps=10)
-    table = run_sweep(cfg)
-    rep = detect_events(table, cfg.tolerances)
-    emit(table, rep, tmp_path, fmt="json")
-    doc = json.loads((tmp_path / "trace.json").read_text())
-    assert list(doc) == CSV_HEADER.split(",")
-    assert len(doc["gamma0_t"]) == 11
-    assert doc["e_gme"][0] is None
-
-
 def _fmt(v) -> str:
     """The per-value CSV formatter the column writer replaced, kept as its reference."""
     return "" if not math.isfinite(v) else repr(float(v))
@@ -255,16 +248,10 @@ def test_emit_writes_the_bytes_of_the_per_value_formatters(tmp_path):
     cols = [np.roll(values, k) for k in range(5)]    # every value in every column
     table = SweepTable(*cols)
 
-    emit(table, EventReport(), tmp_path / "csv")
+    emit(table, EventReport(), tmp_path)
     rows = [",".join(_fmt(v) for v in row) for row in zip(*cols)]
     expected = "\n".join([CSV_HEADER, *rows]) + "\n"
-    assert (tmp_path / "csv" / "trace.csv").read_bytes() == expected.encode()
-
-    emit(table, EventReport(), tmp_path / "json", fmt="json")
-    doc = {name: [None if not math.isfinite(v) else v for v in col]
-           for name, col in zip(CSV_HEADER.split(","), cols)}
-    expected = json.dumps(doc, indent=2) + "\n"
-    assert (tmp_path / "json" / "trace.json").read_bytes() == expected.encode()
+    assert (tmp_path / "trace.csv").read_bytes() == expected.encode()
 
 
 def test_one_default_sdp_tolerance():
@@ -317,8 +304,8 @@ def test_grid_resolution_stability():
     # halving the step moves detected event times by less than a coarse step
     coarse = run_sweep(bipartite_config(steps=200, gamma0_t_max=4.0))
     fine = run_sweep(bipartite_config(steps=400, gamma0_t_max=4.0))
-    rep_c = detect_events(coarse, Tolerances())
-    rep_f = detect_events(fine, Tolerances())
+    rep_c = detect_events(coarse)
+    rep_f = detect_events(fine)
     step = 4.0 / 200
     assert abs(rep_c.esd_time - rep_f.esd_time) < step
     assert abs(rep_c.esb_time - rep_f.esb_time) < step
@@ -333,7 +320,7 @@ def test_esd_esb_ordering_by_amplitude_ratio():
             "steps": 400,
             "measures": ["cc", "rr"],
         })
-        rep = detect_events(run_sweep(cfg), cfg.tolerances)
+        rep = detect_events(run_sweep(cfg))
         return rep.esd_time, rep.esb_time
 
     # sudden death needs beta > alpha, so probe beta < 2*alpha at beta = 1.5*alpha
@@ -405,7 +392,7 @@ def test_event_times_within_a_grid_step_of_c0_roots(x, tmax, steps):
     r = alpha / beta
     cfg = bipartite_config(initial_state={"kind": "pure", "alpha": alpha, "beta": beta},
                            x=x, gamma0_t_max=tmax, steps=steps)
-    rep = detect_events(run_sweep(cfg), cfg.tolerances)
+    rep = detect_events(run_sweep(cfg))
     model = AmplitudeModel(1.0, x)
     step = tmax / steps
     assert abs(rep.esd_time - _first_root(model, 1.0 - r, tmax)) <= step
@@ -483,7 +470,7 @@ def test_dead_band_in_closed_form(alpha2):
         table = run_sweep(cfg)
         q = table.c0**2
         clear = (np.abs(q - r) > 1e-6) & (np.abs(q - (1 - r)) > 1e-6)
-        dead = np.maximum(table.e_cc, table.e_rr) <= Tolerances().zero
+        dead = np.maximum(table.e_cc, table.e_rr) <= ZERO_ENTANGLEMENT_TOL
         band = (r <= q) & (q <= 1 - r)
         np.testing.assert_array_equal(dead[clear], band[clear], err_msg=f"x={x}")
 
