@@ -12,7 +12,8 @@ point in batches; it takes a few seconds.
 import math
 
 from entdyn import pure_alpha_beta
-from entdyn.sweep import SweepConfig, detect_events, run_sweep
+from entdyn.events import detect_events
+from entdyn.sweep import SweepConfig, run_sweep
 
 
 def main():

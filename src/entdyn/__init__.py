@@ -8,8 +8,11 @@ Library layout:
 - ``entanglement``: negativity and the X-state concurrence cross-check,
 - ``gme``: genuine multipartite negativity via a witness SDP with a
   self-contained interior-point solver,
-- ``sweep``: time-grid sweeps, event detection (sudden death / birth,
-  freezing), and every config and output file of the command line,
+- ``events``: event detection (sudden death / birth, the dead window,
+  freezing) and the trace files trace.csv and events.json, with the
+  standard library only,
+- ``sweep``: time-grid sweeps, and every config and other output file of
+  the command line,
 - ``cli``: the ``entdyn`` argument parser and dispatcher.
 
 The names exported here load on first use: ``import entdyn`` imports
@@ -25,8 +28,9 @@ __version__ = "0.1.0"
 # the names each submodule exports here
 _SOURCES = {
     "amplitude": ("AmplitudeModel", "c0", "c_excitation", "first_zero"),
-    "entanglement": ("ZERO_ENTANGLEMENT_TOL", "EntanglementValue", "concurrence_xstate",
-                     "negativity", "negativity_xstate"),
+    "entanglement": ("EntanglementValue", "concurrence_xstate", "negativity",
+                     "negativity_xstate"),
+    "events": ("ZERO_ENTANGLEMENT_TOL",),
     "evolution": ("EvolvedPair", "evolve_cc", "evolve_four", "evolve_pair", "evolve_rr"),
     "states": ("Bipartition", "DensityMatrix", "StateValidationError", "XState", "bell_pair",
                "biseparable_bell_mixture", "ghz_state", "kay_state", "partial_trace",

@@ -3,17 +3,23 @@
 Every subcommand takes ``--out-dir``; sweep, gme-single and amplitude also
 take ``--config cfg.json``, and sweep ``--measures``.  events takes nothing
 else: it re-reads the trace.csv in ``--out-dir`` and writes the events.json
-the sweep wrote, byte for byte.  :mod:`entdyn.sweep` reads the configs and
-writes the files, and this module parses arguments and dispatches.  Exit
+the sweep wrote, byte for byte.  :mod:`entdyn.events` writes and reads the
+trace files, :mod:`entdyn.sweep` reads the configs and writes the other
+files, and this module parses arguments and dispatches.  Exit
 codes: 0 success; 1 config or usage error (invalid JSON, an unknown
 top-level key or a bad value, a malformed trace, an unknown flag or a
 missing ``--config``); 2 numerical failure (an SDP solve that failed or did
 not converge, a sweep worker that died); 3 I/O error (a missing file such
 as a trace.csv, an unwritable directory).
 
-The witness-SDP solver is imported only by the commands that solve: gme-single
-and a sweep whose measures include gme.  The process pool is imported only by
-a sweep with ``workers > 1``.
+At start-up this module loads only :mod:`entdyn.events`, which needs no
+numpy, so events never loads it.  The names that do (``sweep``,
+``run_sweep``, ``solve_gme``, ``_c0``, ``evolve_four``) load on first use
+through the module ``__getattr__``, and the commands call them as
+attributes of this module, where perfbench/trace_cli.py wraps them.  The
+witness-SDP solver is imported only by the commands that solve: gme-single
+and a sweep whose measures include gme.  The process pool is imported only
+by a sweep with ``workers > 1`` and at least two batches of GME points.
 
 Threads: the solves are many small dense problems (blocks of at most 16,
 Schur blocks of at most 256), which a second BLAS thread does not speed up
@@ -29,20 +35,33 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import os
 import sys
+
+from .events import detect_events, emit, read_trace, write_events
 
 if not any(k in os.environ for k in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                                        "OMP_NUM_THREADS")):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from . import sweep  # noqa: E402  (loads numpy, after the thread default)
+# name -> (module, attribute or None for the module), each loading numpy.  No
+# command calls _c0 or evolve_four: they are here only as wrap sites of
+# perfbench/trace_cli.py, which also reaches them through entdyn.sweep.
+_LAZY = {"sweep": ("entdyn.sweep", None), "run_sweep": ("entdyn.sweep", "run_sweep"),
+         "solve_gme": ("entdyn.gme", "solve_gme"), "_c0": ("entdyn.amplitude", "c0"),
+         "evolve_four": ("entdyn.evolution", "evolve_four")}
 
-# perfbench/trace_cli.py times the commands by wrapping these names here;
-# _c0 and evolve_four are reached through entdyn.sweep, where it wraps them too
-from .amplitude import c0 as _c0  # noqa: E402, F401
-from .evolution import evolve_four  # noqa: E402, F401
-from .sweep import detect_events, emit, run_sweep, solve_gme  # noqa: E402
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        module, attr = _LAZY[name]
+        module = importlib.import_module(module)
+        return getattr(module, attr) if attr else module
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+_this = sys.modules[__name__]     # the commands call the lazy names through it
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -51,10 +70,15 @@ EXIT_IO = 3
 
 
 def _cmd_sweep(args) -> int:
+    sweep = _this.sweep
     cfg = sweep.SweepConfig.from_dict(sweep.load_config(args.config))
     if args.measures:
         cfg = dataclasses.replace(cfg, measures=tuple(args.measures.split(",")))
-    table = run_sweep(cfg)
+    try:
+        table = _this.run_sweep(cfg)
+    except sweep.WorkerError as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     emit(table, detect_events(table), args.out_dir)
     for diag in table.diagnostics:
         print(f"sdp failure: {diag}", file=sys.stderr)
@@ -62,19 +86,20 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_events(args) -> int:
-    sweep.write_events(detect_events(sweep.read_trace(args.out_dir)), args.out_dir)
+    write_events(detect_events(read_trace(args.out_dir)), args.out_dir)
     return EXIT_OK
 
 
 def _cmd_gme_single(args) -> int:
     from .gme import SOLVE_ERRORS, GmeProblem
 
+    sweep = _this.sweep
     cfg = sweep.GmeSingleConfig.from_dict(sweep.load_config(args.config))
     problem = GmeProblem(rho=cfg.state, tolerance=cfg.tolerance)
     if cfg.dump_problem:
         sweep.write_problem(problem, cfg.symmetry_reduction, args.out_dir)
     try:
-        solution = solve_gme(problem, symmetry_reduction=cfg.symmetry_reduction)
+        solution = _this.solve_gme(problem, symmetry_reduction=cfg.symmetry_reduction)
     except SOLVE_ERRORS as exc:
         print(f"sdp failure: {sweep.write_gme_failure(exc, args.out_dir)}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -83,6 +108,7 @@ def _cmd_gme_single(args) -> int:
 
 
 def _cmd_amplitude(args) -> int:
+    sweep = _this.sweep
     cfg = sweep.AmplitudeConfig.from_dict(sweep.load_config(args.config))
     sweep.write_amplitude(cfg, args.out_dir)
     return EXIT_OK
@@ -125,9 +151,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except sweep.WorkerError as exc:
-        print(f"worker failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except ValueError as exc:   # ConfigError, StateValidationError and JSONDecodeError too
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .events import ZERO_ENTANGLEMENT_TOL
 from .states import Bipartition, DensityMatrix, XState
 
 __all__ = [
@@ -22,10 +23,6 @@ __all__ = [
     "negativity_xstate",
     "concurrence_xstate",
 ]
-
-# Threshold below which an entanglement value counts as zero in event
-# detection; sits below the eigensolver noise floor for 4x4 matrices.
-ZERO_ENTANGLEMENT_TOL = 1e-8
 
 
 @dataclass(frozen=True)

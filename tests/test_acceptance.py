@@ -15,6 +15,7 @@ import pytest
 from entdyn.amplitude import AmplitudeModel, c0, c_excitation
 from entdyn.entanglement import (ZERO_ENTANGLEMENT_TOL, concurrence_xstate, negativity,
                                  negativity_xstate)
+from entdyn.events import SweepTable, _crossings, detect_events
 from entdyn.evolution import evolve_cc, evolve_four, evolve_rr
 from entdyn.gme import GmeProblem, enumerate_bipartitions, negativity_via_gme, solve_gme
 from entdyn.states import (
@@ -32,7 +33,7 @@ from entdyn.states import (
     tensor,
     werner,
 )
-from entdyn.sweep import SweepConfig, _crossings, detect_events, run_sweep
+from entdyn.sweep import SweepConfig, run_sweep
 
 pytestmark = pytest.mark.acceptance
 
@@ -329,6 +330,16 @@ def _dead_runs(table, zero: float) -> list[tuple[float, float]]:
     edges = np.flatnonzero(np.diff(np.concatenate(([0], dead.view(np.int8), [0]))))
     return [(float(ts[max(k0 - 1, 0)]), float(ts[min(k1, len(ts) - 1)]))
             for k0, k1 in zip(edges[::2], edges[1::2])]
+
+
+def test_events_from_arrays_and_from_lists_agree(pure26_x001):
+    # run_sweep's table holds numpy arrays and read_trace's lists of floats;
+    # on this table, with two freeze windows, detection reports the same
+    table, report = pure26_x001
+    columns = (table.gamma0_t, table.c0, table.e_cc, table.e_rr, table.e_gme)
+    as_lists = SweepTable(*(col.tolist() for col in columns))
+    assert len(report.freeze_windows) == 2
+    assert detect_events(as_lists) == report
 
 
 def test_every_freeze_window_lies_in_a_dead_window(pure26_x5, pure26_x01, pure26_x001):

@@ -17,9 +17,10 @@ import pytest
 import entdyn
 from entdyn.amplitude import AmplitudeModel, c0, c_excitation
 from entdyn.cli import _build_parser, main
+from entdyn.events import CSV_HEADER
 from entdyn.gme import SdpNumericalError
 from entdyn.states import ghz_state, random_density_matrix
-from entdyn.sweep import CSV_HEADER, AmplitudeConfig, GmeSingleConfig, SweepConfig
+from entdyn.sweep import AmplitudeConfig, GmeSingleConfig, SweepConfig
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -172,39 +173,49 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
+NUMPY = ("numpy",)
 SOLVER = ("entdyn.gme.ipm", "entdyn.gme.witness")
 POOL = ("concurrent.futures.process", "multiprocessing")
 
 
 def test_only_commands_that_solve_load_the_solver_and_the_pool(tmp_path):
     # each command runs in a fresh process, which reports its exit code and
-    # which of the solver and pool modules it has loaded by then
+    # which of numpy and the solver and pool modules it has loaded by then
     code = ("import sys\n"
             "from entdyn.cli import main\n"
             "code = main(sys.argv[1:])\n"
-            f"print(code, *(m for m in {SOLVER + POOL!r} if m in sys.modules))\n")
+            f"print(code, *(m for m in {NUMPY + SOLVER + POOL!r} if m in sys.modules))\n")
     env = {**os.environ, "PYTHONPATH": str(Path(entdyn.__file__).parents[1])}
 
-    def loaded(*argv):
-        proc = subprocess.run([sys.executable, "-c", code, *argv, "--out-dir", str(tmp_path)],
+    def loaded(*argv, out=tmp_path):
+        proc = subprocess.run([sys.executable, "-c", code, *argv, "--out-dir", str(out)],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         exit_code, *modules = proc.stdout.split()
         assert exit_code == "0", proc.stderr
         return tuple(modules)
 
+    # 5 GME points form one batch, 17 form two
     gme_doc = {**SWEEP_DOC, "steps": 4, "measures": ["cc", "gme"]}
     serial = write_config(tmp_path, gme_doc, "serial.json")
-    pooled = write_config(tmp_path, {**gme_doc, "workers": 2}, "pooled.json")
+    one_batch = write_config(tmp_path, {**gme_doc, "workers": 2}, "one-batch.json")
+    pooled = write_config(tmp_path, {**gme_doc, "steps": 16, "workers": 2}, "pooled.json")
     amplitude = write_config(tmp_path, {"x": 5.0, "gamma0_t_max": 2.0, "steps": 20}, "amp.json")
     ghz = write_config(tmp_path, {"state": {"kind": "ghz", "n": 3}}, "ghz.json")
-    assert loaded("sweep", "--config", pooled, "--measures", "cc,rr") == ()
+    assert loaded("sweep", "--config", pooled, "--measures", "cc,rr") == NUMPY
+    # events re-reads that trace.csv with the standard library alone
     assert loaded("events") == ()
-    assert loaded("amplitude", "--config", amplitude) == ()
-    assert loaded("gme-single", "--config", ghz) == SOLVER
-    assert loaded("sweep", "--config", serial) == SOLVER
+    assert loaded("amplitude", "--config", amplitude) == NUMPY
+    assert loaded("gme-single", "--config", ghz) == NUMPY + SOLVER
+    assert loaded("sweep", "--config", serial, out=tmp_path / "serial") == NUMPY + SOLVER
+    # one batch leaves a pool nothing to share: it is solved in the main
+    # process, with the bytes of the one-worker sweep
+    assert loaded("sweep", "--config", one_batch, out=tmp_path / "one-batch") == NUMPY + SOLVER
+    for name in ("trace.csv", "events.json"):
+        assert ((tmp_path / "one-batch" / name).read_bytes()
+                == (tmp_path / "serial" / name).read_bytes())
     # with a pool, the solves and so the solver imports happen in the workers
-    assert loaded("sweep", "--config", pooled) == POOL
+    assert loaded("sweep", "--config", pooled) == NUMPY + POOL
 
 
 def test_gme_single_named_state(tmp_path):
@@ -499,7 +510,7 @@ def run_with_failing_solver(tmp_path, failure, workers):
         "initial_state": {"kind": "werner", "p": 0.45},
         "x": 5.0,
         "gamma0_t_max": 1.0,
-        "steps": 4,
+        "steps": 16,            # 17 GME points: two batches, so two workers start a pool
         "measures": ["cc", "gme"],
         "workers": workers,
     })
@@ -525,9 +536,9 @@ def test_sweep_linalg_error_becomes_nan_and_exit_2(tmp_path, workers):
     proc, out = run_with_failing_solver(
         tmp_path, "raise np.linalg.LinAlgError('injected')", workers)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.count("LinAlgError: injected") == 5
+    assert proc.stderr.count("LinAlgError: injected") == 17
     rows = [row.split(",") for row in (out / "trace.csv").read_text().splitlines()[1:]]
-    assert len(rows) == 5 and all(row[4] == "" and row[2] != "" for row in rows)
+    assert len(rows) == 17 and all(row[4] == "" and row[2] != "" for row in rows)
     for row in rows:
         assert f"gamma0_t={float(row[0]):.6g}: LinAlgError: injected" in proc.stderr
 

@@ -5,6 +5,7 @@ this test process may have imported ``entdyn.cli`` already, which sets
 ``OPENBLAS_NUM_THREADS`` in ``os.environ`` for every child started after it.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -57,6 +58,19 @@ def test_every_exported_name_is_its_submodule_object():
         assert name in listed, name
     with pytest.raises(AttributeError, match="no_such_name"):
         entdyn.no_such_name  # noqa: B018
+
+
+def test_events_module_imports_only_the_standard_library():
+    # `entdyn events` loads no numpy only while events.py imports nothing but
+    # these, and no other entdyn module, each of which loads numpy
+    tree = ast.parse(Path(entdyn.__file__).with_name("events.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported <= {"__future__", "dataclasses", "json", "math", "os"}, imported
 
 
 def test_cli_defaults_to_one_blas_thread():

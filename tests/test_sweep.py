@@ -15,20 +15,10 @@ import entdyn.sweep
 from entdyn.amplitude import AmplitudeModel, c0
 from entdyn.cli import main
 from entdyn.entanglement import ZERO_ENTANGLEMENT_TOL
+from entdyn.events import CSV_HEADER, EventReport, SweepTable, detect_events, emit
 from entdyn.gme import GmeProblem
 from entdyn.states import DensityMatrix, StateValidationError
-from entdyn.sweep import (
-    CSV_HEADER,
-    SDP_TOLERANCE,
-    ConfigError,
-    EventReport,
-    GmeSingleConfig,
-    SweepConfig,
-    SweepTable,
-    detect_events,
-    emit,
-    run_sweep,
-)
+from entdyn.sweep import SDP_TOLERANCE, ConfigError, GmeSingleConfig, SweepConfig, run_sweep
 
 A26 = {"kind": "pure", "alpha": math.sqrt(1 / 26), "beta": 5 * math.sqrt(1 / 26)}
 
@@ -473,6 +463,38 @@ def test_dead_band_in_closed_form(alpha2):
         dead = np.maximum(table.e_cc, table.e_rr) <= ZERO_ENTANGLEMENT_TOL
         band = (r <= q) & (q <= 1 - r)
         np.testing.assert_array_equal(dead[clear], band[clear], err_msg=f"x={x}")
+
+
+@pytest.mark.parametrize("alpha2", [1 / 5, 1 / 4, 1 / 3, 1 / 2], ids=["a5", "a4", "a3", "a2"])
+def test_dead_band_is_at_most_a_point_from_alpha2_one_fifth(alpha2):
+    # derived rule: alpha2 >= 1/5 gives r >= 1/2, so the band [r, 1 - r] is
+    # empty or the point q = 1/2, and nothing freezes for want of a dead
+    # window of positive width
+    alpha, beta = math.sqrt(alpha2), math.sqrt(1 - alpha2)
+    r = alpha / beta
+    assert 1 - r <= r + 1e-15
+    for x in (0.01, 0.1, 0.2, 5.0):
+        cfg = bipartite_config(initial_state={"kind": "pure", "alpha": alpha, "beta": beta},
+                               x=x, gamma0_t_max=50.0, steps=6000)
+        table = run_sweep(cfg)
+        dead = np.maximum(table.e_cc, table.e_rr) <= ZERO_ENTANGLEMENT_TOL
+        assert np.all(np.abs(table.c0[dead] ** 2 - 0.5) <= 1e-6), f"x={x}"
+        window = detect_events(table).dead_window
+        assert window is None or window[1] - window[0] <= 2 * 50.0 / 6000, f"x={x}"
+
+
+@pytest.mark.parametrize("x", [2.0, 3.0, 5.0, 20.0])
+def test_c0_squared_never_rises_from_x_2_so_one_dead_window(x):
+    # derived rule: for x >= 2 c0**2 falls monotonically, so it crosses the
+    # band [r, 1 - r] once and a sweep has one dead window; below x = 2 it
+    # oscillates
+    ts = np.linspace(0.0, 50.0, 20001)
+    assert np.all(np.diff(c0(AmplitudeModel(1.0, x), ts) ** 2) <= 0.0)
+    assert np.any(np.diff(c0(AmplitudeModel(1.0, 1.9), ts) ** 2) > 0.0)
+    table = run_sweep(bipartite_config(x=x, gamma0_t_max=50.0, steps=6000))
+    dead = (np.maximum(table.e_cc, table.e_rr) <= ZERO_ENTANGLEMENT_TOL).astype(np.int8)
+    assert dead[0] + np.count_nonzero(np.diff(dead) == 1) == 1     # runs of dead points
+    assert detect_events(table).dead_window is not None
 
 
 @pytest.mark.slow
