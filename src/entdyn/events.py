@@ -2,6 +2,10 @@
 the trace files trace.csv and events.json, with the standard library only,
 so that ``entdyn events`` runs without numpy.
 
+Every event is a crossing of one level: zero for death, birth and the dead
+window, and just below the conserved ceiling N_cc(0), the first ``e_cc``,
+for a freeze.
+
 A :class:`SweepTable` holds numpy arrays from ``run_sweep`` and lists of
 floats from ``read_trace``; detection converts each column to floats once,
 so both give the same report bit for bit.
@@ -22,12 +26,10 @@ _COLUMNS = CSV_HEADER.split(",")
 
 # Event-detection thresholds.  A value at or below ZERO_ENTANGLEMENT_TOL
 # counts as zero; it sits below the eigensolver noise floor for 4x4
-# matrices.  The slope threshold must sit well below the curvature scale of
-# smooth maxima (which are not freezes) and well above solver noise on true
-# locked plateaus; 1e-5 separates the two by orders of magnitude even for
-# strongly non-Markovian sweeps where the dynamics slows down.
+# matrices.  A freeze holds the genuine negativity within _FREEZE_MARGIN,
+# relative, of its ceiling N_cc(0) for at least _PLATEAU_DWELL.
 ZERO_ENTANGLEMENT_TOL = 1e-8
-_PLATEAU_SLOPE = 1e-5       # per unit gamma0*t
+_FREEZE_MARGIN = 1e-3
 _PLATEAU_DWELL = 0.5        # minimum plateau length in gamma0*t
 
 
@@ -66,16 +68,13 @@ class EventReport:
 # ---------------------------------------------------------------------------
 # event detection
 
-def _interp_crossing(t0, v0, t1, v1, level) -> float:
+def _interp_crossing(ts, vs, k, level) -> float:
+    """Time at which the chord between samples ``k - 1`` and ``k`` meets ``level``."""
+    t0, v0, t1, v1 = ts[k - 1], vs[k - 1], ts[k], vs[k]
     if v1 == v0:
         return t1
     lam = (level - v0) / (v1 - v0)
     return t0 + min(max(lam, 0.0), 1.0) * (t1 - t0)
-
-
-def _secant_root(t0, v0, t1, v1, level, lo, hi) -> float:
-    out = t1 if v1 == v0 else t1 + (level - v1) * (t1 - t0) / (v1 - v0)
-    return min(max(out, lo), hi)
 
 
 def _crossing(ts, vs, k, tol) -> float:
@@ -88,17 +87,18 @@ def _crossing(ts, vs, k, tol) -> float:
     """
     near, far = (k - 1, k - 2) if vs[k - 1] > tol else (k, k + 1)
     if 0 <= far < len(vs) and vs[far] > vs[near] > tol:
-        return _secant_root(ts[far], vs[far], ts[near], vs[near], tol, ts[k - 1], ts[k])
-    return _interp_crossing(ts[k - 1], vs[k - 1], ts[k], vs[k], tol)
+        out = ts[near] + (tol - vs[near]) * (ts[near] - ts[far]) / (vs[near] - vs[far])
+        return min(max(out, ts[k - 1]), ts[k])
+    return _interp_crossing(ts, vs, k, tol)
 
 
-def _crossings(ts, vs, tol) -> tuple[list[float], list[float]]:
-    """Times at which a finite series falls to ``tol`` or below, and at which
-    it rises above it."""
-    live = [v > tol for v in vs]
+def _crossings(ts, vs, level, at=_crossing) -> tuple[list[float], list[float]]:
+    """Times at which a finite series falls to ``level`` or below, and at
+    which it rises above it, each placed in its bracket by ``at``."""
+    live = [v > level for v in vs]
     edges = [k for k in range(1, len(live)) if live[k] != live[k - 1]]
-    return ([_crossing(ts, vs, k, tol) for k in edges if not live[k]],
-            [_crossing(ts, vs, k, tol) for k in edges if live[k]])
+    return ([at(ts, vs, k, level) for k in edges if not live[k]],
+            [at(ts, vs, k, level) for k in edges if live[k]])
 
 
 def _first_dead_window(ts, cc, rr, tol) -> tuple[float, float] | None:
@@ -117,80 +117,27 @@ def _first_dead_window(ts, cc, rr, tol) -> tuple[float, float] | None:
     return start, end
 
 
-def _freeze_windows(ts, vs) -> list[tuple[float, float]]:
-    """Locked plateaus of a (sub)sampled genuine-negativity series.
+def _freeze_windows(ts, vs, ceiling) -> list[tuple[float, float]]:
+    """Stretches of at least ``_PLATEAU_DWELL`` where the genuine negativity
+    ``vs`` stays above ``(1 - _FREEZE_MARGIN) * ceiling``.
 
-    A freeze is a run of consecutive grid intervals with |slope| below
-    ``_PLATEAU_SLOPE``, trimmed to the contiguous stretch staying within 1%
-    of the run maximum, lasting at least ``_PLATEAU_DWELL``.  Freezing means
-    locking at the series maximum, so runs whose level falls short of the
-    global maximum (for example flat tails near zero, or slow smooth peaks
-    elsewhere) are not freezes.
-
-    Boundary refinement is asymmetric on purpose.  The entry is a kink (the
-    value arrives with finite slope and stops dead), so it is located by
-    intersecting the plateau level with the secant of the approach segment.
-    The exit departs quadratically and is invisible at first; the reported
-    end is where the value has measurably left the plateau, at 0.1% of the
-    plateau level, found by interpolation.
-
-    A spacing wider than 1.5 times the smallest one is a gap, where a
-    failed solve left no sample.  Nothing is read across a gap: a run of
-    flat intervals ends at it, an entry whose secant would reach across it
-    is the first sample after it, and an exit that would is the last sample
-    before it.
+    The ceiling is N_cc(0), the negativity the pair cut c1 r1 | c2 r2
+    conserves and the genuine negativity never exceeds, so a freeze is a
+    lock at it; there is none when it is not finite or counts as zero.  The
+    edges are the level's crossings by the chord of their bracket: the side
+    above the level is the flat plateau, whose secant carries no slope.  A
+    window runs from the first sample, or to the last, when that sample is
+    above the level.
     """
-    if len(ts) < 3:
+    if not (math.isfinite(ceiling) and ceiling > ZERO_ENTANGLEMENT_TOL):
         return []
-    dt = [t1 - t0 for t0, t1 in zip(ts, ts[1:])]
-    wide = 1.5 * min(dt)
-    gap = [d > wide for d in dt]
-    ok = [abs((v1 - v0) / d) <= _PLATEAU_SLOPE and not g
-          for v0, v1, d, g in zip(vs, vs[1:], dt, gap)]
-    global_max = max(vs)
-
-    windows: list[tuple[float, float]] = []
-    k = 0
-    while k < len(ok):
-        if not ok[k]:
-            k += 1
-            continue
-        k_end = k
-        while k_end + 1 < len(ok) and ok[k_end + 1]:
-            k_end += 1
-        lo, hi = k, k_end + 1            # point indices of the run
-        vmax = max(vs[lo : hi + 1])
-        if vmax > ZERO_ENTANGLEMENT_TOL and vmax >= 0.99 * global_max:
-            band = 0.99 * vmax
-            arg = vs.index(vmax, lo, hi + 1)
-            a = arg
-            while a - 1 >= lo and vs[a - 1] >= band:
-                a -= 1
-            b = arg
-            while b + 1 <= hi and vs[b + 1] >= band:
-                b += 1
-            start = ts[a]
-            if a >= 2 and not (gap[a - 2] or gap[a - 1]) and vs[a - 1] > vs[a - 2]:
-                start = _secant_root(ts[a - 2], vs[a - 2], ts[a - 1], vs[a - 1],
-                                     vmax, ts[a - 1], ts[a])
-            level = (1.0 - 1e-3) * vmax
-            while b + 1 < len(ts) and not gap[b] and vs[b + 1] >= level:
-                b += 1
-            if b + 1 < len(ts) and not gap[b]:
-                end = _interp_crossing(ts[b], vs[b], ts[b + 1], vs[b + 1], level)
-            else:
-                end = ts[b]
-            if end - start >= _PLATEAU_DWELL:
-                windows.append((start, end))
-        k = k_end + 1
-
-    merged: list[tuple[float, float]] = []
-    for start, end in windows:
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
+    level = (1.0 - _FREEZE_MARGIN) * ceiling
+    ends, starts = _crossings(ts, vs, level, at=_interp_crossing)
+    if vs[0] > level:
+        starts.insert(0, ts[0])
+    if vs[-1] > level:
+        ends.append(ts[-1])
+    return [(a, b) for a, b in zip(starts, ends) if b - a >= _PLATEAU_DWELL]
 
 
 def detect_events(table: SweepTable) -> EventReport:
@@ -218,7 +165,7 @@ def detect_events(table: SweepTable) -> EventReport:
     valid = [k for k, v in enumerate(gme) if math.isfinite(v)]
     if valid:
         report.freeze_windows = _freeze_windows([ts[k] for k in valid],
-                                                [gme[k] for k in valid])
+                                                [gme[k] for k in valid], cc[0])
     return report
 
 

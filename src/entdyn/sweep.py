@@ -263,7 +263,8 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
     e_gme = np.full(npts, np.nan)
     diagnostics: list[str] = []
 
-    if "cc" in cfg.measures:
+    # a GME sweep writes e_cc too: its first value is the freeze ceiling
+    if {"cc", "gme"} & set(cfg.measures):
         e_cc = negativity_xstate(evolve_cc(cfg.initial_state, model, ts)).value
     if "rr" in cfg.measures:
         e_rr = negativity_xstate(evolve_rr(cfg.initial_state, model, ts)).value

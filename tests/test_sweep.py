@@ -15,7 +15,8 @@ import entdyn.sweep
 from entdyn.amplitude import AmplitudeModel, c0
 from entdyn.cli import main
 from entdyn.entanglement import ZERO_ENTANGLEMENT_TOL
-from entdyn.events import CSV_HEADER, EventReport, SweepTable, detect_events, emit
+from entdyn.events import (_FREEZE_MARGIN, CSV_HEADER, EventReport, SweepTable,
+                           detect_events, emit, read_trace)
 from entdyn.gme import GmeProblem
 from entdyn.states import DensityMatrix, StateValidationError
 from entdyn.sweep import SDP_TOLERANCE, ConfigError, GmeSingleConfig, SweepConfig, run_sweep
@@ -121,13 +122,19 @@ def test_event_detection_revivals():
     assert rep.revival_times[0] == pytest.approx(2 * math.pi, abs=0.05)
 
 
+def _gme_table(ts, v, ceiling=0.2) -> SweepTable:
+    """A table of the genuine negativity ``v`` whose e_cc holds only its
+    first value, the freeze ceiling N_cc(0)."""
+    e_cc = np.full_like(ts, np.nan)
+    e_cc[0] = ceiling
+    return SweepTable(ts, np.ones_like(ts), e_cc, np.full_like(ts, np.nan), v)
+
+
 def test_freeze_detection_on_synthetic_plateau():
     ts = np.linspace(0.0, 10.0, 401)
     v = np.minimum(0.05 * ts, 0.2)                     # ramps, locks at 0.2 from t=4
     v = np.where(ts > 8.0, 0.2 - 0.08 * (ts - 8.0), v)  # decays after t=8
-    table = SweepTable(ts, np.ones_like(ts), np.full_like(ts, np.nan),
-                       np.full_like(ts, np.nan), v)
-    rep = detect_events(table)
+    rep = detect_events(_gme_table(ts, v))
     assert len(rep.freeze_windows) == 1
     start, end = rep.freeze_windows[0]
     assert start == pytest.approx(4.0, abs=0.1)
@@ -135,25 +142,26 @@ def test_freeze_detection_on_synthetic_plateau():
 
 
 def _plateau_table(drop=()):
-    """Ramp locking at 0.2 from t=4.03, leaving it quadratically after t=8,
-    with the samples ``drop`` failed (NaN)."""
+    """Ramp locking at the ceiling 0.2 from t=4.03, leaving it quadratically
+    after t=8, with the samples ``drop`` failed (NaN)."""
     ts = np.linspace(0.0, 10.0, 201)
     v = np.minimum(0.2 * ts / 4.03, 0.2)
     v = np.where(ts > 8.0, 0.2 - 0.01 * (ts - 8.0) ** 2, v)
     v[list(drop)] = np.nan
-    return SweepTable(ts, np.ones_like(ts), np.full_like(ts, np.nan), np.full_like(ts, np.nan), v)
+    return _gme_table(ts, v)
 
 
 @pytest.mark.parametrize("drop, windows", [
-    ((), [(4.03, 8.140000000000002)]),                     # as without the gap rule
-    ((81,), [(4.1000000000000005, 8.140000000000002)]),    # the first plateau sample failed
-    ((163,), [(4.03, 8.1)]),                               # the sample past the exit failed
-    ((120,), [(4.03, 5.95), (6.050000000000001, 8.140000000000002)]),
+    ((), [(4.043283333333333, 8.140000000000002)]),
+    ((81,), [(4.086566666666667, 8.140000000000002)]),     # the first plateau sample failed
+    ((163,), [(4.043283333333333, 8.133333333333336)]),    # the sample past the exit failed
+    ((120,), [(4.043283333333333, 8.140000000000002)]),    # a plateau sample failed
 ], ids=["none", "entry", "exit", "inside"])
 def test_freeze_windows_stop_at_a_failed_sample(tmp_path, drop, windows):
-    # a failed sample leaves a gap in the finite series: the entry secant
-    # and the exit interpolation never reach across it, and a plateau run
-    # ends at it; the events command, from trace.csv, finds the same
+    # a failed sample leaves no value: each edge is the chord between the
+    # finite samples that bracket the level, and a failed sample inside the
+    # plateau leaves it whole; the events command, from trace.csv, finds
+    # the same
     table = _plateau_table(drop)
     report = detect_events(table)
     assert report.freeze_windows == windows
@@ -165,21 +173,19 @@ def test_freeze_windows_stop_at_a_failed_sample(tmp_path, drop, windows):
 
 
 def test_freeze_detection_rejects_smooth_peak():
+    # the peak touches its ceiling: it stays above the freeze level for
+    # 0.1, shorter than the minimum length of 0.5
     ts = np.linspace(0.0, 10.0, 401)
     v = 0.2 * np.exp(-((ts - 5.0) ** 2) / 4.0)
-    table = SweepTable(ts, np.ones_like(ts), np.full_like(ts, np.nan),
-                       np.full_like(ts, np.nan), v)
-    rep = detect_events(table)
-    assert rep.freeze_windows == []
+    assert detect_events(_gme_table(ts, v)).freeze_windows == []
 
 
-def _hold_table(hold: float) -> SweepTable:
+def _hold_table(hold: float, ceiling: float = 0.2) -> SweepTable:
     """Ramp to 0.2 by t=1, hold it for ``hold``, then decay."""
     ts = np.linspace(0.0, 10.0, 401)
     v = np.minimum(0.2 * ts, 0.2)
     v = np.where(ts > 1.0 + hold, np.maximum(0.2 - 0.4 * (ts - 1.0 - hold), 0.0), v)
-    return SweepTable(ts, np.ones_like(ts), np.full_like(ts, np.nan),
-                      np.full_like(ts, np.nan), v)
+    return _gme_table(ts, v, ceiling)
 
 
 def test_freeze_detection_respects_dwell():
@@ -187,6 +193,39 @@ def test_freeze_detection_respects_dwell():
     # length of 0.5, is not
     assert len(detect_events(_hold_table(1.0)).freeze_windows) == 1
     assert detect_events(_hold_table(0.3)).freeze_windows == []
+
+
+def test_a_plateau_below_the_ceiling_is_no_freeze():
+    # the series holds its maximum for 2.0, but at 0.9 of N_cc(0): a freeze
+    # is a lock at the conserved ceiling, not at the series maximum
+    assert detect_events(_hold_table(2.0, ceiling=0.2 / 0.9)).freeze_windows == []
+
+
+@pytest.mark.parametrize("ceiling", [0.0, 1e-11, ZERO_ENTANGLEMENT_TOL])
+@pytest.mark.parametrize("base", [0.0, 0.1], ids=["noise", "plateau"])
+def test_no_freeze_without_a_ceiling(ceiling, base):
+    # with no pair-cut negativity at t = 0 nothing can freeze: a level at
+    # or near zero would make solver noise of 1e-10 a freeze
+    ts = np.linspace(0.0, 10.0, 401)
+    v = base + 1e-10 * np.random.default_rng(5).random(ts.size)
+    assert detect_events(_gme_table(ts, v, ceiling)).freeze_windows == []
+
+
+def test_a_gme_sweep_writes_its_freeze_ceiling(tmp_path):
+    # a GME-only sweep writes e_cc, whose first value is the freeze
+    # ceiling, and so reports the freeze a cc,rr,gme sweep reports
+    doc = {"initial_state": A26, "x": 5.0, "gamma0_t_max": 2.5, "steps": 20}
+    windows = {}
+    for name in ("gme", "cc,rr,gme"):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({**doc, "measures": name.split(",")}))
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / name)]) == 0
+        trace = read_trace(tmp_path / name)
+        assert all(map(math.isfinite, trace.e_cc))
+        assert trace.e_cc[0] == pytest.approx(5 / 26, abs=1e-9)
+        windows[name] = json.loads((tmp_path / name / "events.json").read_text())["freeze_windows"]
+    assert len(windows["gme"]) == 1
+    assert windows["gme"] == windows["cc,rr,gme"]
 
 
 def test_detect_events_rejects_empty_table():
@@ -513,3 +552,26 @@ def test_census_sweeps_fail_at_few_points():
                                measures=["gme"])
         nans[name] = int(np.count_nonzero(np.isnan(run_sweep(cfg).e_gme)))
     assert sum(nans.values()) <= 3, f"NaN cells per sweep: {nans}"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("alpha2, x, tmax, windows", [
+    (1 / 5, 0.01, 40.0, []),
+    (1 / 5, 0.1, 10.0, []),
+    (1 / 10, 0.1, 10.0, [(2.991, 4.513)]),
+], ids=["a5_x001", "a5_x01", "a10_x01"])
+def test_freeze_margin_on_the_census_grid(alpha2, x, tmax, windows):
+    # the census grid's points (spacing 0.25) up to tmax, where each sweep
+    # comes nearest its ceiling: alpha^2 = 1/5 peaks 8.2e-4 to 8.4e-4
+    # (relative) below it, above the freeze level but for less than the
+    # minimum length, so nothing freezes; alpha^2 = 1/10 locks at it
+    alpha, beta = math.sqrt(alpha2), math.sqrt(1 - alpha2)
+    cfg = bipartite_config(initial_state={"kind": "pure", "alpha": alpha, "beta": beta},
+                           x=x, gamma0_t_max=tmax, steps=round(4 * tmax), measures=["gme"])
+    table = run_sweep(cfg)
+    assert table.diagnostics == []
+    assert 1 - np.max(table.e_gme) / table.e_cc[0] < _FREEZE_MARGIN
+    found = detect_events(table).freeze_windows
+    assert len(found) == len(windows)
+    for got, want in zip(found, windows):
+        assert got == pytest.approx(want, abs=1e-3)
