@@ -24,7 +24,7 @@ def trace_line(label, values, width=64):
 
 def main():
     s0 = pure_alpha_beta(math.sqrt(1 / 26), 5 * math.sqrt(1 / 26))
-    print("initial cavity-cavity negativity:", f"{negativity_xstate(s0).value:.4f}")
+    print("initial cavity-cavity negativity:", f"{negativity_xstate(s0):.4f}")
     print()
 
     for x in (5.0, 0.1, 0.01):
@@ -32,8 +32,8 @@ def main():
         tmax = {5.0: 4.0, 0.1: 12.0, 0.01: 40.0}[x]
         ts = np.linspace(0.0, tmax, 64)
         # the closed forms take the whole time grid at once
-        e_cc = negativity_xstate(evolve_cc(s0, model, ts)).value
-        e_rr = negativity_xstate(evolve_rr(s0, model, ts)).value
+        e_cc = negativity_xstate(evolve_cc(s0, model, ts))
+        e_rr = negativity_xstate(evolve_rr(s0, model, ts))
         print(f"x = {x}  (gamma0*t from 0 to {tmax})")
         trace_line("  E_cc", e_cc)
         trace_line("  E_rr", e_rr)

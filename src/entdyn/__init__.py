@@ -28,18 +28,16 @@ __version__ = "0.1.0"
 # the names each submodule exports here
 _SOURCES = {
     "amplitude": ("AmplitudeModel", "c0", "c_excitation", "first_zero"),
-    "entanglement": ("EntanglementValue", "concurrence_xstate", "negativity",
-                     "negativity_xstate"),
+    "entanglement": ("concurrence_xstate", "negativity", "negativity_xstate"),
     "events": ("ZERO_ENTANGLEMENT_TOL",),
-    "evolution": ("EvolvedPair", "evolve_cc", "evolve_four", "evolve_pair", "evolve_rr"),
+    "evolution": ("evolve_cc", "evolve_four", "evolve_rr"),
     "states": ("Bipartition", "DensityMatrix", "StateValidationError", "XState", "bell_pair",
                "biseparable_bell_mixture", "ghz_state", "kay_state", "partial_trace",
                "partial_transpose", "permute_subsystems", "pure_alpha_beta",
                "random_density_matrix", "random_pure_state", "tensor", "werner", "x_state",
                "x_state_is_entangled"),
     "gme": ("GmeProblem", "GmeSolution", "SdpError", "SdpNonConvergenceError",
-            "SdpNumericalError", "enumerate_bipartitions", "negativity_via_gme", "solve_gme",
-            "verify_witness"),
+            "SdpNumericalError", "enumerate_bipartitions", "solve_gme", "verify_witness"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 

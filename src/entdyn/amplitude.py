@@ -135,9 +135,8 @@ def c_excitation(model: AmplitudeModel, t) -> np.ndarray | float:
     return out
 
 
-def first_zero(model: AmplitudeModel, gamma0_t_max: float | None = None) -> float | None:
-    """First zero of ``c0`` in dimensionless time, or None if there is none
-    (or if it lies beyond ``gamma0_t_max``).
+def first_zero(model: AmplitudeModel) -> float | None:
+    """First zero of ``c0`` in dimensionless time, or None if there is none.
 
     Zeros exist only in the oscillatory regime ``x < 2``.  There ``c0`` is a
     positive factor times ``cos u + (x/s) sin u`` with ``u = s gamma0 t / 2``,
@@ -148,7 +147,4 @@ def first_zero(model: AmplitudeModel, gamma0_t_max: float | None = None) -> floa
     if x >= 2.0 - _CRITICAL_WINDOW:
         return None
     s = math.sqrt(x * (2.0 - x))
-    root = 2.0 * math.atan2(s, -x) / s
-    if gamma0_t_max is not None and root > gamma0_t_max:
-        return None
-    return root
+    return 2.0 * math.atan2(s, -x) / s

@@ -97,9 +97,9 @@ def _cmd_gme_single(args) -> int:
     cfg = sweep.GmeSingleConfig.from_dict(sweep.load_config(args.config))
     problem = GmeProblem(rho=cfg.state, tolerance=cfg.tolerance)
     if cfg.dump_problem:
-        sweep.write_problem(problem, cfg.symmetry_reduction, args.out_dir)
+        sweep.write_problem(problem, args.out_dir)
     try:
-        solution = _this.solve_gme(problem, symmetry_reduction=cfg.symmetry_reduction)
+        solution = _this.solve_gme(problem)
     except SOLVE_ERRORS as exc:
         print(f"sdp failure: {sweep.write_gme_failure(exc, args.out_dir)}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -69,10 +69,9 @@ class EventReport:
 # event detection
 
 def _interp_crossing(ts, vs, k, level) -> float:
-    """Time at which the chord between samples ``k - 1`` and ``k`` meets ``level``."""
+    """Time at which the chord between samples ``k - 1`` and ``k`` meets ``level``;
+    one of the two is above ``level`` and the other is not, so they differ."""
     t0, v0, t1, v1 = ts[k - 1], vs[k - 1], ts[k], vs[k]
-    if v1 == v0:
-        return t1
     lam = (level - v0) / (v1 - v0)
     return t0 + min(max(lam, 0.0), 1.0) * (t1 - t0)
 

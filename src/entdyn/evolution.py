@@ -14,26 +14,12 @@ Qubit ordering of the four-qubit state is ``(c1, c2, r1, r2)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .amplitude import AmplitudeModel, c0 as _c0, c_excitation as _cexc
 from .states import DensityMatrix, XState
 
-__all__ = ["EvolvedPair", "evolve_cc", "evolve_rr", "evolve_four", "evolve_pair"]
-
-
-@dataclass(frozen=True)
-class EvolvedPair:
-    """Evolved marginals and full state at one instant."""
-
-    cc: XState
-    rr: XState
-    full: DensityMatrix
-    t: float
-    c0: float
-    c: float
+__all__ = ["evolve_cc", "evolve_rr", "evolve_four"]
 
 
 def _amplitudes(model: AmplitudeModel, t):
@@ -103,15 +89,3 @@ def evolve_four(s0: XState, model: AmplitudeModel, t):
         return DensityMatrix(rho[0], (2, 2, 2, 2), validate=False)
     return rho
 
-
-def evolve_pair(s0: XState, model: AmplitudeModel, t: float) -> EvolvedPair:
-    """Closed-form marginals plus the dilated four-qubit state."""
-    a, c = _amplitudes(model, t)
-    return EvolvedPair(
-        cc=evolve_cc(s0, model, t),
-        rr=evolve_rr(s0, model, t),
-        full=evolve_four(s0, model, t),
-        t=float(t),
-        c0=a,
-        c=c,
-    )

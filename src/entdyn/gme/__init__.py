@@ -18,7 +18,6 @@ from .witness import (
     GmeSolution,
     WitnessReport,
     enumerate_bipartitions,
-    negativity_via_gme,
     problem_json_dict,
     solve_gme,
     solve_gme_batch,
@@ -44,7 +43,6 @@ __all__ = [
     "GmeSolution",
     "WitnessReport",
     "enumerate_bipartitions",
-    "negativity_via_gme",
     "problem_json_dict",
     "solve_gme",
     "solve_gme_batch",

@@ -24,7 +24,8 @@ Every array of an iteration carries a leading batch axis, so each numpy
 call serves the whole batch.  Each point keeps its own ``mu``, ``sigma``,
 step lengths, Schur shift, convergence test, stall count and best bound.
 A point that converges or fails leaves the active set and the others run
-on; a failed point gets its own ``SdpError``, and the batch raises nothing.
+on; a failed point gets its own ``SdpError``, and the batch raises nothing,
+so an ``SdpResult`` is a point that met the tolerance.
 
 Blocks of one size and dtype are stacked into size classes
 (``StackedBlocks``), and every step of an iteration is batched over the
@@ -112,8 +113,8 @@ positive definite, and from ``Z0 = I`` in every dual block, feasible or
 not (an infeasible-start method, as SDPT3 is).  The dual residual
 ``r = c - A*(Z)`` is folded into the corrector's right-hand side, so a
 full dual step removes it, and the predictor's right-hand side is ``-c``
-whatever ``r`` is.  A point counts as converged only once ``r`` is within
-the feasibility tolerance.
+whatever ``r`` is.  A point meets the tolerance only once ``r`` is also
+within the feasibility tolerance.
 
 Every inner product of Hermitian matrices, ``<X, Y> = Re tr(XY) =
 sum Re X * Re Y + Im X * Im Y``, is a real dot product of the float64 views
@@ -151,6 +152,8 @@ __all__ = [
 
 _STEP_FRACTION = 0.98
 _MIN_STEP = 1e-10
+# Iterations after which a point still short of the tolerance fails.
+_MAX_ITERATIONS = 200
 # Most steps of iterative refinement of a corrector solve.
 _REFINE_STEPS = 10
 # Cumulative identity shifts, in units of max(trace(M)/m, 1), tried in turn
@@ -253,7 +256,6 @@ class SdpResult:
     rel_gap: float
     dual_residual: float
     iterations: int
-    converged: bool
 
 
 class _SizeClass:
@@ -752,7 +754,6 @@ def solve_block_sdp(
     c: np.ndarray,
     x0: np.ndarray,
     tolerance: float = 1e-7,
-    max_iterations: int = 200,
 ) -> SdpResult:
     """Run the interior-point iteration from ``x0``, whose slack ``S(x0)`` must
     be positive definite, and ``Z0 = I`` in every dual block.
@@ -770,8 +771,7 @@ def solve_block_sdp(
 
     Both carry the best dual bound and the iteration count (``SdpError``).
     """
-    (out,) = solve_block_sdp_batch(stack, np.asarray(c)[None], np.asarray(x0)[None], tolerance,
-                                   max_iterations)
+    (out,) = solve_block_sdp_batch(stack, np.asarray(c)[None], np.asarray(x0)[None], tolerance)
     if isinstance(out, SdpError):
         raise out
     return out
@@ -782,7 +782,6 @@ def solve_block_sdp_batch(
     c: np.ndarray,
     x0: np.ndarray,
     tolerance: float = 1e-7,
-    max_iterations: int = 200,
 ) -> list[SdpResult | SdpError]:
     """Run the interior-point iteration on a batch of problems that share their blocks.
 
@@ -830,9 +829,8 @@ def solve_block_sdp_batch(
                 rel_gap=float(rel_gap[row]),
                 dual_residual=float(rd_inf[row]),
                 iterations=it,
-                converged=True,
             )
-        stop = ~done & ((it == max_iterations) | (batch.stalls >= 6))
+        stop = ~done & ((it == _MAX_ITERATIONS) | (batch.stalls >= 6))
         rows = np.flatnonzero(stop)
         fail(rows, SdpNonConvergenceError, [
             f"{'step length collapsed' if batch.stalls[k] >= 6 else 'iteration cap reached'} "

@@ -31,9 +31,9 @@ reduction of Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004).  The
 SDP blocks are then real symmetric and the solver runs in real arithmetic.
 
 When a real four-qubit state, ordered (c1, c2, r1, r2), is also invariant
-under the pair swap ``U`` (c1 <-> c2 together with r1 <-> r2) and the cut
-family is closed under it, the witness can be taken swap invariant (the
-invariant-SDP reduction of Bachoc, Gijswijt, Schrijver & Vallentin, in
+under the pair swap ``U`` (c1 <-> c2 together with r1 <-> r2), which maps
+the family of all cuts to itself, the witness can be taken swap invariant
+(the invariant-SDP reduction of Bachoc, Gijswijt, Schrijver & Vallentin, in
 Handbook on Semidefinite, Conic and Polynomial Optimization, Springer,
 2012).  ``U`` maps cut ``M`` to cut ``pi(M)`` and ``(U Q U^T)^{T_pi(M)} =
 U Q^{T_M} U^T``, so ``(U W U^T, U Q_M U^T on cut pi(M))`` is feasible with
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -71,7 +71,6 @@ __all__ = [
     "enumerate_bipartitions",
     "solve_gme",
     "solve_gme_batch",
-    "negativity_via_gme",
     "verify_witness",
     "problem_json_dict",
 ]
@@ -96,27 +95,23 @@ def enumerate_bipartitions(n: int) -> list[Bipartition]:
 
 @dataclass(frozen=True)
 class GmeProblem:
-    """State, bipartition family and solver accuracy for one GME solve."""
+    """State and solver accuracy for one GME solve, which takes every bipartition."""
 
     rho: DensityMatrix
-    cuts: tuple[Bipartition, ...] = ()
     tolerance: float = 1e-7
 
     def __post_init__(self):
         if any(d != 2 for d in self.rho.dims):
             raise ValueError(f"only qubit subsystems are supported, got dims {self.rho.dims}")
-        n = self.rho.num_subsystems
-        if n < 2:
+        if self.rho.num_subsystems < 2:
             raise ValueError("need at least two qubits")
-        cuts = tuple(self.cuts) if self.cuts else tuple(enumerate_bipartitions(n))
-        if len(set(cuts)) != len(cuts):
-            raise ValueError("bipartition list contains duplicates")
-        for cut in cuts:
-            if cut.num_subsystems != n:
-                raise ValueError(f"cut {cut} does not match {n} qubits")
-        object.__setattr__(self, "cuts", cuts)
         if not (0 < self.tolerance < 1e-2):
             raise ValueError(f"tolerance {self.tolerance} out of range")
+
+    @cached_property
+    def cuts(self) -> tuple[Bipartition, ...]:
+        """Every bipartition, in ``enumerate_bipartitions`` order."""
+        return tuple(enumerate_bipartitions(self.rho.num_subsystems))
 
 
 @dataclass
@@ -130,7 +125,6 @@ class GmeSolution:
     residuals: dict[str, float]
     dual_objective: float
     iterations: int
-    converged: bool
     reduced: bool
     num_variables: int
 
@@ -207,16 +201,13 @@ def _swap_perm(n: int) -> np.ndarray:
     return bits @ (1 << np.arange(n - 1, -1, -1))
 
 
-def _cut_images(cuts: tuple[Bipartition, ...]) -> list[int] | None:
-    """Index in ``cuts`` of each cut's pair-swap image, or None if some image is missing."""
+def _cut_images(cuts: tuple[Bipartition, ...]) -> list[int]:
+    """Index in ``cuts``, the four-qubit bipartitions, of each cut's pair-swap image."""
     index = {frozenset((c.left, c.right)): i for i, c in enumerate(cuts)}
     images = []
     for cut in cuts:
         sides = (tuple(sorted(_PAIR_SWAP[k] for k in side)) for side in (cut.left, cut.right))
-        img = index.get(frozenset(sides))
-        if img is None:
-            return None
-        images.append(img)
+        images.append(index[frozenset(sides)])
     return images
 
 
@@ -226,9 +217,8 @@ def _symmetry_labels(
     """Whether the witness can be real and pair-swap invariant, and the sector
     labels of W and of each cut's Q.
 
-    The swap is used only for a real state on four qubits whose cut family
-    is closed under it.  Without reduction the witness is complex and every
-    label is zero.
+    The swap is used only for a real state on four qubits.  Without
+    reduction the witness is complex and every label is zero.
     """
     n = problem.rho.num_subsystems
     if not symmetry_reduction:
@@ -237,7 +227,7 @@ def _symmetry_labels(
     entries = problem.rho.entries
     real = float(np.max(np.abs(entries.imag))) <= _SUPPORT_TOL
     swap = False
-    if real and n == len(_PAIR_SWAP) and _cut_images(problem.cuts) is not None:
+    if real and n == len(_PAIR_SWAP):
         perm = _swap_perm(n)
         swap = float(np.max(np.abs(entries[np.ix_(perm, perm)] - entries))) <= _SUPPORT_TOL
     span, parity_ok = _support_symmetry(entries, n)
@@ -533,8 +523,8 @@ def solve_gme(
 def solve_gme_batch(problems: Sequence[GmeProblem]) -> list[GmeSolution | SdpError]:
     """Solve many states, with one interior-point run per formulation.
 
-    The problems are grouped by formulation (qubit count, cuts and the
-    symmetry labels that ``solve_gme`` derives with its default reduction)
+    The problems are grouped by formulation (qubit count and the symmetry
+    labels that ``solve_gme`` derives with its default reduction)
     and by tolerance, and each group is one batch of
     ``solve_block_sdp_batch``.  Returns, in input order, each problem's
     ``GmeSolution``, or the ``SdpError`` that ``solve_gme`` would raise for
@@ -587,18 +577,9 @@ def _solution_from_result(
         residuals=residuals,
         dual_objective=result.dual_objective,
         iterations=result.iterations,
-        converged=result.converged,
         reduced=form.reduced,
         num_variables=form.num_vars,
     )
-
-
-def negativity_via_gme(rho: DensityMatrix, tolerance: float = 1e-7) -> float:
-    """Witness-SDP value on a two-qubit state; equals eigenvalue negativity."""
-    if rho.num_subsystems != 2:
-        raise ValueError("negativity_via_gme expects a two-qubit state")
-    sol = solve_gme(GmeProblem(rho=rho, tolerance=tolerance))
-    return sol.genuine_negativity
 
 
 def verify_witness(solution: GmeSolution, problem: GmeProblem) -> WitnessReport:
@@ -645,10 +626,11 @@ def verify_witness(solution: GmeSolution, problem: GmeProblem) -> WitnessReport:
     )
 
 
-def problem_json_dict(problem: GmeProblem, symmetry_reduction: bool = True) -> dict:
-    """Documented JSON form of the SDP: blocks, dimensions, objective matrix."""
+def problem_json_dict(problem: GmeProblem) -> dict:
+    """Documented JSON form of the reduced SDP that ``solve_gme`` solves:
+    blocks, dimensions, objective matrix."""
     n = problem.rho.num_subsystems
-    form = _formulation_for(n, problem.cuts, *_symmetry_labels(problem, symmetry_reduction))
+    form = _formulation_for(n, problem.cuts, *_symmetry_labels(problem, True))
     return {
         "num_qubits": n,
         "dimension": 2**n,

@@ -190,7 +190,6 @@ class GmeSingleConfig:
 
     state: DensityMatrix
     tolerance: float = SDP_TOLERANCE
-    symmetry_reduction: bool = True
     dump_problem: bool = False
 
     @classmethod
@@ -265,9 +264,9 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
 
     # a GME sweep writes e_cc too: its first value is the freeze ceiling
     if {"cc", "gme"} & set(cfg.measures):
-        e_cc = negativity_xstate(evolve_cc(cfg.initial_state, model, ts)).value
+        e_cc = negativity_xstate(evolve_cc(cfg.initial_state, model, ts))
     if "rr" in cfg.measures:
-        e_rr = negativity_xstate(evolve_rr(cfg.initial_state, model, ts)).value
+        e_rr = negativity_xstate(evolve_rr(cfg.initial_state, model, ts))
 
     if "gme" in cfg.measures:
         idxs = np.arange(0, npts, cfg.gme_stride)
@@ -298,11 +297,11 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
                       diagnostics=diagnostics)
 
 
-def write_problem(problem: GmeProblem, symmetry_reduction: bool, out_dir) -> None:
+def write_problem(problem: GmeProblem, out_dir) -> None:
     """Write the SDP of ``problem`` to sdp_problem.json."""
     from .gme import problem_json_dict
 
-    _write_json(out_dir, "sdp_problem.json", problem_json_dict(problem, symmetry_reduction))
+    _write_json(out_dir, "sdp_problem.json", problem_json_dict(problem))
 
 
 def write_gme(solution: GmeSolution, dims, out_dir) -> None:
@@ -312,7 +311,6 @@ def write_gme(solution: GmeSolution, dims, out_dir) -> None:
         "genuine_negativity": solution.genuine_negativity,
         "dual_objective": solution.dual_objective,
         "iterations": solution.iterations,
-        "converged": solution.converged,
         "reduced": solution.reduced,
         "num_variables": solution.num_variables,
         "residuals": {k: float(v) for k, v in solution.residuals.items()},

@@ -17,7 +17,7 @@ from entdyn.entanglement import (ZERO_ENTANGLEMENT_TOL, concurrence_xstate, nega
                                  negativity_xstate)
 from entdyn.events import SweepTable, _crossings, detect_events
 from entdyn.evolution import evolve_cc, evolve_four, evolve_rr
-from entdyn.gme import GmeProblem, enumerate_bipartitions, negativity_via_gme, solve_gme
+from entdyn.gme import GmeProblem, enumerate_bipartitions, solve_gme
 from entdyn.states import (
     Bipartition,
     DensityMatrix,
@@ -131,8 +131,8 @@ def _criterion(num: int, name: str, checks):
 
 
 def test_criterion_1_initial_negativities():
-    n13 = negativity_xstate(pure_alpha_beta(ALPHA_13, BETA_13)).value
-    n26 = negativity_xstate(pure_alpha_beta(ALPHA_26, BETA_26)).value
+    n13 = negativity_xstate(pure_alpha_beta(ALPHA_13, BETA_13))
+    n26 = negativity_xstate(pure_alpha_beta(ALPHA_26, BETA_26))
     _criterion(1, "initial negativities", [
         _near("pure(sqrt(1/3))", n13, 0.4714, 1e-3),
         _near("pure(sqrt(1/26))", n26, 0.1923, 1e-3),
@@ -297,7 +297,7 @@ def test_gme_sweep_within_conserved_pair_cut_negativity(request, sweep):
     # needs no eigensolver on the SDP side
     table, _ = request.getfixturevalue(sweep)
     state, _ = GME_SWEEPS[sweep]
-    ceiling = negativity_xstate(state).value
+    ceiling = negativity_xstate(state)
     finite = np.isfinite(table.e_gme)
     assert np.count_nonzero(finite) >= 134
     assert np.all(table.e_gme[finite] <= ceiling + 10 * SweepConfig.sdp_tolerance), sweep
@@ -309,7 +309,7 @@ def test_freeze_windows_sit_at_the_conserved_pair_cut_negativity(pure26_x5, pure
     # 0.01 and the recurrent one at 0.01, the genuine negativity reaches the
     # ceiling N_cc(0) that the pair cut c1 r1 | c2 r2 conserves: the freeze
     # level is that negativity, 5/26 here
-    ceiling = negativity_xstate(pure_alpha_beta(ALPHA_26, BETA_26)).value
+    ceiling = negativity_xstate(pure_alpha_beta(ALPHA_26, BETA_26))
     assert ceiling == pytest.approx(5 / 26, abs=1e-15)
     slack = 10 * SweepConfig.sdp_tolerance
     for (table, report), k in ((pure26_x5, 0), (pure26_x01, 0), (pure26_x001, 0),
@@ -414,7 +414,7 @@ def test_criterion_8_sdp_oracles():
     worst = 0.0
     for _ in range(100):
         rho = random_density_matrix((2, 2), rng)
-        worst = max(worst, abs(negativity_via_gme(rho) - negativity(rho, cut2).value))
+        worst = max(worst, abs(solve_gme(rho).genuine_negativity - negativity(rho, cut2)))
     checks.append((f"bipartite SDP vs eigen-negativity, worst |diff| = {worst:.2e} <= 1e-6",
                    worst <= 1e-6))
 
@@ -466,8 +466,8 @@ def test_criterion_9_property_suites():
     neg_err = 0.0
     for _ in range(1000):
         s = random_x_state(rng)
-        neg_err = max(neg_err, abs(negativity_xstate(s).value
-                                   - negativity(s.to_density(), cut2).value))
+        neg_err = max(neg_err, abs(negativity_xstate(s)
+                                   - negativity(s.to_density(), cut2)))
     checks.append((f"negativity closed form vs eigen, err {neg_err:.2e} <= 1e-10",
                    neg_err <= 1e-10))
 
@@ -475,8 +475,8 @@ def test_criterion_9_property_suites():
     s0 = pure_alpha_beta(ALPHA_26, BETA_26)
     model = AmplitudeModel(1.0, 5.0)
     grid = np.linspace(0.0, 4.0, 401)
-    neg = np.array([negativity_xstate(evolve_cc(s0, model, t)).value for t in grid])
-    con = np.array([concurrence_xstate(evolve_cc(s0, model, t)).value for t in grid])
+    neg = np.array([negativity_xstate(evolve_cc(s0, model, t)) for t in grid])
+    con = np.array([concurrence_xstate(evolve_cc(s0, model, t)) for t in grid])
     k_neg = int(np.argmax(neg <= 1e-8))
     k_con = int(np.argmax(con <= 1e-8))
     checks.append((f"negativity/concurrence zero step {k_neg} vs {k_con}",

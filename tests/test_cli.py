@@ -1,6 +1,8 @@
 import argparse
 import collections
+import dataclasses
 import importlib
+import inspect
 import json
 import math
 import os
@@ -18,7 +20,9 @@ import entdyn
 from entdyn.amplitude import AmplitudeModel, c0, c_excitation
 from entdyn.cli import _build_parser, main
 from entdyn.events import CSV_HEADER
-from entdyn.gme import SdpNumericalError
+from entdyn.gme import (GmeProblem, GmeSolution, SdpNumericalError, SdpResult,
+                        problem_json_dict, solve_block_sdp, solve_block_sdp_batch, solve_gme,
+                        solve_gme_batch)
 from entdyn.states import ghz_state, random_density_matrix
 from entdyn.sweep import AmplitudeConfig, GmeSingleConfig, SweepConfig
 
@@ -224,7 +228,7 @@ def test_gme_single_named_state(tmp_path):
     assert main(["gme-single", "--config", cfg, "--out-dir", str(out)]) == 0
     doc = json.loads((out / "gme.json").read_text())
     assert doc["genuine_negativity"] == pytest.approx(0.5, abs=1e-4)
-    assert doc["converged"] is True
+    assert "converged" not in doc
     assert len(doc["witness"]["re"]) == 8
     sdp = json.loads((out / "sdp_problem.json").read_text())
     assert sdp["dimension"] == 8 and len(sdp["cuts"]) == 3
@@ -332,7 +336,7 @@ def test_help_exits_0(capsys):
 
 def test_the_settable_surface_is_pinned():
     # every option and config key a user can set, so that adding or
-    # removing one changes exactly this test; 8 options and 15 keys
+    # removing one changes exactly this test; 8 options and 14 keys
     subcommands = next(a for a in _build_parser()._actions
                        if isinstance(a, argparse._SubParsersAction)).choices
     options = {name: sorted(flag for action in p._actions for flag in action.option_strings
@@ -349,8 +353,34 @@ def test_the_settable_surface_is_pinned():
     assert keys == {
         "SweepConfig": ["initial_state", "x", "gamma0_t_max", "steps", "measures",
                         "gme_stride", "workers", "sdp_tolerance"],
-        "GmeSingleConfig": ["state", "tolerance", "symmetry_reduction", "dump_problem"],
+        "GmeSingleConfig": ["state", "tolerance", "dump_problem"],
         "AmplitudeConfig": ["x", "gamma0_t_max", "steps"],
+    }
+
+
+def test_the_library_surface_is_pinned():
+    # every field of the solve's problem and results, and every parameter
+    # of its entry points, so that adding or removing a knob or a result
+    # field changes exactly this test
+    fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+              for cls in (GmeProblem, GmeSolution, SdpResult)}
+    assert fields == {
+        "GmeProblem": ["rho", "tolerance"],
+        "GmeSolution": ["objective", "genuine_negativity", "witness", "decompositions",
+                        "residuals", "dual_objective", "iterations", "reduced",
+                        "num_variables"],
+        "SdpResult": ["x", "primal_objective", "dual_objective", "gap", "rel_gap",
+                      "dual_residual", "iterations"],
+    }
+    params = {fn.__name__: list(inspect.signature(fn).parameters)
+              for fn in (solve_gme, solve_gme_batch, problem_json_dict, solve_block_sdp,
+                         solve_block_sdp_batch)}
+    assert params == {
+        "solve_gme": ["problem", "symmetry_reduction"],
+        "solve_gme_batch": ["problems"],
+        "problem_json_dict": ["problem"],
+        "solve_block_sdp": ["stack", "c", "x0", "tolerance"],
+        "solve_block_sdp_batch": ["stack", "c", "x0", "tolerance"],
     }
 
 
@@ -390,7 +420,7 @@ def _matrix_state(key, bad):
 
 
 @pytest.mark.parametrize("command, doc", [
-    ("gme-single", {"state": {"kind": "ghz", "n": 3}, "symmetry_reduction": "false"}),
+    ("gme-single", {"state": {"kind": "ghz", "n": 3}, "dump_problem": "false"}),
     ("gme-single", {"state": {"kind": "ghz", "n": 3}, "dump_problem": 1}),
     ("sweep", {**SWEEP_DOC, "steps": 4.7}),
     ("sweep", {**SWEEP_DOC, "workers": 1.9}),

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from entdyn.amplitude import AmplitudeModel
+from entdyn.amplitude import AmplitudeModel, c0, c_excitation
 from entdyn.entanglement import negativity_xstate
-from entdyn.evolution import evolve_cc, evolve_four, evolve_pair, evolve_rr
+from entdyn.evolution import evolve_cc, evolve_four, evolve_rr
 from entdyn.states import (DensityMatrix, partial_trace, permute_subsystems, pure_alpha_beta,
                            werner, x_state)
 
@@ -101,11 +101,12 @@ def test_monotone_cavity_population_in_markov_regime():
 
 def test_evolve_pair_consistency():
     s0 = pure_alpha_beta(math.sqrt(1 / 3), math.sqrt(2 / 3))
-    pair = evolve_pair(s0, AmplitudeModel(1.0, 5.0), 1.0)
-    assert pair.c0**2 + pair.c**2 == pytest.approx(1.0, abs=1e-12)
-    assert pair.cc == evolve_cc(s0, AmplitudeModel(1.0, 5.0), 1.0)
+    model = AmplitudeModel(1.0, 5.0)
+    assert c0(model, 1.0)**2 + c_excitation(model, 1.0)**2 == pytest.approx(1.0, abs=1e-12)
+    cc = evolve_cc(s0, model, 1.0)
     assert np.allclose(
-        partial_trace(pair.full, [0, 1]).entries, pair.cc.to_density().entries, atol=1e-10
+        partial_trace(evolve_four(s0, model, 1.0), [0, 1]).entries, cc.to_density().entries,
+        atol=1e-10,
     )
 
 
@@ -157,7 +158,7 @@ def test_pair_cut_negativity_stays_at_its_initial_value(s0):
     # each cavity-reservoir pair evolves by its own isometry, a local
     # operation across c1 r1 | c2 r2, so that cut keeps the cavities'
     # initial negativity N_cc(0): the ceiling of the genuine negativity
-    n0 = negativity_xstate(s0).value
+    n0 = negativity_xstate(s0)
     assert n0 > 0.05
     ts = np.linspace(0.0, 50.0, 51)
     for x in (0.01, 0.1, 1.0, 5.0):

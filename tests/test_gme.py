@@ -13,9 +13,9 @@ from entdyn.entanglement import negativity
 from entdyn.evolution import evolve_four
 from entdyn.gme import (
     GmeProblem,
+    SdpError,
     SdpNonConvergenceError,
     enumerate_bipartitions,
-    negativity_via_gme,
     problem_json_dict,
     solve_gme,
     solve_gme_batch,
@@ -49,6 +49,7 @@ from entdyn.gme.witness import (
     _matrices_from_x,
     _objective_vector,
     _solution_from_result,
+    _support_symmetry,
     _swap_perm,
     _symmetry_labels,
 )
@@ -165,7 +166,6 @@ def test_solver_real_embedding_matches_complex_blocks():
     # round-off
     direct = solve_block_sdp(stack, c, x0)
     real = solve_block_sdp(StackedBlocks(embedded, c.size), c, x0)
-    assert direct.converged and real.converged
     assert real.iterations == direct.iterations
     assert real.primal_objective == pytest.approx(direct.primal_objective, abs=1e-8)
     assert real.dual_objective == pytest.approx(direct.dual_objective, abs=1e-8)
@@ -208,7 +208,6 @@ def test_real_blocks_run_real_and_match_complex_blocks():
     assert {cl.dtype for cl in as_complex.classes} == {np.dtype(complex)}
     r = solve_block_sdp(real, c, x0)
     z = solve_block_sdp(as_complex, c, x0)
-    assert r.converged and z.converged
     assert r.iterations == z.iterations
     assert r.primal_objective == pytest.approx(z.primal_objective, abs=1e-8)
     assert r.dual_objective == pytest.approx(z.dual_objective, abs=1e-8)
@@ -845,7 +844,7 @@ def test_solve_gme_keeps_the_per_layer_call_contract(monkeypatch):
     monkeypatch.setattr("entdyn.gme.witness.solve_block_sdp", sdp)
     problems = [_paper_problem(t) for t in (8.0, 9.05687, 13.5853)]
     sol = solve_gme(problems[0])
-    assert sol.reduced and sol.converged
+    assert sol.reduced
 
     (args,) = sdp_args
     assert len(args) >= 2
@@ -873,7 +872,7 @@ def test_freeze_window_points_converge_with_certificate(gamma0_t):
     s0 = pure_alpha_beta(math.sqrt(1 / 26), 5 * math.sqrt(1 / 26))
     problem = GmeProblem(rho=evolve_four(s0, AmplitudeModel(1.0, 0.01), gamma0_t))
     sol = solve_gme(problem)
-    assert sol.converged and sol.reduced
+    assert sol.reduced
     assert verify_witness(sol, problem).passed
     assert sol.dual_objective <= sol.objective
     if gamma0_t != 31.699:      # the freeze window ends just before 31.699
@@ -916,10 +915,10 @@ def test_a_step_that_would_break_dual_feasibility_is_refined(monkeypatch):
 def test_points_with_a_stuck_dual_residual_converge(gamma0_t):
     problem = _paper_problem(gamma0_t)
     sol = solve_gme(problem)
-    assert sol.converged and sol.reduced
+    assert sol.reduced
     assert sol.residuals["dual_residual"] <= problem.tolerance
     assert verify_witness(sol, problem).passed
-    min_cut = min(negativity(problem.rho, cut).value for cut in problem.cuts)
+    min_cut = min(negativity(problem.rho, cut) for cut in problem.cuts)
     assert 0.0 < sol.genuine_negativity <= min_cut + 1e-6
 
 
@@ -949,17 +948,18 @@ def test_objective_vector_prices_the_witness(symmetry_reduction):
 # --- oracle values -------------------------------------------------------------
 
 def test_bell_matches_negativity():
-    assert negativity_via_gme(bell_pair().to_density()) == pytest.approx(0.5, abs=1e-6)
+    assert solve_gme(bell_pair().to_density()).genuine_negativity == pytest.approx(0.5, abs=1e-6)
 
 
 def test_werner_matches_negativity():
-    assert negativity_via_gme(werner(0.45).to_density()) == pytest.approx(0.0875, abs=1e-6)
+    sol = solve_gme(werner(0.45).to_density())
+    assert sol.genuine_negativity == pytest.approx(0.0875, abs=1e-6)
 
 
 def test_separable_two_qubit_is_zero():
     rng = np.random.default_rng(3)
     rho = tensor(random_density_matrix((2,), rng), random_density_matrix((2,), rng))
-    assert negativity_via_gme(rho) == pytest.approx(0.0, abs=1e-6)
+    assert solve_gme(rho).genuine_negativity == pytest.approx(0.0, abs=1e-6)
 
 
 def test_ghz3_value_and_dual_bound():
@@ -1003,7 +1003,7 @@ def test_bipartite_sdp_equals_eigen_negativity():
     worst = 0.0
     for _ in range(100):
         rho = random_density_matrix((2, 2), rng)
-        worst = max(worst, abs(negativity_via_gme(rho) - negativity(rho, cut).value))
+        worst = max(worst, abs(solve_gme(rho).genuine_negativity - negativity(rho, cut)))
     assert worst < 1e-6
 
 
@@ -1040,7 +1040,7 @@ def test_bounded_by_every_single_cut_negativity():
         psi = random_pure_state(8, rng)
         rho = DensityMatrix(np.outer(psi, psi.conj()), (2, 2, 2), validate=False)
         sol = solve_gme(rho)
-        cap = min(negativity(rho, cut).value for cut in enumerate_bipartitions(3))
+        cap = min(negativity(rho, cut) for cut in enumerate_bipartitions(3))
         assert -1e-7 <= sol.genuine_negativity <= cap + 1e-6
 
 
@@ -1056,6 +1056,28 @@ def test_convexity_of_measure():
         e_sum = (lam * solve_gme(r1).genuine_negativity
                  + (1 - lam) * solve_gme(r2).genuine_negativity)
         assert e_mix <= e_sum + 1e-6
+
+
+def _diagonal_states():
+    ket = np.zeros(8)
+    ket[0] = 1.0
+    probs = np.random.default_rng(41).dirichlet(np.ones(16))
+    return [DensityMatrix(np.outer(ket, ket), (2, 2, 2)), DensityMatrix(np.eye(8) / 8, (2, 2, 2)),
+            DensityMatrix(np.diag(probs), (2, 2, 2, 2))]
+
+
+@pytest.mark.parametrize("rho", _diagonal_states(), ids=["ket000", "maximally_mixed",
+                                                         "full_rank_diagonal4"])
+def test_states_without_off_diagonal_support(rho):
+    # no off-diagonal entry leaves the symmetry detector no bit difference:
+    # every basis index is its own sector, and the state is separable
+    problem = GmeProblem(rho=rho)
+    span, parity_ok = _support_symmetry(rho.entries, rho.num_subsystems)
+    assert span.shape == (0, rho.num_subsystems) and parity_ok
+    assert _symmetry_labels(problem, True)[2] == tuple(range(rho.dim))
+    sol = solve_gme(problem)
+    assert sol.genuine_negativity == 0.0 and sol.reduced
+    assert verify_witness(sol, problem).passed
 
 
 def test_reduced_and_generic_paths_agree():
@@ -1076,7 +1098,6 @@ def test_reduced_and_generic_paths_agree_at_freeze_point():
     slow = solve_gme(problem, symmetry_reduction=False)
     assert fast.reduced and not slow.reduced
     for sol in (fast, slow):
-        assert sol.converged
         assert sol.genuine_negativity == pytest.approx(5 / 26, abs=1e-6)
         assert verify_witness(sol, problem).passed
         assert sol.dual_objective - sol.objective <= sol.residuals["rel_gap"]
@@ -1098,7 +1119,7 @@ def test_parity_only_reduction_two_qubits():
         sol = solve_gme(rho)
         assert sol.reduced
         assert sol.genuine_negativity == pytest.approx(
-            negativity(rho, cut).value, abs=1e-6
+            negativity(rho, cut), abs=1e-6
         )
 
 
@@ -1129,7 +1150,7 @@ def test_real_path_agrees_with_generic_complex_path():
     assert real.reduced and not generic.reduced
     assert (real.num_variables, generic.num_variables) == (144, 256)
     for sol in (real, generic):
-        assert sol.converged and verify_witness(sol, problem).passed
+        assert verify_witness(sol, problem).passed
     assert real.genuine_negativity > 0.1
     assert real.genuine_negativity == pytest.approx(generic.genuine_negativity, abs=1e-6)
     np.testing.assert_array_equal(real.witness.imag, 0.0)
@@ -1157,12 +1178,11 @@ def test_reduction_counts_real_and_complex_states():
     for problem, count in cases:
         real = not np.any(problem.rho.entries.imag)
         assert problem_json_dict(problem)["num_variables"] == count
-        assert problem_json_dict(problem, symmetry_reduction=False)["num_variables"] == 2048
         form = _formulation_for(4, problem.cuts, *_symmetry_labels(problem, True))
         assert form.real == real
         assert {cl.dtype for cl in form.blocks.classes} == {np.dtype(float if real else complex)}
         generic = _formulation_for(4, problem.cuts, *_symmetry_labels(problem, False))
-        assert not generic.real and not generic.reduced
+        assert not generic.real and not generic.reduced and generic.num_vars == 2048
         assert {cl.dtype for cl in generic.blocks.classes} == {np.dtype(complex)}
 
 
@@ -1189,8 +1209,8 @@ def test_known_failure_alpha10_x001_t33(symmetry_reduction):
         sol = _solve_on(_unswapped(problem), problem)
     else:
         sol = solve_gme(problem, symmetry_reduction=symmetry_reduction)
-    assert sol.converged and verify_witness(sol, problem).passed
-    min_cut = min(negativity(problem.rho, cut).value for cut in problem.cuts)
+    assert verify_witness(sol, problem).passed
+    min_cut = min(negativity(problem.rho, cut) for cut in problem.cuts)
     assert sol.genuine_negativity <= min_cut + 1e-6
     assert sol.genuine_negativity == pytest.approx(0.293765, abs=1e-6)
 
@@ -1213,8 +1233,8 @@ def test_known_failure_alpha2_x001_t385():
     assert ts[10] == 38.5
     if isinstance(sol, Exception):
         raise sol
-    assert sol.converged and verify_witness(sol, problem).passed
-    min_cut = min(negativity(problem.rho, cut).value for cut in problem.cuts)
+    assert verify_witness(sol, problem).passed
+    min_cut = min(negativity(problem.rho, cut) for cut in problem.cuts)
     assert sol.genuine_negativity <= min_cut + 1e-6
     assert sol.genuine_negativity == pytest.approx(0.3992332, abs=1e-6)
 
@@ -1256,7 +1276,6 @@ def test_pair_swap_reduction_matches_unswapped(problem):
 
     swapped, unswapped = solve_gme(problem), _solve_on(plain, problem)
     for sol in (swapped, unswapped):
-        assert sol.converged
         assert set(sol.decompositions) == set(problem.cuts)
         report = verify_witness(sol, problem)
         assert report.passed, report.violations
@@ -1282,10 +1301,8 @@ def _swap_invariant_complex_state():
 @pytest.mark.parametrize("problem, count", [
     (_xstate_four(0.2, 0.05), 576),         # rho22 != rho33 breaks the swap
     (_swap_invariant_complex_state(), 1024),
-    (GmeProblem(rho=_paper_problem().rho,   # c2|rest is missing: not swap-closed
-                cuts=tuple(enumerate_bipartitions(4)[:-1])), 301),
     (GmeProblem(rho=ghz_state(3)), 36),
-], ids=["xstate_rho22_ne_rho33", "complex_swap_invariant", "cut_list_not_closed", "three_qubits"])
+], ids=["xstate_rho22_ne_rho33", "complex_swap_invariant", "three_qubits"])
 def test_pair_swap_reduction_keeps_its_scope(problem, count):
     n = problem.rho.num_subsystems
     entries = problem.rho.entries
@@ -1299,7 +1316,7 @@ def test_pair_swap_reduction_keeps_its_scope(problem, count):
     assert form is _unswapped(problem)
     assert form.num_vars == count and form.kept == list(range(len(problem.cuts)))
     sol = solve_gme(problem)
-    assert sol.converged and verify_witness(sol, problem).passed
+    assert verify_witness(sol, problem).passed
 
 
 @pytest.mark.parametrize("swap", [True, False])
@@ -1318,7 +1335,7 @@ def test_initial_dual_is_interior(monkeypatch, swap):
         return nt_scaling(s, z)
 
     monkeypatch.setattr(ipm, "_nt_scaling", spy)
-    assert _solve_on(form, problem).converged
+    _solve_on(form, problem)
     (zs,) = starts
     for cl, z in zip(form.blocks.classes, zs):
         assert z.dtype == cl.dtype and z.shape == (1, cl.n, cl.d, cl.d)
@@ -1337,7 +1354,6 @@ def test_identity_dual_start_reaches_the_feasible_start_optimum():
     eye = [np.eye(len(z), dtype=complex) for z in z_f]
     assert np.max(np.abs(c - _adjoint(stack.blocks, eye, c.size))) > 0.1
     got = solve_block_sdp(stack, c, x0)
-    assert got.converged
     assert got.dual_residual <= 1e-7
     # the primal iterates stay strictly feasible, and the dual one is
     # feasible to within the tolerance
@@ -1550,7 +1566,7 @@ def test_solution_residuals_are_small():
         assert val <= 1e-5, (key, val)
 
 
-def test_nonconvergence_reported_with_bound():
+def test_nonconvergence_reported_with_bound(monkeypatch):
     # GHZ(3)'s witness SDP capped one iteration short of convergence, which
     # is past the first dual-feasible iterate of the identity start
     problem = GmeProblem(rho=ghz_state(3))
@@ -1558,8 +1574,9 @@ def test_nonconvergence_reported_with_bound():
     sdp = form.blocks, _objective_vector(form, problem.rho.entries), _initial_x(form)
     iterations = solve_block_sdp(*sdp).iterations
     assert iterations == solve_gme(problem).iterations
+    monkeypatch.setattr(ipm, "_MAX_ITERATIONS", iterations - 1)
     with pytest.raises(SdpNonConvergenceError) as err:
-        solve_block_sdp(*sdp, max_iterations=iterations - 1)
+        solve_block_sdp(*sdp)
     assert err.value.best_bound is not None
     assert err.value.best_bound <= -0.4  # valid lower bound on the optimum
 
@@ -1581,9 +1598,6 @@ def test_gme_problem_validation():
         GmeProblem(rho=DensityMatrix(np.eye(3) / 3, (3,)))
     with pytest.raises(ValueError):
         GmeProblem(rho=ghz_state(3), tolerance=0.5)
-    cut = Bipartition.of_left([0], 3)
-    with pytest.raises(ValueError):
-        GmeProblem(rho=ghz_state(3), cuts=(cut, cut))
 
 
 # --- batched solves -------------------------------------------------------------
@@ -1600,7 +1614,7 @@ def test_mixed_batch_matches_single_solves():
     assert len({_symmetry_labels(p, True) for p in problems}) == 2
     for problem, got in zip(problems, solve_gme_batch(problems)):
         want = solve_gme(problem)
-        assert (got.converged, got.iterations) == (want.converged, want.iterations)
+        assert got.iterations == want.iterations
         assert got.genuine_negativity == pytest.approx(want.genuine_negativity,
                                                        abs=10 * problem.tolerance)
         assert verify_witness(got, problem).passed
@@ -1655,7 +1669,7 @@ def test_failed_point_of_a_batch_gets_its_own_error(monkeypatch, kind, message):
     # the others run as a batch without the failed point
     others = solve_block_sdp_batch(form.blocks, c[[0, 2]], x0[[0, 2]])
     for got, want in zip(results[::2], others):
-        assert got.converged and got.iterations == want.iterations
+        assert got.iterations == want.iterations
         np.testing.assert_array_equal(got.x, want.x)
 
 
@@ -1688,7 +1702,7 @@ def test_generic_solve_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert form.num_vars == 2048 and sol.converged
+    assert form.num_vars == 2048
     assert peak < 100 * 2**20
 
 
@@ -1708,7 +1722,7 @@ def test_generic_solve_factors_in_its_run_buffers(monkeypatch):
 
     monkeypatch.setattr(ipm, "_factor_arrow", spy)
     sol = _solve_on(form, problem)
-    assert sol.converged and len(seen) == sol.iterations > 2
+    assert len(seen) == sol.iterations > 2
     # one run of seven diagonal blocks of 256
     assert [(size, k) for size, k, _, _ in form.blocks.arrow.runs] == [(256, 7)]
     first = seen[0][0]
@@ -1749,5 +1763,5 @@ def test_freeze_batch_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(sol.converged for sol in batch)
+    assert not any(isinstance(sol, SdpError) for sol in batch)
     assert peak < 5 * 2**20
