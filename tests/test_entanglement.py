@@ -110,13 +110,23 @@ def test_negativity_multiqubit_cut():
         assert val == pytest.approx(0.5, abs=1e-12)
 
 
-def test_return_types():
+def test_method_labels():
+    # A measure is named by its function alone: each returns a plain float, with no label attached.
     s = bell_pair()
     for value in (negativity(s.to_density(), CUT), negativity_xstate(s), concurrence_xstate(s)):
         assert type(value) is float
+        assert not hasattr(value, "method")
+    assert float(negativity_xstate(s)) == negativity_xstate(s)
+
+
+def test_float_of_an_array_value_names_its_shape():
+    # An X state with array fields gives an ndarray of the grid's shape, which float() refuses.
+    s = bell_pair()
     grid = (3, 2)
     fields = XState(*(np.full(grid, getattr(s, f)) for f in ("rho11", "rho22", "rho33", "rho44",
                                                              "rho14", "rho23")))
     values = negativity_xstate(fields)
     assert isinstance(values, np.ndarray) and values.shape == grid
     np.testing.assert_array_equal(values, negativity_xstate(s))
+    with pytest.raises(TypeError):
+        float(values)
