@@ -102,18 +102,12 @@ def _crossings(ts, vs, level, at=_crossing) -> tuple[list[float], list[float]]:
 
 def _first_dead_window(ts, cc, rr, tol) -> tuple[float, float] | None:
     both = list(map(max, cc, rr))
-    dead = [v <= tol for v in both]
-    if True not in dead:
+    downs, ups = _crossings(ts, both, tol)
+    if both[0] > tol and not downs:
         return None
-    k0 = dead.index(True)
-    k1 = k0
-    while k1 + 1 < len(ts) and dead[k1 + 1]:
-        k1 += 1
-    start = ts[0] if k0 == 0 else _crossing(ts, both, k0, tol)
-    end = ts[-1] if k1 == len(ts) - 1 else _crossing(ts, both, k1 + 1, tol)
-    if end <= start:
-        return None
-    return start, end
+    start = ts[0] if both[0] <= tol else downs[0]
+    end = ups[0] if ups else ts[-1]
+    return (start, end) if end > start else None
 
 
 def _freeze_windows(ts, vs, ceiling) -> list[tuple[float, float]]:

@@ -431,7 +431,6 @@ class _ArrowLayout:
     """
 
     def __init__(self, part: SchurPartition):
-        self.partition = part
         self.order = np.concatenate([*part.blocks, part.border]).astype(np.intp)
         self.mq = self.order.size - part.border.size
         self.mb = part.border.size

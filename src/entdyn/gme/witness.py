@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,7 +78,8 @@ __all__ = [
 _SUPPORT_TOL = 1e-12
 
 
-def enumerate_bipartitions(n: int) -> list[Bipartition]:
+@lru_cache(maxsize=8)
+def enumerate_bipartitions(n: int) -> tuple[Bipartition, ...]:
     """All 2^(n-1) - 1 unordered bipartitions, lowest index kept on the left."""
     if n < 2:
         raise ValueError(f"need at least 2 subsystems, got {n}")
@@ -90,7 +91,7 @@ def enumerate_bipartitions(n: int) -> list[Bipartition]:
             continue
         cuts.append(Bipartition.of_left(left, n))
     cuts.sort(key=lambda c: (len(c.left), c.left))
-    return cuts
+    return tuple(cuts)
 
 
 @dataclass(frozen=True)
@@ -108,21 +109,21 @@ class GmeProblem:
         if not (0 < self.tolerance < 1e-2):
             raise ValueError(f"tolerance {self.tolerance} out of range")
 
-    @cached_property
+    @property
     def cuts(self) -> tuple[Bipartition, ...]:
         """Every bipartition, in ``enumerate_bipartitions`` order."""
-        return tuple(enumerate_bipartitions(self.rho.num_subsystems))
+        return enumerate_bipartitions(self.rho.num_subsystems)
 
 
 @dataclass
 class GmeSolution:
-    """Optimal witness value with the per-cut decompositions that certify it."""
+    """Optimal witness value with the per-cut decompositions that ``verify_witness`` audits."""
 
     objective: float
     genuine_negativity: float
     witness: np.ndarray
     decompositions: dict[Bipartition, tuple[np.ndarray, np.ndarray]]
-    residuals: dict[str, float]
+    residuals: dict[str, float]    # the solver's rel_gap, duality_gap and dual_residual
     dual_objective: float
     iterations: int
     reduced: bool
@@ -308,9 +309,9 @@ def _cut_mask(cut: Bipartition, n: int) -> int:
     return mask
 
 
-@dataclass
+@dataclass(eq=False)
 class _Formulation:
-    """Variables and SDP blocks of one witness problem.
+    """Variables and SDP blocks of one witness problem, hashed by identity.
 
     Variable ``k`` parametrises matrix ``owner[k]`` (0 for W, ``1 + c`` for
     the Q of the ``c``-th kept cut); the W variables come first.
@@ -327,7 +328,6 @@ class _Formulation:
     """
 
     n: int
-    cuts: tuple[Bipartition, ...]
     kept: list[int]
     real: bool
     num_vars: int
@@ -344,15 +344,21 @@ class _Formulation:
     reduced: bool
 
 
+def _formulation(problem: GmeProblem, symmetry_reduction: bool = True) -> _Formulation:
+    """The formulation of ``problem``, one object per qubit count and set of labels."""
+    return _formulation_for(problem.rho.num_subsystems,
+                            *_symmetry_labels(problem, symmetry_reduction))
+
+
 @lru_cache(maxsize=64)
 def _formulation_for(
     n: int,
-    cuts: tuple[Bipartition, ...],
     real: bool,
     swap: bool,
     w_labels: tuple[int, ...],
     q_labels: tuple[tuple[int, ...], ...],
 ) -> _Formulation:
+    cuts = enumerate_bipartitions(n)
     dtype = float if real else complex
     dim = 2**n
     identity = np.arange(dim)
@@ -432,7 +438,6 @@ def _formulation_for(
     sectors = np.concatenate(sectors)
     return _Formulation(
         n=n,
-        cuts=cuts,
         kept=kept,
         real=real,
         num_vars=num_vars,
@@ -512,9 +517,7 @@ def solve_gme(
     """
     if isinstance(problem, DensityMatrix):
         problem = GmeProblem(rho=problem)
-    form = _formulation_for(
-        problem.rho.num_subsystems, problem.cuts, *_symmetry_labels(problem, symmetry_reduction)
-    )
+    form = _formulation(problem, symmetry_reduction)
     result = solve_block_sdp(form.blocks, _objective_vector(form, problem.rho.entries),
                              _initial_x(form), tolerance=problem.tolerance)
     return _solution_from_result(form, problem, result)
@@ -523,27 +526,24 @@ def solve_gme(
 def solve_gme_batch(problems: Sequence[GmeProblem]) -> list[GmeSolution | SdpError]:
     """Solve many states, with one interior-point run per formulation.
 
-    The problems are grouped by formulation (qubit count and the symmetry
-    labels that ``solve_gme`` derives with its default reduction)
-    and by tolerance, and each group is one batch of
+    The problems are grouped, in order of first appearance, by the
+    formulation ``solve_gme`` finds for them (qubit count and symmetry
+    labels) and by tolerance, and each group is one batch of
     ``solve_block_sdp_batch``.  Returns, in input order, each problem's
     ``GmeSolution``, or the ``SdpError`` that ``solve_gme`` would raise for
     it; a failed point does not stop the others.  A point's values agree
     with its ``solve_gme`` values to round-off; a group of one is the same
     computation.
     """
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[tuple[_Formulation, float], list[int]] = {}
     for k, problem in enumerate(problems):
-        labels = _symmetry_labels(problem, True)
-        key = (problem.rho.num_subsystems, problem.cuts, *labels, problem.tolerance)
-        groups.setdefault(key, []).append(k)
+        groups.setdefault((_formulation(problem), problem.tolerance), []).append(k)
     out: list[GmeSolution | SdpError] = [None] * len(problems)  # type: ignore[list-item]
-    for key, members in groups.items():
-        form = _formulation_for(*key[:-1])
+    for (form, tolerance), members in groups.items():
         batch = [problems[k] for k in members]
         results = solve_block_sdp_batch(
             form.blocks, np.stack([_objective_vector(form, p.rho.entries) for p in batch]),
-            np.tile(_initial_x(form), (len(batch), 1)), tolerance=key[-1],
+            np.tile(_initial_x(form), (len(batch), 1)), tolerance=tolerance,
         )
         for k, problem, result in zip(members, batch, results):
             out[k] = result if isinstance(result, SdpError) else \
@@ -555,19 +555,13 @@ def _solution_from_result(
     form: _Formulation, problem: GmeProblem, result: SdpResult
 ) -> GmeSolution:
     w, qs = _matrices_from_x(form, result.x)
-    decomps: dict[Bipartition, tuple[np.ndarray, np.ndarray]] = {}
+    decomps = {cut: (w - _partial_transpose_matrix(q, cut.left, problem.rho.dims), q)
+               for cut, q in zip(problem.cuts, qs)}
     residuals = {
         "rel_gap": result.rel_gap,
         "duality_gap": result.gap,
         "dual_residual": result.dual_residual,
     }
-    for cut, q in zip(problem.cuts, qs):
-        p = w - _partial_transpose_matrix(q, cut.left, problem.rho.dims)
-        decomps[cut] = (p, q)
-        eig_p = np.linalg.eigvalsh(p)
-        eig_q = np.linalg.eigvalsh(q)
-        residuals[f"p_bounds[{cut}]"] = max(0.0, -float(eig_p[0]), float(eig_p[-1]) - 1.0)
-        residuals[f"q_bounds[{cut}]"] = max(0.0, -float(eig_q[0]), float(eig_q[-1]) - 1.0)
     objective = result.primal_objective
     return GmeSolution(
         objective=objective,
@@ -629,11 +623,10 @@ def verify_witness(solution: GmeSolution, problem: GmeProblem) -> WitnessReport:
 def problem_json_dict(problem: GmeProblem) -> dict:
     """Documented JSON form of the reduced SDP that ``solve_gme`` solves:
     blocks, dimensions, objective matrix."""
-    n = problem.rho.num_subsystems
-    form = _formulation_for(n, problem.cuts, *_symmetry_labels(problem, True))
+    form = _formulation(problem)
     return {
-        "num_qubits": n,
-        "dimension": 2**n,
+        "num_qubits": form.n,
+        "dimension": 2**form.n,
         "tolerance": problem.tolerance,
         "num_variables": form.num_vars,
         "cuts": [{"left": list(c.left), "right": list(c.right)} for c in problem.cuts],

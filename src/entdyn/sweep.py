@@ -14,6 +14,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import typing
 from dataclasses import dataclass
 
@@ -249,8 +250,8 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
 
     The GME states are built in one call and solved in batches of
     ``GME_BATCH`` consecutive points.  With ``workers > 1`` and at least two
-    batches, the batches run on a pool of at most one process per batch, and
-    a worker that dies raises :class:`WorkerError`.
+    batches, the batches run on a pool of at most one process per batch and
+    per usable core, and a worker that dies raises :class:`WorkerError`.
     """
     model = AmplitudeModel(1.0, cfg.x)
     ts = np.linspace(0.0, cfg.gamma0_t_max, cfg.steps + 1)
@@ -281,8 +282,10 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
             from concurrent.futures import ProcessPoolExecutor
             from concurrent.futures.process import BrokenProcessPool
 
+            cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+                else os.cpu_count() or 1
             try:
-                with ProcessPoolExecutor(max_workers=min(cfg.workers, len(starts))) as pool:
+                with ProcessPoolExecutor(max_workers=min(cfg.workers, len(starts), cores)) as pool:
                     results = list(pool.map(solve, *batches))
             except BrokenProcessPool as exc:
                 raise WorkerError(str(exc)) from exc

@@ -616,3 +616,21 @@ def test_benchmark_wrap_sites_resolve():
     for site in sites:
         module_name, attr = site.rsplit(".", 1)
         assert callable(getattr(importlib.import_module(module_name), attr, None)), site
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("sweep", {**SWEEP_DOC, "steps": 4, "gme_stride": 2, "measures": ["cc", "gme"]}),
+    ("gme-single", {"state": {"kind": "matrix", "matrix": ghz_state(4).to_json_dict()},
+                    "tolerance": 1e-7}),
+], ids=["sweep", "gme-single"])
+def test_benchmark_probe_sets_up(tmp_path, command, doc):
+    # perfbench/probe.py parses the config and builds the first solve's
+    # formulation through the library's names; a renamed config field or
+    # function would fail only in a bench run
+    probe = Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
+    env = {**os.environ, "PYTHONPATH": str(Path(entdyn.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, str(probe), command, write_config(tmp_path, doc)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    (stamp,) = proc.stdout.split()
+    assert math.isfinite(float(stamp))

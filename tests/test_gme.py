@@ -21,7 +21,7 @@ from entdyn.gme import (
     solve_gme_batch,
     verify_witness,
 )
-from entdyn.gme import ipm
+from entdyn.gme import ipm, witness
 from entdyn.gme.ipm import (
     SchurPartition,
     SdpBlock,
@@ -43,6 +43,7 @@ from entdyn.gme.ipm import (
     solve_block_sdp_batch,
 )
 from entdyn.gme.witness import (
+    _formulation,
     _formulation_for,
     _initial_x,
     _ROLES,
@@ -664,7 +665,7 @@ def test_stacked_scatter_matches_dense_reference(case):
         # the witness forms of 2048 and 194 variables
         m, points = (194, 2) if case == "swap_reduced" else (2048, 1)
         problem = _paper_problem(8.0)
-        form = _formulation_for(4, problem.cuts, *_symmetry_labels(problem, case == "swap_reduced"))
+        form = _formulation(problem, case == "swap_reduced")
         blocks = form.blocks.blocks
         stacks = [form.blocks]
         assert form.num_vars == m
@@ -713,7 +714,7 @@ def _witness_stack(swap_reduced, points, seed):
     """A fresh stack of the 194- or 2048-variable witness form, whose term list
     is not built yet, and random ``J^-1`` of each of its classes."""
     problem = _paper_problem(8.0)
-    form = _formulation_for(4, problem.cuts, *_symmetry_labels(problem, swap_reduced))
+    form = _formulation(problem, swap_reduced)
     stack = StackedBlocks(form.blocks.blocks, form.num_vars, form.blocks.partition)
     rng = np.random.default_rng(seed)
     jinv = []
@@ -780,8 +781,7 @@ def test_blocks_encode_the_witness_constraints(case):
     # I - Q_M, with W and Q_M from the variables alone
     problem = _paper_problem(8.0)
     real, swap, w_labels, q_labels = _symmetry_labels(problem, case != "generic")
-    form = _formulation_for(4, problem.cuts, real, swap and case == "swap_reduced",
-                            w_labels, q_labels)
+    form = _formulation_for(4, real, swap and case == "swap_reduced", w_labels, q_labels)
     assert form.num_vars == {"generic": 2048, "real_reduced": 344, "swap_reduced": 194}[case]
     blocks = form.blocks.blocks
     x = np.random.default_rng(43).normal(size=form.num_vars)
@@ -935,7 +935,7 @@ def test_objective_vector_prices_the_witness(symmetry_reduction):
     else:
         rho = random_density_matrix((2, 2, 2), rng)
     problem = GmeProblem(rho=rho)
-    form = _formulation_for(3, problem.cuts, *_symmetry_labels(problem, symmetry_reduction))
+    form = _formulation(problem, symmetry_reduction)
     assert form.reduced == symmetry_reduction
     x = rng.normal(size=form.num_vars)
     w, qs = _matrices_from_x(form, x)
@@ -1178,10 +1178,10 @@ def test_reduction_counts_real_and_complex_states():
     for problem, count in cases:
         real = not np.any(problem.rho.entries.imag)
         assert problem_json_dict(problem)["num_variables"] == count
-        form = _formulation_for(4, problem.cuts, *_symmetry_labels(problem, True))
+        form = _formulation(problem, True)
         assert form.real == real
         assert {cl.dtype for cl in form.blocks.classes} == {np.dtype(float if real else complex)}
-        generic = _formulation_for(4, problem.cuts, *_symmetry_labels(problem, False))
+        generic = _formulation(problem, False)
         assert not generic.real and not generic.reduced and generic.num_vars == 2048
         assert {cl.dtype for cl in generic.blocks.classes} == {np.dtype(complex)}
 
@@ -1255,8 +1255,7 @@ def _solve_on(form, problem):
 
 def _unswapped(problem):
     real, _, w_labels, q_labels = _symmetry_labels(problem, True)
-    return _formulation_for(problem.rho.num_subsystems, problem.cuts, real, False, w_labels,
-                            q_labels)
+    return _formulation_for(problem.rho.num_subsystems, real, False, w_labels, q_labels)
 
 
 @pytest.mark.parametrize("problem", [
@@ -1266,7 +1265,7 @@ def _unswapped(problem):
 def test_pair_swap_reduction_matches_unswapped(problem):
     real, swap, _, _ = _symmetry_labels(problem, True)
     assert real and swap
-    form = _formulation_for(4, problem.cuts, *_symmetry_labels(problem, True))
+    form = _formulation(problem, True)
     plain = _unswapped(problem)
     assert (len(form.blocks), form.num_vars) == (84, 194)
     assert (len(plain.blocks), plain.num_vars) == (140, 344)
@@ -1312,7 +1311,7 @@ def test_pair_swap_reduction_keeps_its_scope(problem, count):
         assert invariant == (count != 576)
     labels = _symmetry_labels(problem, True)
     assert labels[1] is False
-    form = _formulation_for(n, problem.cuts, *labels)
+    form = _formulation_for(n, *labels)
     assert form is _unswapped(problem)
     assert form.num_vars == count and form.kept == list(range(len(problem.cuts)))
     sol = solve_gme(problem)
@@ -1326,7 +1325,7 @@ def test_initial_dual_is_interior(monkeypatch, swap):
     # class's dtype, positive definite
     problem = _paper_problem(8.0)
     real, _, w_labels, q_labels = _symmetry_labels(problem, True)
-    form = _formulation_for(4, problem.cuts, real, swap, w_labels, q_labels)
+    form = _formulation_for(4, real, swap, w_labels, q_labels)
     nt_scaling, starts = ipm._nt_scaling, []
 
     def spy(s, z):
@@ -1561,16 +1560,20 @@ def test_verify_witness_flags_bound_violation():
 
 
 def test_solution_residuals_are_small():
-    sol = solve_gme(ghz_state(3))
+    # the solver's own three numbers; verify_witness is the audit of the bounds
+    problem = GmeProblem(rho=ghz_state(3))
+    sol = solve_gme(problem)
+    assert set(sol.residuals) == {"rel_gap", "duality_gap", "dual_residual"}
     for key, val in sol.residuals.items():
         assert val <= 1e-5, (key, val)
+    assert verify_witness(sol, problem).passed
 
 
 def test_nonconvergence_reported_with_bound(monkeypatch):
     # GHZ(3)'s witness SDP capped one iteration short of convergence, which
     # is past the first dual-feasible iterate of the identity start
     problem = GmeProblem(rho=ghz_state(3))
-    form = _formulation_for(3, problem.cuts, *_symmetry_labels(problem, True))
+    form = _formulation(problem, True)
     sdp = form.blocks, _objective_vector(form, problem.rho.entries), _initial_x(form)
     iterations = solve_block_sdp(*sdp).iterations
     assert iterations == solve_gme(problem).iterations
@@ -1620,6 +1623,32 @@ def test_mixed_batch_matches_single_solves():
         assert verify_witness(got, problem).passed
 
 
+def test_equal_labels_share_one_formulation_and_one_batch(monkeypatch):
+    # two freeze-window points with equal symmetry labels find the same
+    # formulation object and run as one batch; the same state at another
+    # tolerance is a second group, after the first
+    a, b = _paper_problem(9.05687), _paper_problem(13.5853)
+    c = GmeProblem(rho=b.rho, tolerance=3e-7)
+    assert _symmetry_labels(a, True) == _symmetry_labels(b, True)
+    assert _formulation(a) is _formulation(b) is _formulation(c)
+    calls = []
+
+    def spy(stack, c_vecs, x0, tolerance):
+        calls.append((c_vecs.shape[0], tolerance))
+        return solve_block_sdp_batch(stack, c_vecs, x0, tolerance=tolerance)
+
+    monkeypatch.setattr(witness, "solve_block_sdp_batch", spy)
+    solved = solve_gme_batch([a, c, b])
+    assert calls == [(2, a.tolerance), (1, 3e-7)]
+    assert all(verify_witness(sol, p).passed for sol, p in zip(solved, (a, c, b)))
+
+
+def test_every_four_qubit_problem_has_the_one_cut_tuple():
+    problems = [_paper_problem(1.0), _paper_problem(8.0), GmeProblem(rho=ghz_state(4))]
+    assert all(p.cuts is enumerate_bipartitions(4) for p in problems)
+    assert type(enumerate_bipartitions(4)) is tuple
+
+
 @pytest.mark.parametrize("kind, message", [
     ("primal", "cone factorization failed: Matrix is not positive definite"),
     ("dual", "cone factorization failed: dual iterate lost definiteness"),
@@ -1627,7 +1656,7 @@ def test_mixed_batch_matches_single_solves():
 ], ids=["primal", "dual", "newton"])
 def test_failed_point_of_a_batch_gets_its_own_error(monkeypatch, kind, message):
     problems = [_paper_problem(t) for t in (8.0, 13.5853, 40.7559)]
-    form = _formulation_for(4, problems[0].cuts, *_symmetry_labels(problems[0], True))
+    form = _formulation(problems[0], True)
     entries = [p.rho.entries for p in problems]
     c = np.stack([_objective_vector(form, e) for e in entries])
     x0 = np.tile(_initial_x(form), (len(problems), 1))
@@ -1681,7 +1710,7 @@ def test_generic_formulation_peak_memory():
     labels = _symmetry_labels(problem, False)
     tracemalloc.start()
     try:
-        form = _formulation_for.__wrapped__(4, problem.cuts, *labels)
+        form = _formulation_for.__wrapped__(4, *labels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1697,7 +1726,7 @@ def test_generic_solve_peak_memory():
     labels = _symmetry_labels(problem, False)
     tracemalloc.start()
     try:
-        form = _formulation_for.__wrapped__(4, problem.cuts, *labels)
+        form = _formulation_for.__wrapped__(4, *labels)
         sol = _solve_on(form, problem)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -1711,7 +1740,7 @@ def test_generic_solve_factors_in_its_run_buffers(monkeypatch):
     # made afresh, and the factor's inverses and couplings are written into
     # them, so that its iterations allocate no large arrays
     problem = _paper_problem(8.0)
-    form = _formulation_for(4, problem.cuts, *_symmetry_labels(problem, False))
+    form = _formulation(problem, False)
     seen = []
 
     def spy(schur, lay, failed, work):

@@ -1,4 +1,5 @@
 import collections
+import inspect
 import json
 import math
 import os
@@ -19,7 +20,9 @@ from entdyn.events import (_FREEZE_MARGIN, CSV_HEADER, EventReport, SweepTable,
                            detect_events, emit, read_trace)
 from entdyn.gme import GmeProblem
 from entdyn.states import DensityMatrix, StateValidationError
-from entdyn.sweep import SDP_TOLERANCE, ConfigError, GmeSingleConfig, SweepConfig, run_sweep
+from entdyn.gme import solve_block_sdp, solve_block_sdp_batch
+from entdyn.sweep import (GME_BATCH, SDP_TOLERANCE, ConfigError, GmeSingleConfig, SweepConfig,
+                          run_sweep)
 
 A26 = {"kind": "pure", "alpha": math.sqrt(1 / 26), "beta": 5 * math.sqrt(1 / 26)}
 
@@ -193,6 +196,27 @@ def test_a_crossing_with_one_live_sample_takes_the_chord(tmp_path):
     _rereads_to_the_same_events(table, tmp_path)
 
 
+@pytest.mark.parametrize("e_cc, e_rr, window", [
+    (lambda ts: 0.0 * ts, lambda ts: np.clip(0.2 * (ts - 5.0), 0.0, None), (0.0, 5.0)),
+    (lambda ts: np.clip(0.3 - 0.1 * ts, 0.0, None), lambda ts: 0.0 * ts, (3.0, 10.0)),
+    (lambda ts: 0.0 * ts, lambda ts: 0.0 * ts, (0.0, 10.0)),
+    (lambda ts: np.clip(0.3 - 0.1 * ts, 0.0, None), lambda ts: 0.1 + 0.0 * ts, None),
+    (lambda ts: 0.1 + 0.0 * ts, lambda ts: 0.0 * ts, None),
+], ids=["opens-at-first-sample", "runs-to-last-sample", "whole-grid", "rr-alive", "cc-alive"])
+def test_dead_window_edges(tmp_path, e_cc, e_rr, window):
+    # the window opens at the first sample when it is dead and otherwise at
+    # the first death of both, and closes at the first birth or else at the
+    # last sample; while either pair stays entangled there is none
+    ts = np.linspace(0.0, 10.0, 101)
+    table = SweepTable(ts, np.ones_like(ts), e_cc(ts), e_rr(ts), np.full_like(ts, np.nan))
+    got = detect_events(table).dead_window
+    if window is None:
+        assert got is None
+    else:
+        assert got == pytest.approx(window, abs=1e-6)
+    _rereads_to_the_same_events(table, tmp_path)
+
+
 def test_a_freeze_window_opens_at_the_first_sample(tmp_path):
     # e_gme starts locked at its ceiling N_cc(0) = 0.2 and leaves it after
     # t = 2; the chord to 0.19 at t = 2.1 meets the level 0.1998 at 2.002
@@ -323,6 +347,14 @@ def test_one_default_sdp_tolerance():
     assert SweepConfig.sdp_tolerance == GmeSingleConfig.tolerance == SDP_TOLERANCE
 
 
+def test_sdp_defaults_agree():
+    # the sweep's constant, the problem's default and both IPM entry points'
+    # defaults are one value
+    ipm_defaults = {inspect.signature(f).parameters["tolerance"].default
+                    for f in (solve_block_sdp, solve_block_sdp_batch)}
+    assert ipm_defaults == {SDP_TOLERANCE} == {GmeProblem.tolerance}
+
+
 def test_sweep_and_solver_reject_the_same_sdp_tolerances():
     # a sweep checks its sdp_tolerance against GmeProblem's range, written
     # out in sweep.py, when it is read
@@ -360,6 +392,40 @@ def test_gme_sweep_with_stride_and_workers():
     table2 = run_sweep(cfg2)
     assert np.allclose(table2.e_gme[finite], table.e_gme[finite], atol=1e-6)
     assert np.array_equal(np.isfinite(table2.e_gme), finite)
+
+
+@pytest.mark.parametrize("workers, cores, started", [(8, 2, 2), (8, 4, 3), (2, 1, 1)])
+def test_the_pool_has_at_most_one_worker_per_batch_and_usable_core(monkeypatch, workers, cores,
+                                                                   started):
+    # three batches of GME points; a fake executor records its size and maps
+    # in-process, and a stub stands for the solves, so no process starts
+    import concurrent.futures
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(entdyn.sweep, "_gme_batch",
+                        lambda cfg, ts, states: [(t, None) for t in ts])
+    table = run_sweep(SweepConfig.from_dict({
+        "initial_state": A26, "x": 5.0, "gamma0_t_max": 1.0, "steps": 2 * GME_BATCH,
+        "measures": ["gme"], "workers": workers,
+    }))
+    assert sizes == [started]
+    assert table.e_gme.tolist() == table.gamma0_t.tolist()
 
 
 def test_grid_resolution_stability():
